@@ -31,6 +31,7 @@ from .resolution import (
     SnrGate,
     amplitude_resolution,
     ar_resolution,
+    ar_sensitivity,
     compute_readout_voltages,
     min_detectable_stiffness,
     motional_current,

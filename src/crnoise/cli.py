@@ -13,13 +13,15 @@ uncoupled-demo).  Every emitted file starts with the fully resolved `# key =
 value` configuration block, so re-running from that block reproduces the file
 byte for byte (stochastic runs require a seed; there is no silent
 nondeterminism).  Exit codes: 0 success, 1 invalid configuration (the
-offending key is named), 2 numerical failure.
+offending key is named), 2 numerical failure, 3 an output could not be
+written.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 from pathlib import Path
 
@@ -32,6 +34,7 @@ from .noisebudget import (
     NoiseBudgetReport,
     analytic_displacement_psd,
     full_noise_budget,
+    thermal_force_psd,
 )
 from .reports import Row, render_table, write_report, write_rows_csv, write_csv
 
@@ -153,32 +156,18 @@ def _x_psd_inputs(run: RunConfig) -> tuple[tuple[float, float], str]:
         )
         return psd, "|h|^2 * S_F"
     # simulated
-    series, modes = _run_thermal_sim(run)
-    seg = run.get("analysis.segment_length")
-    spectrum = spectral.welch_psd(
-        series.x1,
-        series.dt,
-        None if seg == "auto" else int(seg),
-        run.get("analysis.overlap"),
-    )
+    if not run.is_stochastic:
+        raise ConfigError(
+            "forcing.noise_psd: stochastic forcing required (set it to auto or > 0)"
+        )
+    series, modes, _ = _run_sim(run)
+    spectrum = _welch(run, series.x1, series.dt)
     band = run.environment.bandwidth
     psd = (
         spectral.band_mean_psd(spectrum, modes.f1, band),
         spectral.band_mean_psd(spectrum, modes.f2, band),
     )
     return psd, "simulated spectrum"
-
-
-def _run_thermal_sim(run: RunConfig):
-    system = sysmodel.build_system(run.system)
-    modes = sysmodel.mode_analysis(system)
-    plan = run.make_plan(modes)
-    forcing = run.make_forcing(modes)
-    if forcing.stochastic is None:
-        raise ConfigError(
-            "forcing.noise_psd: stochastic forcing required (set it to auto or > 0)"
-        )
-    return timesim.simulate(system, forcing, plan), modes
 
 
 def _budget_report(run: RunConfig) -> tuple[NoiseBudgetReport, str]:
@@ -254,6 +243,14 @@ def _run_sim(run: RunConfig):
     return series, modes, forcing
 
 
+def _welch(run: RunConfig, samples, dt: float) -> spectral.Spectrum:
+    """Welch spectrum with the configured analysis.segment_length and overlap."""
+    seg = run.get("analysis.segment_length")
+    return spectral.welch_psd(
+        samples, dt, None if seg == "auto" else int(seg), run.get("analysis.overlap")
+    )
+
+
 def cmd_simulate(run: RunConfig, args) -> int:
     series, modes, forcing = _run_sim(run)
     out = _out_dir(run)
@@ -306,13 +303,10 @@ def cmd_psd(run: RunConfig, args) -> int:
     series, modes, _ = _run_sim(run)
     out = _out_dir(run)
     timesim.write_timeseries_csv(series, out / "timeseries.csv", comments=_echo(run))
-    seg = run.get("analysis.segment_length")
-    seg = None if seg == "auto" else int(seg)
-    overlap = run.get("analysis.overlap")
     band = run.environment.bandwidth
     rows = []
     for name, samples in (("x1", series.x1), ("x2", series.x2)):
-        spectrum = spectral.welch_psd(samples, series.dt, seg, overlap)
+        spectrum = _welch(run, samples, series.dt)
         spectral.write_spectrum_csv(spectrum, out / f"spectrum_{name}.csv", comments=_echo(run))
         rows += _band_rows(name, spectrum, samples, modes, band)
     notes = (
@@ -348,9 +342,9 @@ def _resolution_report(run: RunConfig):
 
     derived = sysmodel.derive_quantities(run.system)
     source = run.get("resolution.sensitivity_source")
-    formula = float("inf") if derived.kappa == 0 else 1.0 / (2.0 * abs(derived.kappa))
     sensitivity = (
-        run.get("resolution.sensitivity_paper") if source == "paper_simulated" else formula
+        run.get("resolution.sensitivity_paper") if source == "paper_simulated"
+        else reslib.ar_sensitivity(derived.kappa)
     )
     eff = run.get("resolution.effective_resolution")
     eff = None if eff == "auto" else float(eff)
@@ -447,7 +441,7 @@ def _sweep_point(run: RunConfig, kc: float, index: int, simulate_floor: bool):
     budget = full_noise_budget(
         system_cfg, run.environment, run.transducer, run.readout, x_psd
     )
-    sens = float("inf") if derived.kappa == 0 else 1.0 / (2.0 * abs(derived.kappa))
+    sens = reslib.ar_sensitivity(derived.kappa)
 
     x_modes = (run.get("resolution.x_mode1"), run.get("resolution.x_mode2"))
     eta_omega = (run.get("resolution.eta_omega_mode1"), run.get("resolution.eta_omega_mode2"))
@@ -481,17 +475,15 @@ def _sweep_point(run: RunConfig, kc: float, index: int, simulate_floor: bool):
         forcing = timesim.Forcing(
             stochastic=timesim.StochasticDrive(
                 force_psd=run.noise_psd() if run.is_stochastic
-                else 4.0 * run.environment.k_boltzmann * run.environment.temperature * system_cfg.c1,
+                else thermal_force_psd(system_cfg.c1, run.environment),
                 seed=seed,
                 target=run.get("forcing.noise_target"),
             )
         )
         series = timesim.simulate(system, forcing, plan)
-        seg = run.get("analysis.segment_length")
-        seg = None if seg == "auto" else int(seg)
         band = run.environment.bandwidth
         for samples in (series.x1, series.x2):
-            spectrum = spectral.welch_psd(samples, series.dt, seg, run.get("analysis.overlap"))
+            spectrum = _welch(run, samples, series.dt)
             row.append(spectral.band_mean_psd(spectrum, modes.f1, band))
             row.append(spectral.band_mean_psd(spectrum, modes.f2, band))
     return row
@@ -516,9 +508,25 @@ def cmd_sweep(run: RunConfig, args) -> int:
 
 # --- entry point ----------------------------------------------------------------
 
+def _attach_kc_value(argv: list[str]) -> list[str]:
+    """Join `--kc -393.5,-1000` into `--kc=-393.5,-1000`.
+
+    argparse takes a token that starts with '-' and is not a single number
+    for an option flag, so a comma list of negative springs needs the joined
+    form.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--kc" and re.match(r"-[\d.]", token):
+            out[-1] = f"--kc={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_kc_value(sys.argv[1:] if argv is None else list(argv)))
     try:
         run = _load_run(args)
         return args.func(run, args)
@@ -531,6 +539,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"cr-noise-lab: invalid configuration: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"cr-noise-lab: cannot write output: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -159,6 +159,14 @@ class ResolutionReport:
     v_noise_rms: float  # V
 
 
+def ar_sensitivity(kappa: float) -> float:
+    """First-order AR sensitivity 1/(2|kappa|) per normalized stiffness change.
+
+    Unbounded (inf) for an uncoupled pair.
+    """
+    return math.inf if kappa == 0 else 1.0 / (2.0 * abs(kappa))
+
+
 def resolution_report(
     v_out_rms: tuple[float, float],
     v_noise_rms: float,
@@ -179,7 +187,7 @@ def resolution_report(
     ar_res = tuple(ar_resolution(r, r) for r in amp_res)
     snrs = tuple(v / v_noise_rms for v in v_out_rms) if v_noise_rms > 0 else (math.inf, math.inf)
     worst = 1 + int(snrs[1] < snrs[0])
-    formula = math.inf if kappa == 0 else 1.0 / (2.0 * abs(kappa))
+    formula = ar_sensitivity(kappa)
     if effective_resolution is None:
         effective_resolution = min(ar_res)
     detect = min_detectable_stiffness(effective_resolution, sensitivity, bandwidth, k_eff)

@@ -7,10 +7,14 @@ times is exactly a linear recursion
 
     x[n+1] = Phi x[n] + G0 u(t_n) + Gm u(t_n + dt/2) + G1 u(t_n + dt)
 
-with constant matrices.  The engine evaluates that recursion through a modal
-decomposition of Phi and first-order IIR filters, which reproduces the RK4
-trajectory to rounding while running at compiled-filter speed; a plain step
-loop is kept as a fallback for (near-)defective Phi and for validation.
+with constant matrices.  The engine evaluates that recursion in the complex
+Schur basis of the balanced update matrix, Phi = S T S^-1 with S = D Q, D a
+diagonal power-of-two scaling that puts positions and velocities on a common
+scale, and Q unitary.  T is upper triangular, so the four states are
+first-order IIR filters solved bottom-up, each driven by the rows below it
+delayed one step.  The basis stays well conditioned even for defective or
+critically damped Phi, so one code path reproduces the RK4 trajectory to
+rounding at compiled-filter speed.
 
 Deterministic harmonic drives are sampled at the true substep times (full
 4th-order accuracy).  Stochastic thermal force is zero-order-hold per step:
@@ -27,6 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import matrix_balance, schur
 from scipy.signal import lfilter
 
 from .errors import NumericalError
@@ -37,8 +42,6 @@ _DEFAULT_STEPS_PER_PERIOD = 50
 _MIN_STEPS_PER_PERIOD = 20
 _MAX_SAMPLES = 2**31
 _CHUNK_STEPS = 1 << 20
-# condition-number ceiling for trusting the modal decomposition of Phi
-_MODAL_COND_LIMIT = 1e8
 
 NOISE_TARGET_1 = "1"
 NOISE_TARGET_2 = "2"
@@ -203,30 +206,28 @@ def _harmonic_force(drives: tuple[HarmonicDrive, ...], t: np.ndarray) -> np.ndar
     return force
 
 
-def _noise_streams(drive: StochasticDrive, dt: float):
-    """(row indices, generators, sigma) for the stochastic force streams."""
+def _noise_streams(drive: StochasticDrive | None, dt: float):
+    """((resonator index, generator) pairs, sigma) for the stochastic force streams."""
+    if drive is None:
+        return [], 0.0
     sigma = math.sqrt(drive.force_psd / (2.0 * dt))
     if drive.target == NOISE_TARGET_BOTH:
-        rows = (0, 1)
-        rngs = (np.random.default_rng(drive.seed), np.random.default_rng(drive.seed ^ 1))
+        seeds = ((0, drive.seed), (1, drive.seed ^ 1))
     else:
-        rows = (int(drive.target) - 1,)
-        rngs = (np.random.default_rng(drive.seed),)
-    return rows, rngs, sigma
+        seeds = ((int(drive.target) - 1, drive.seed),)
+    return [(row, np.random.default_rng(seed)) for row, seed in seeds], sigma
 
 
 def simulate(
     system: SystemMatrices,
     forcing: Forcing,
     plan: SimulationPlan,
-    method: str = "auto",
 ) -> TimeSeries:
     """Integrate the coupled equations of motion and record the trajectory.
 
-    method selects the evaluation of the RK4 recursion: "modal" (fast IIR
-    path), "dense" (plain step loop) or "auto" (modal unless the eigenvector
-    basis of the update matrix is ill-conditioned).  All paths compute the
-    same recursion; results agree to rounding.
+    The classical RK4 recursion is evaluated in the balanced Schur basis of
+    its update matrix (see the module docstring); long runs stream through
+    fixed-size chunks, recording every plan.record_decimation-th state.
     """
     modes = mode_analysis(system)
     if plan.dt > 1.0 / (_MIN_STEPS_PER_PERIOD * modes.f2):
@@ -253,16 +254,8 @@ def simulate(
     a, b = _state_matrices(system)
     phi, g0, gm, g1 = _rk4_update_matrices(a, b, plan.dt)
 
-    if method not in ("auto", "modal", "dense"):
-        raise ValueError(f"unknown method {method!r}")
-    use_modal = method == "modal"
-    if method == "auto":
-        _, vec = np.linalg.eig(phi)
-        use_modal = np.linalg.cond(vec) < _MODAL_COND_LIMIT
-
     x0 = np.asarray(plan.initial_state, dtype=float)
-    runner = _run_modal if use_modal else _run_dense
-    channels = runner(phi, g0, gm, g1, x0, forcing, plan, n_steps)
+    channels = _run_schur(phi, g0, gm, g1, x0, forcing, plan, n_steps)
 
     for name, data in channels.items():
         if not np.isfinite(data).all():
@@ -297,19 +290,23 @@ def _record_rows(plan: SimulationPlan) -> dict[str, int]:
     return rows
 
 
-def _run_modal(phi, g0, gm, g1, x0, forcing, plan, n_steps):
-    """Evaluate the RK4 recursion through the eigenbasis of phi.
+def _run_schur(phi, g0, gm, g1, x0, forcing, plan, n_steps):
+    """Evaluate the RK4 recursion y[n+1] = T y[n] + w[n] in the Schur basis.
 
-    Per mode the recursion is the scalar filter z[n+1] = d z[n] + w[n], run
-    with lfilter and a carried state, so arbitrarily long runs stream through
-    fixed-size chunks.
+    Row i is the scalar filter y_i[n+1] = T_ii y_i[n] + w_i[n] +
+    sum_{j>i} T_ij y_j[n], run with lfilter from the bottom row up; the lower
+    rows are already solved, so their contribution is a known input delayed
+    by one step.  The state y carries across fixed-size chunks.
     """
-    d_eig, vec = np.linalg.eig(phi)
-    vinv = np.linalg.inv(vec)
-    w0 = vinv @ g0  # (4, 2) complex
-    wm = vinv @ gm
-    w1 = vinv @ g1
+    balanced, (scale, _) = matrix_balance(phi, permute=False, separate=True)
+    t_mat, q = schur(balanced, output="complex")
+    s_mat = scale[:, None] * q  # x = Re(S y)
+    s_inv = q.conj().T / scale[None, :]
+    w0 = s_inv @ g0  # (4, 2) complex
+    wm = s_inv @ gm
+    w1 = s_inv @ g1
     w_zoh = w0 + wm + w1
+    diag = np.diag(t_mat)
 
     dec = plan.record_decimation
     n_rec = n_steps // dec + 1
@@ -318,79 +315,50 @@ def _run_modal(phi, g0, gm, g1, x0, forcing, plan, n_steps):
     for name, row in rows.items():
         out[name][0] = x0[row]
 
-    noise = forcing.stochastic
-    noise_rows: tuple[int, ...] = ()
-    if noise is not None:
-        noise_rows, rngs, sigma = _noise_streams(noise, plan.dt)
+    streams, sigma = _noise_streams(forcing.stochastic, plan.dt)
+    y = s_inv @ x0  # state at the start of the current chunk
 
-    # lfilter state: zi = d * z carries z[n] into the next chunk
-    z_state = (vinv @ x0).astype(complex)
-    zi = d_eig * z_state
-
-    # chunks aligned to the decimation grid
+    # chunks aligned to the decimation grid; one buffer, reused by every
+    # chunk, holds the input w and is then overwritten row by row with y
     chunk = max(dec, (_CHUNK_STEPS // dec) * dec)
+    buf = np.empty((4, min(chunk, n_steps)), dtype=complex)
     dt = plan.dt
     for start in range(0, n_steps, chunk):
         n_c = min(chunk, n_steps - start)
-        steps = start + np.arange(n_c)
-
-        w_in = np.zeros((4, n_c), dtype=complex)
+        ys = buf[:, :n_c]
+        ys[...] = 0.0
         if forcing.harmonic:
-            t = steps * dt
-            w_in += w0 @ _harmonic_force(forcing.harmonic, t)
-            w_in += wm @ _harmonic_force(forcing.harmonic, t + 0.5 * dt)
-            w_in += w1 @ _harmonic_force(forcing.harmonic, t + dt)
-        if noise is not None:
-            for row, rng in zip(noise_rows, rngs):
-                w_in += np.outer(w_zoh[:, row], rng.standard_normal(n_c) * sigma)
+            t = (start + np.arange(n_c)) * dt
+            ys += w0 @ _harmonic_force(forcing.harmonic, t)
+            ys += wm @ _harmonic_force(forcing.harmonic, t + 0.5 * dt)
+            ys += w1 @ _harmonic_force(forcing.harmonic, t + dt)
+        for row, rng in streams:
+            samples = rng.standard_normal(n_c) * sigma
+            for i in range(4):
+                ys[i] += w_zoh[i, row] * samples
 
-        chunk_out = {name: np.zeros(n_c) for name in rows}
-        for i in range(4):
-            z_seq, zf = lfilter(
-                [1.0], np.array([1.0, -d_eig[i]]), w_in[i], zi=np.array([zi[i]])
+        for i in reversed(range(4)):
+            for j in range(i + 1, 4):
+                ys[i, 0] += t_mat[i, j] * y[j]
+                ys[i, 1:] += t_mat[i, j] * ys[j, :-1]
+            ys[i], _ = lfilter(
+                [1.0], np.array([1.0, -diag[i]]), ys[i], zi=np.array([diag[i] * y[i]])
             )
-            zi[i] = zf[0]
-            for name, row in rows.items():
-                chunk_out[name] += (vec[row, i] * z_seq).real
+        y = ys[:, -1].copy()
 
-        # z_seq[j] is the state after global step start+j+1; chunks are
-        # aligned to the decimation grid, so recorded steps sit at j = dec-1,
-        # 2*dec-1, ... and land at consecutive output slots.
-        sel = np.arange(dec - 1, n_c, dec)
-        idx = start // dec + 1 + np.arange(sel.size)
-        for name in rows:
-            out[name][idx] = chunk_out[name][sel]
+        # ys[:, k] is the state after global step start+k+1; chunks are
+        # aligned to the decimation grid, so recorded steps sit at k = dec-1,
+        # 2*dec-1, ... and land at consecutive output slots.  Re(S y) is
+        # formed elementwise so that it rounds the same for every decimation.
+        rec = ys[:, dec - 1 :: dec]
+        first = start // dec + 1
+        for name, row in rows.items():
+            x = out[name][first : first + rec.shape[1]]
+            x[...] = 0.0
+            for i in range(4):
+                x += s_mat[row, i].real * rec[i].real
+                x -= s_mat[row, i].imag * rec[i].imag
 
-    return out
-
-
-def _run_dense(phi, g0, gm, g1, x0, forcing, plan, n_steps):
-    """Reference step-by-step evaluation of the RK4 recursion."""
-    dec = plan.record_decimation
-    rows = _record_rows(plan)
-    out = {name: np.empty(n_steps // dec + 1) for name in rows}
-    for name, row in rows.items():
-        out[name][0] = x0[row]
-
-    t = np.arange(n_steps) * plan.dt
-    force0 = _harmonic_force(forcing.harmonic, t)
-    force_m = _harmonic_force(forcing.harmonic, t + 0.5 * plan.dt)
-    force1 = _harmonic_force(forcing.harmonic, t + plan.dt)
-    if forcing.stochastic is not None:
-        noise_rows, rngs, sigma = _noise_streams(forcing.stochastic, plan.dt)
-        for row, rng in zip(noise_rows, rngs):
-            samples = rng.standard_normal(n_steps) * sigma
-            force0[row] += samples
-            force_m[row] += samples
-            force1[row] += samples
-
-    x = x0.copy()
-    for n in range(n_steps):
-        x = phi @ x + g0 @ force0[:, n] + gm @ force_m[:, n] + g1 @ force1[:, n]
-        if (n + 1) % dec == 0:
-            k = (n + 1) // dec
-            for name, row in rows.items():
-                out[name][k] = x[row]
     return out
 
 

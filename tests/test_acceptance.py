@@ -6,6 +6,7 @@ line per criterion.  Tolerances are fixed here, not calibrated elsewhere.
 """
 
 import dataclasses
+import functools
 import math
 import subprocess
 import sys
@@ -177,9 +178,12 @@ def _q500_system():
     return dataclasses.replace(ref, c1=c, c2=c, cc=c)
 
 
-def test_criterion_08b_simulated_psd_vs_analytic():
-    failures = []
-    start = time.time()
+@functools.lru_cache(maxsize=None)
+def _q500_thermal_spectrum():
+    """Thermal run of the Q=500 pair and its x1 Welch spectrum, computed once.
+
+    Criteria 08b and 08d both check this spectrum, whichever runs first.
+    """
     cfg = _q500_system()
     system = build_system(cfg)
     modes = mode_analysis(system)
@@ -193,6 +197,13 @@ def test_criterion_08b_simulated_psd_vs_analytic():
         system, Forcing(stochastic=StochasticDrive(psd_force, seed=2718, target="1")), plan
     )
     spectrum = spectral.welch_psd(series.x1, dt, segment_length=segment)
+    return system, modes, psd_force, spectrum, series.x1
+
+
+def test_criterion_08b_simulated_psd_vs_analytic():
+    failures = []
+    start = time.time()
+    system, modes, psd_force, spectrum, _ = _q500_thermal_spectrum()
     _check_true(failures, f"{spectrum.n_segments} segments >= 200",
                 spectrum.n_segments >= 200)
 
@@ -219,8 +230,6 @@ def test_criterion_08b_simulated_psd_vs_analytic():
     err_peak = block_db_error(in_zone)
     _check_true(failures, f"off-resonance error {err_off:.2f} dB <= 1 dB", err_off <= 1.0)
     _check_true(failures, f"peak-zone error {err_peak:.2f} dB <= 3 dB", err_peak <= 3.0)
-    # keep the spectrum for the Parseval criterion
-    test_criterion_08b_simulated_psd_vs_analytic.spectrum = (spectrum, series.x1)
     elapsed = time.time() - start
     _check_true(failures, f"runtime {elapsed:.1f}s < 120s", elapsed < 120.0)
     _report(8, f"(b) simulated PSD vs analytic |h|^2*S_F at Q=500 ({elapsed:.1f}s)", failures)
@@ -249,10 +258,8 @@ def test_criterion_08c_steady_state_amplitude():
 
 def test_criterion_08d_parseval_on_emitted_spectra():
     failures = []
-    collected = []
-    cached = getattr(test_criterion_08b_simulated_psd_vs_analytic, "spectrum", None)
-    if cached is not None:
-        collected.append(("thermal Q=500 x1", *cached))
+    *_, q500_spectrum, q500_x1 = _q500_thermal_spectrum()
+    collected = [("thermal Q=500 x1", q500_spectrum, q500_x1)]
 
     cfg = presets.uncoupled_system(q=100.0)
     system = build_system(cfg)

@@ -287,6 +287,14 @@ def test_exit_codes(tmp_path):
     assert run_cli("modes", "--config", str(tmp_path / "missing.cfg")) == 1
 
 
+def test_unwritable_output_exit_code(tmp_path, capsys):
+    blocker = tmp_path / "plain_file"
+    blocker.write_text("not a directory\n")
+    assert run_cli("modes", "--config", "paper-reference",
+                   "--out", str(blocker / "results")) == 3
+    assert "cr-noise-lab: cannot write output:" in capsys.readouterr().err
+
+
 def test_db_convention_flag(tmp_path):
     cfg = tmp_path / "noise.cfg"
     cfg.write_text(NOISE_CFG)
@@ -322,6 +330,13 @@ def test_sweep_kc_override_and_monotonicity(tmp_path):
     header, rows = read_csv_table(tmp_path / "sweep.csv")
     sens = [float(r[header.index("ar_sensitivity")]) for r in rows]
     assert all(a > b for a, b in zip(sens, sens[1:]))
+
+
+def test_sweep_kc_negative_list_without_spaces(tmp_path):
+    assert run_cli("sweep", "--config", "paper-reference",
+                   "--kc", "-393.5,-1000", "--out", str(tmp_path)) == 0
+    _, rows = read_csv_table(tmp_path / "sweep.csv")
+    assert [r[0] for r in rows] == ["-393.5", "-1000"]
 
 
 def test_sweep_single_point_matches_budget(tmp_path):
