@@ -12,22 +12,17 @@ from crnoise import (
     thermal_force_psd,
     total_system_noise,
 )
-from crnoise.presets import (
-    REF_X_PSD_MODE1,
-    REF_X_PSD_MODE2,
-    reference_readout,
-    reference_system,
-    reference_transducer,
-)
+from crnoise.presets import reference_run
 
 env = Environment(temperature=300.0, bandwidth=10.0)
-cfg = reference_system()
+run = reference_run()
+cfg = run.system
 
 print("thermal pipeline (published displacement-noise PSD inputs)")
 print(f"  force PSD 4*kB*T*c = {thermal_force_psd(cfg.c1, env):.4e} N^2/Hz")
 report = full_noise_budget(
-    cfg, env, reference_transducer(), reference_readout(),
-    (REF_X_PSD_MODE1, REF_X_PSD_MODE2),
+    cfg, env, run.transducer, run.readout,
+    (run.get("budget.x_psd_mode1"), run.get("budget.x_psd_mode2")),
 )
 thermal = report.thermal
 print(f"  force rms over {env.bandwidth:g} Hz = {thermal.f_noise_rms:.4e} N")
@@ -51,5 +46,5 @@ print(f"  the mechanical term moves the total by only "
 
 print("\nreadout noise vs motional resistance (halving R_x raises the noise gain):")
 for r_x in (8e6, 4e6, 2e6, 1e6):
-    b = electronic_budget(reference_readout(), r_x, env)
+    b = electronic_budget(run.readout, r_x, env)
     print(f"  R_x = {r_x / 1e6:4.1f} Mohm: voltage-noise row {b.i_vn:.3e} A rms")

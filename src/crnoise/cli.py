@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import re
 import sys
 from pathlib import Path
@@ -116,8 +117,9 @@ def _modes_rows(run: RunConfig):
     system = sysmodel.build_system(run.system)
     modes = sysmodel.mode_analysis(system)
     derived = sysmodel.derive_quantities(run.system)
-    sens = sysmodel.sensitivity_stiffness(derived.k_eff * 1e-3, derived)
-    ar_per_dk = "unbounded (degenerate)" if sens.degenerate else sens.ar_shift / 1e-3
+    ar_per_dk = reslib.ar_sensitivity(derived.kappa)
+    if math.isinf(ar_per_dk):
+        ar_per_dk = "unbounded (degenerate)"
     rows = [
         Row("f1", modes.f1, "Hz", modes.label1),
         Row("f2", modes.f2, "Hz", modes.label2),
@@ -429,38 +431,26 @@ SWEEP_FLOOR_HEADER = (
 )
 
 
-def _sweep_point(run: RunConfig, kc: float, index: int, simulate_floor: bool):
-    system_cfg = dataclasses.replace(run.system, kc=kc)
-    system = sysmodel.build_system(system_cfg)
+# the sources every sweep point is evaluated with, whatever the run sets
+SWEEP_SOURCES = {
+    "budget.x_psd_source": "analytic",
+    "resolution.sensitivity_source": "formula",
+    "resolution.v_out_source": "computed",
+    "resolution.v_noise_source": "computed",
+    "resolution.effective_resolution": "auto",
+}
+
+
+def _sweep_point(base: RunConfig, kc: float, index: int, simulate_floor: bool):
+    run = dataclasses.replace(base, system=dataclasses.replace(base.system, kc=kc))
+    report, _, budget = _resolution_report(run)
+    system = sysmodel.build_system(run.system)
     modes = sysmodel.mode_analysis(system)
-    derived = sysmodel.derive_quantities(system_cfg)
-
-    x_psd = analytic_displacement_psd(
-        system_cfg, run.environment, run.get("forcing.noise_target")
-    )
-    budget = full_noise_budget(
-        system_cfg, run.environment, run.transducer, run.readout, x_psd
-    )
-    sens = reslib.ar_sensitivity(derived.kappa)
-
-    x_modes = (run.get("resolution.x_mode1"), run.get("resolution.x_mode2"))
-    eta_omega = (run.get("resolution.eta_omega_mode1"), run.get("resolution.eta_omega_mode2"))
-    voltages = reslib.compute_readout_voltages(
-        x_modes, eta_omega, run.readout.r_f, budget.i_system_paper[0]
-    )
-    report = reslib.resolution_report(
-        v_out_rms=tuple(m.v_out_rms for m in voltages.modes),
-        v_noise_rms=voltages.v_noise_rms,
-        sensitivity=sens,
-        sensitivity_source="formula",
-        kappa=derived.kappa,
-        bandwidth=run.environment.bandwidth,
-        k_eff=derived.k_eff,
-    )
     row = [
-        kc, derived.kappa, modes.f1, modes.f2, modes.split_hz, modes.label1,
-        modes.modal_q1, modes.modal_q2, sens,
-        x_psd[0], x_psd[1],
+        kc, sysmodel.derive_quantities(run.system).kappa,
+        modes.f1, modes.f2, modes.split_hz, modes.label1,
+        modes.modal_q1, modes.modal_q2, report.sensitivity,
+        budget.thermal.x_psd[0], budget.thermal.x_psd[1],
         budget.thermal.i_mot_noise[0], budget.thermal.i_mot_noise[1],
         budget.electronic.i_rf, budget.electronic.i_vn, budget.electronic.i_in,
         budget.electronic.i_total_paper, budget.electronic.i_total_integrated,
@@ -474,8 +464,7 @@ def _sweep_point(run: RunConfig, kc: float, index: int, simulate_floor: bool):
         plan = run.make_plan(modes)
         forcing = timesim.Forcing(
             stochastic=timesim.StochasticDrive(
-                force_psd=run.noise_psd() if run.is_stochastic
-                else thermal_force_psd(system_cfg.c1, run.environment),
+                force_psd=run.noise_psd() or thermal_force_psd(run.system.c1, run.environment),
                 seed=seed,
                 target=run.get("forcing.noise_target"),
             )
@@ -490,10 +479,11 @@ def _sweep_point(run: RunConfig, kc: float, index: int, simulate_floor: bool):
 
 
 def cmd_sweep(run: RunConfig, args) -> int:
-    kc_values = run.get("sweep.kc_values")
+    base = build_run_config(run.entries | SWEEP_SOURCES)
     simulate_floor = run.get("sweep.simulate_floor")
     rows = [
-        _sweep_point(run, kc, i, simulate_floor) for i, kc in enumerate(kc_values)
+        _sweep_point(base, kc, i, simulate_floor)
+        for i, kc in enumerate(run.get("sweep.kc_values"))
     ]
     header = SWEEP_HEADER + (SWEEP_FLOOR_HEADER if simulate_floor else "")
     out = _out_dir(run)

@@ -2,8 +2,12 @@
 
 One key per line, `#` comments, dotted namespaces (system.*, readout.*, ...).
 Every key has a fixed unit and a checked range; unknown keys and malformed or
-out-of-range values are errors that name the offending key.  Defaults are the
-reference-design values, so an empty config is a valid run.
+out-of-range values are errors that name the offending key.
+
+The SCHEMA defaults are the one place where the reference design is written
+down: an empty config is a valid run of it, the shipped presets list only the
+keys they change, and `cr-noise-lab --help` prints every key with its unit
+and default.
 """
 
 from __future__ import annotations
@@ -45,6 +49,13 @@ def _f(default, unit, help, minimum=None, exclusive=False, maximum=None,
 
 
 SCHEMA: dict[str, KeySpec] = {
+    # The symmetric reference pair at its published operating point, Q = 2547
+    # with c = 0.0031 N*s/m, kc = -393.5 N/m and kappa = kc/k_eff = -0.0032:
+    #   k_eff = kc / kappa      = 122968.75 N/m
+    #   km    = k_eff - kc      = 123362.25 N/m
+    #   m     = (Q*c)^2 / k_eff = 5.069749712020331e-4 kg  (so sqrt(k_eff*m)/c = Q)
+    # which places the modes near 2474.7 Hz (out-of-phase) and 2482.7 Hz
+    # (in-phase), about 7.9 Hz apart.
     "system.m1": _f("0.0005069749712020331", "kg", "mass of resonator 1", 0, True),
     "system.m2": _f("0.0005069749712020331", "kg", "mass of resonator 2", 0, True),
     "system.km1": _f("123362.25", "N/m", "mechanical spring of resonator 1", 0, True),
@@ -211,10 +222,6 @@ class RunConfig:
         value = self.values["sim.seed"]
         return None if value == "none" else int(value)
 
-    @property
-    def db_convention(self) -> str:
-        return {"paper": "paper_20log", "power": "power_10log"}[self.values["analysis.db_convention"]]
-
     def require_seed(self) -> int:
         if self.seed is None:
             raise ConfigError(
@@ -349,7 +356,7 @@ def load_config_file(path) -> dict[str, str]:
 
 
 def schema_help() -> str:
-    """Key/unit/default listing for --help and the shipped reference file."""
+    """Key/unit/default listing printed by `cr-noise-lab --help`."""
     lines = []
     for key, spec in SCHEMA.items():
         lines.append(f"  {key} [{spec.unit}] (default {spec.default}): {spec.help}")

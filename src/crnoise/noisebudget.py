@@ -136,6 +136,7 @@ class ThermalBudget:
     f_noise_psd: float  # N^2/Hz
     f_noise_avg: float  # N^2, psd * bandwidth
     f_noise_rms: float  # N
+    x_psd: tuple[float, float]  # m^2/Hz per mode, the displacement-noise input
     x_avg: tuple[float, float]  # m^2 per mode
     x_rms: tuple[float, float]  # m per mode
     i_mot_noise: tuple[float, float]  # A rms per mode
@@ -180,6 +181,7 @@ def thermal_budget(
         f_noise_psd=f_psd,
         f_noise_avg=f_avg,
         f_noise_rms=math.sqrt(f_avg),
+        x_psd=tuple(x_psd_per_mode),
         x_avg=x_avg,
         x_rms=x_rms,
         i_mot_noise=i_mot,

@@ -1,19 +1,10 @@
-"""Named presets and the reference-design constants they are built from.
+"""Named presets: shipped config files layered over the SCHEMA defaults.
 
-The reference design is a symmetric electrostatically coupled pair
-characterized by its published operating point: Q = 2547 with
-c = 0.0031 N*s/m, kc = -393.5 N/m and kappa = kc/k_eff = -0.0032.  Every
-other number follows from those:
-
-    k_eff = kc / kappa = 122 968.75 N/m
-    km    = k_eff - kc = 123 362.25 N/m
-    m     = (Q c)^2 / k_eff = 5.0697e-4 kg   (so sqrt(k_eff m)/c = Q)
-
-The transduction factor shipped with the budget preset is back-solved from
-the published motional-noise row (eta * omega_1 = 0.5562 A/m), and the
-resolution preset carries the published drive/readout voltages directly; the
-published parameter set is not fully self-consistent (see the r_x*eta^2 = c
-check in noisebudget), so each table keeps its own implied values.
+The reference design lives only in the `config.SCHEMA` defaults.  A preset
+file lists just the keys it changes; `paper-reference` adds the published
+readout conventions (see its comments), and `reference_run()` returns it
+resolved, so code that needs the reference transducer, readout or published
+PSD levels reads them from that run.
 """
 
 from __future__ import annotations
@@ -21,69 +12,34 @@ from __future__ import annotations
 import importlib.resources
 import math
 
-from .noisebudget import Environment, ReadoutConfig, TransducerConfig
-from .sysmodel import SystemConfig
-
-REF_Q = 2547.0
-REF_DAMPING = 0.0031  # N*s/m
-REF_KC = -393.5  # N/m
-REF_KAPPA = -0.0032
-REF_KEFF = REF_KC / REF_KAPPA  # 122968.75 N/m
-REF_KM = REF_KEFF - REF_KC  # 123362.25 N/m
-REF_MASS = (REF_Q * REF_DAMPING) ** 2 / REF_KEFF  # 5.0697e-4 kg
-
-# angular mode frequencies of the symmetric reference pair
-REF_OMEGA_MODE1 = math.sqrt((REF_KM + 2.0 * REF_KC) / REF_MASS)  # out-of-phase
-REF_OMEGA_MODE2 = math.sqrt(REF_KM / REF_MASS)  # in-phase
-
-# eta back-solved from the published motional-noise row (eta*omega_1 = 0.5562)
-REF_ETA_OMEGA_MODE1 = 0.5562  # A/m
-REF_ETA = REF_ETA_OMEGA_MODE1 / REF_OMEGA_MODE1
-REF_MOTIONAL_RESISTANCE = 4e6  # ohm, published value
-
-# published displacement-noise PSD at the two modes, m^2/Hz
-REF_X_PSD_MODE1 = 7.76e-30
-REF_X_PSD_MODE2 = 2.45e-29
+from .config import RunConfig, build_run_config, parse_config_text
+from .sysmodel import SystemConfig, derive_quantities
 
 PRESET_NAMES = ("paper-reference", "uncoupled-demo")
 
 
+def reference_run() -> RunConfig:
+    """The resolved `paper-reference` preset."""
+    name = "paper-reference"
+    return build_run_config(parse_config_text(preset_text(name), source=name))
+
+
 def reference_system() -> SystemConfig:
     """Symmetric reference pair at the published operating point."""
-    return SystemConfig(
-        m1=REF_MASS, m2=REF_MASS,
-        km1=REF_KM, km2=REF_KM,
-        kc=REF_KC,
-        c1=REF_DAMPING, c2=REF_DAMPING, cc=REF_DAMPING,
-    )
-
-
-def reference_environment() -> Environment:
-    return Environment(temperature=300.0, bandwidth=10.0)
-
-
-def reference_transducer() -> TransducerConfig:
-    # the published eta and r_x are ~65% apart on the r_x*eta^2 = c identity;
-    # widen the tolerance so carrying both as published does not warn
-    return TransducerConfig(
-        eta=REF_ETA, r_x=REF_MOTIONAL_RESISTANCE, consistency_tolerance=0.70
-    )
-
-
-def reference_readout() -> ReadoutConfig:
-    return ReadoutConfig()
+    return reference_run().system
 
 
 def uncoupled_system(q: float = 100.0) -> SystemConfig:
     """Two identical uncoupled resonators at quality factor q.
 
     Used for the equipartition demonstration: with kc = cc = 0 resonator 1
-    behaves as a single mass-spring-damper.
+    behaves as a single mass-spring-damper with the reference k_eff and mass.
     """
-    c = math.sqrt(REF_KEFF * REF_MASS) / q
+    derived = derive_quantities(reference_system())
+    c = math.sqrt(derived.k_eff * derived.m_eff) / q
     return SystemConfig(
-        m1=REF_MASS, m2=REF_MASS,
-        km1=REF_KEFF, km2=REF_KEFF,
+        m1=derived.m_eff, m2=derived.m_eff,
+        km1=derived.k_eff, km2=derived.k_eff,
         kc=0.0,
         c1=c, c2=c, cc=0.0,
     )

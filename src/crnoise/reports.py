@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,15 +43,22 @@ def render_table(title: str, rows: list[Row], footnotes: tuple[str, ...] = ()) -
     return "\n".join(lines) + "\n"
 
 
-def atomic_write(path, text: str) -> None:
-    """Write via a temporary name and rename, so no file is ever partial."""
+@contextmanager
+def atomic_open(path):
+    """Text handle on a temporary name, fsynced and renamed to `path` on exit."""
     path = Path(path)
     tmp = path.with_name(path.name + ".part")
     with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+        yield handle
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
+
+
+def atomic_write(path, text: str) -> None:
+    """Write via a temporary name and rename, so no file is ever partial."""
+    with atomic_open(path) as handle:
+        handle.write(text)
 
 
 def write_report(path, title: str, rows: list[Row],

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal
 
+from .reports import atomic_write
+
 DB_PAPER = "paper_20log"
 DB_POWER = "power_10log"
 
@@ -178,8 +180,6 @@ def write_spectrum_csv(spectrum: Spectrum, path, comments: tuple[str, ...] = ())
 
     Zero PSD bins print -inf in the dB columns.
     """
-    from .reports import atomic_write
-
     with np.errstate(divide="ignore"):
         db_paper = 20.0 * np.log10(spectrum.values)
         db_power = 10.0 * np.log10(spectrum.values)

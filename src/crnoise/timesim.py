@@ -25,16 +25,15 @@ power spectral density of the sample stream equals force_psd.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import matrix_balance, schur
 from scipy.signal import lfilter
 
 from .errors import NumericalError
+from .reports import atomic_open
 from .sysmodel import Modes, SystemMatrices, mode_analysis
 
 # steps per period of the fastest mode
@@ -415,14 +414,9 @@ def steady_state_amplitude(
 
 def write_timeseries_csv(series: TimeSeries, path, comments: tuple[str, ...] = ()) -> None:
     """Write t_s,x1_m,x2_m rows; comment lines (prefixed '# ') go on top."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".part")
     data = np.column_stack((series.times, series.x1, series.x2))
-    with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
+    with atomic_open(path) as handle:
         for comment in comments:
             handle.write(f"# {comment}\n")
         handle.write("t_s,x1_m,x2_m\n")
         np.savetxt(handle, data, fmt="%.12g", delimiter=",")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)

@@ -81,9 +81,10 @@ def test_criterion_01_thermal_force_pipeline():
 
 def test_criterion_02_displacement_pipeline():
     failures = []
+    run = presets.reference_run()
     budget = thermal_budget(
-        presets.reference_system(), ENV, presets.reference_transducer(),
-        (presets.REF_X_PSD_MODE1, presets.REF_X_PSD_MODE2),
+        run.system, ENV, run.transducer,
+        (run.get("budget.x_psd_mode1"), run.get("budget.x_psd_mode2")),
     )
     _check(failures, "x mean square", budget.x_avg[0], 7.762e-29, 5e-3)
     _check(failures, "x rms", budget.x_rms[0], 8.81e-15, 5e-3)
@@ -93,7 +94,7 @@ def test_criterion_02_displacement_pipeline():
 
 def test_criterion_03_readout_noise_rows():
     failures = []
-    budget = electronic_budget(presets.reference_readout(), r_x=4e6, env=ENV)
+    budget = electronic_budget(presets.reference_run().readout, r_x=4e6, env=ENV)
     _check(failures, "feedback-resistor row", budget.i_rf, 4.06e-13, 0.01)
     _check(failures, "voltage-noise row", budget.i_vn, 4.34e-13, 0.01)
     _check(failures, "current-noise row", budget.i_in, 9.92e-14, 0.01)
@@ -107,7 +108,7 @@ def test_criterion_03_readout_noise_rows():
 
 def test_criterion_04_total_system_noise():
     failures = []
-    budget = electronic_budget(presets.reference_readout(), r_x=4e6, env=ENV)
+    budget = electronic_budget(presets.reference_run().readout, r_x=4e6, env=ENV)
     total = total_system_noise(4.9e-15, budget.i_total_paper)
     _check_true(failures, "mechanical term must shift total by < 0.1%",
                 total / budget.i_total_paper - 1.0 < 1e-3)

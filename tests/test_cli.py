@@ -6,10 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from crnoise.cli import main
-from crnoise.config import SCHEMA, build_run_config, parse_config_text
+from crnoise.cli import SWEEP_SOURCES, main
+from crnoise.config import build_run_config, parse_config_text
 from crnoise.errors import ConfigError
-from crnoise.presets import PRESET_NAMES, preset_text, reference_system
+from crnoise.presets import PRESET_NAMES, preset_text
+from crnoise.sysmodel import derive_quantities
 
 
 def run_cli(*argv) -> int:
@@ -75,8 +76,11 @@ def test_comments_and_inline_comments():
 
 
 def test_defaults_match_reference_system():
+    """The SCHEMA defaults are the published operating point."""
     run = build_run_config()
-    assert run.system == reference_system()
+    derived = derive_quantities(run.system)
+    assert derived.q == pytest.approx(2547.0, rel=1e-12)
+    assert derived.kappa == pytest.approx(-0.0032, rel=1e-12)
     assert run.environment.temperature == 300.0
     assert run.readout.r_f == 1e6
 
@@ -95,17 +99,14 @@ def test_eta_auto_requires_geometry():
 
 
 def test_presets_parse_and_cover_schema():
+    defaults = build_run_config().values
     for name in PRESET_NAMES:
         entries = parse_config_text(preset_text(name), source=name)
         run = build_run_config(entries)
         assert run.system.m1 > 0
-    # the shipped reference file lists every key at its default
-    import importlib.resources
-
-    text = importlib.resources.files("crnoise").joinpath("data", "reference.cfg").read_text()
-    entries = parse_config_text(text, source="reference.cfg")
-    assert set(entries) == set(SCHEMA)
-    assert entries == {key: spec.default for key, spec in SCHEMA.items()}
+        # a preset lists only the keys it changes
+        for key in entries:
+            assert run.get(key) != defaults[key], f"{name}: {key} repeats its default"
 
 
 def test_seed_required_for_stochastic():
@@ -340,22 +341,54 @@ def test_sweep_kc_negative_list_without_spaces(tmp_path):
 
 
 def test_sweep_single_point_matches_budget(tmp_path):
-    out_sweep = tmp_path / "s"
-    out_budget = tmp_path / "b"
+    """A sweep point equals budget and resolution run with the sweep's sources.
+
+    The sweep runs on the paper-reference preset, whose published resolution
+    sources the sweep replaces with SWEEP_SOURCES.
+    """
+    out_sweep, out_budget, out_res = tmp_path / "s", tmp_path / "b", tmp_path / "r"
     cfg = tmp_path / "one.cfg"
     cfg.write_text(
-        "budget.x_psd_source = analytic\n"
-        "sweep.kc_values = -393.5\n"
         "transducer.consistency_tolerance = 0.70\n"
+        + "".join(f"{key} = {value}\n" for key, value in SWEEP_SOURCES.items())
     )
-    assert run_cli("sweep", "--config", str(cfg), "--out", str(out_sweep)) == 0
+    assert run_cli("sweep", "--config", "paper-reference", "--kc", "-393.5",
+                   "--out", str(out_sweep)) == 0
     assert run_cli("budget", "--config", str(cfg), "--out", str(out_budget)) == 0
+    assert run_cli("resolution", "--config", str(cfg), "--out", str(out_res)) == 0
     header, rows = read_csv_table(out_sweep / "sweep.csv")
     budget = report_values(out_budget / "budget.csv")
+    resolution = report_values(out_res / "resolution.csv")
     row = dict(zip(header, rows[0]))
     assert float(row["i_rf_a"]) == pytest.approx(budget["i_rf"], rel=1e-9)
     assert float(row["i_mot_mode1_a"]) == pytest.approx(budget["i_mot_noise_mode1"], rel=1e-9)
     assert float(row["f1_hz"]) == pytest.approx(2474.73, abs=0.01)
+    for column, quantity in (
+        ("amp_res_mode1", "amplitude_resolution_mode1"),
+        ("ar_res_mode1", "ar_resolution_mode1"),
+        ("min_detectable_density", "min_detectable_density"),
+    ):
+        assert float(row[column]) == pytest.approx(resolution[quantity], rel=1e-9)
+
+
+def test_sweep_simulate_floor_seeded(tmp_path):
+    """Seeded simulated floors: four positive PSD columns, byte-identical reruns."""
+    cfg = tmp_path / "floor.cfg"
+    cfg.write_text(
+        "sweep.kc_values = -393.5, -1000\n"
+        "sweep.simulate_floor = true\n"
+        "sim.duration = 0.3\n"
+        "transducer.consistency_tolerance = 0.70\n"
+    )
+    dirs = (tmp_path / "a", tmp_path / "b")
+    for d in dirs:
+        assert run_cli("sweep", "--config", str(cfg), "--seed", "4", "--out", str(d)) == 0
+    header, rows = read_csv_table(dirs[0] / "sweep.csv")
+    floor = [c for c in header if c.startswith("floor_")]
+    assert len(floor) == 4 and len(rows) == 2
+    for r in rows:
+        assert all(float(r[header.index(c)]) > 0 for c in floor)
+    assert (dirs[0] / "sweep.csv").read_bytes() == (dirs[1] / "sweep.csv").read_bytes()
 
 
 # --- determinism and round-trip -----------------------------------------------------

@@ -33,7 +33,7 @@ def env():
 
 @pytest.fixture
 def transducer():
-    return presets.reference_transducer()
+    return presets.reference_run().transducer
 
 
 # --- thermal force ---------------------------------------------------------------
@@ -92,7 +92,8 @@ def test_analytic_psd_feeds_budget(reference_config, env, transducer):
 
 
 def test_consistency_warning_default_tolerance():
-    strict = TransducerConfig(eta=presets.REF_ETA, r_x=4e6)  # tolerance 0.25
+    eta = presets.reference_run().transducer.eta
+    strict = TransducerConfig(eta=eta, r_x=4e6)  # tolerance 0.25
     with pytest.warns(UserWarning, match="differs"):
         check_transduction_consistency(strict, 0.0031)
 
