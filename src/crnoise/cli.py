@@ -85,8 +85,6 @@ def _load_run(args) -> RunConfig:
             file_entries = load_config_file(args.config)
     overrides = {}
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("sim.seed: --seed must be >= 0")
         overrides["sim.seed"] = str(args.seed)
     if args.out is not None:
         overrides["output.directory"] = args.out
@@ -138,8 +136,7 @@ def _modes_rows(run: RunConfig):
 def cmd_modes(run: RunConfig, args) -> int:
     rows, _ = _modes_rows(run)
     out = _out_dir(run)
-    write_report(out / "modes.txt", "modal analysis", rows, comments=_echo(run))
-    _print(render_table("modal analysis", rows))
+    _print(write_report(out / "modes.txt", "modal analysis", rows, comments=_echo(run)))
     return 0
 
 
@@ -227,10 +224,10 @@ def cmd_budget(run: RunConfig, args) -> int:
     rows = _budget_rows(report, label)
     notes = _budget_footnotes(report)
     out = _out_dir(run)
-    write_report(out / "budget.txt", "noise budget", rows, comments=_echo(run),
-                 footnotes=notes)
+    table = write_report(out / "budget.txt", "noise budget", rows, comments=_echo(run),
+                         footnotes=notes)
     write_rows_csv(out / "budget.csv", rows, comments=_echo(run))
-    _print(render_table("noise budget", rows, notes))
+    _print(table)
     return 0
 
 
@@ -275,9 +272,8 @@ def cmd_simulate(run: RunConfig, args) -> int:
             Row("steady_amp_x2", steady.amp2, "m", "single-bin projection"),
             Row("phase_diff", steady.phase_diff, "rad", "x2 - x1"),
         ]
-    write_report(out / "simulate_summary.txt", "simulation summary", rows,
-                 comments=_echo(run))
-    _print(render_table("simulation summary", rows))
+    _print(write_report(out / "simulate_summary.txt", "simulation summary", rows,
+                        comments=_echo(run)))
     return 0
 
 
@@ -316,9 +312,8 @@ def cmd_psd(run: RunConfig, args) -> int:
         "convention, labeled dB/Hz despite the squared unit); db_power is "
         "the standard 10*log10.",
     )
-    write_report(out / "psd_summary.txt", "spectral summary", rows,
-                 comments=_echo(run), footnotes=notes)
-    _print(render_table("spectral summary", rows, notes))
+    _print(write_report(out / "psd_summary.txt", "spectral summary", rows,
+                        comments=_echo(run), footnotes=notes))
     return 0
 
 
@@ -409,10 +404,10 @@ def cmd_resolution(run: RunConfig, args) -> int:
     report, voltages, _ = _resolution_report(run)
     rows, notes = _resolution_rows(run, report, voltages)
     out = _out_dir(run)
-    write_report(out / "resolution.txt", "output resolution", rows,
-                 comments=_echo(run), footnotes=notes)
+    table = write_report(out / "resolution.txt", "output resolution", rows,
+                         comments=_echo(run), footnotes=notes)
     write_rows_csv(out / "resolution.csv", rows, comments=_echo(run))
-    _print(render_table("output resolution", rows, notes))
+    _print(table)
     return 0
 
 
@@ -487,7 +482,7 @@ def cmd_sweep(run: RunConfig, args) -> int:
     ]
     header = SWEEP_HEADER + (SWEEP_FLOOR_HEADER if simulate_floor else "")
     out = _out_dir(run)
-    write_csv(out / "sweep.csv", header, rows, comments=_echo(run))
+    write_csv(out / "sweep.csv", header, list(zip(*rows)), comments=_echo(run))
     summary = [
         Row(f"kc={r[0]:g}", r[4], "Hz split", f"ar_sensitivity {r[8]:.4g}")
         for r in rows

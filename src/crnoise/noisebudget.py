@@ -38,7 +38,6 @@ SOURCE_MECHANICAL = "mechanical_thermal"
 class Environment:
     temperature: float = 300.0  # K
     bandwidth: float = 10.0  # Hz, measurement band around each mode
-    k_boltzmann: float = BOLTZMANN  # J/K
 
     def __post_init__(self) -> None:
         if self.temperature < 0:
@@ -66,7 +65,7 @@ class TransducerConfig:
 
     def __post_init__(self) -> None:
         if self.eta is None:
-            if not self.has_geometry:
+            if None in (self.v_dc, self.epsilon, self.area, self.gap):
                 raise ValueError(
                     "transduction factor unavailable: provide eta or all of "
                     "(v_dc, epsilon, area, gap)"
@@ -82,10 +81,6 @@ class TransducerConfig:
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be > 0")
-
-    @property
-    def has_geometry(self) -> bool:
-        return None not in (self.v_dc, self.epsilon, self.area, self.gap)
 
 
 def check_transduction_consistency(transducer: TransducerConfig, c: float) -> float | None:
@@ -149,7 +144,7 @@ def thermal_force_psd(c: float, env: Environment) -> float:
     """One-sided thermal force PSD 4 kB T c [N^2/Hz]."""
     if c < 0:
         raise ValueError("damping must be >= 0")
-    return 4.0 * env.k_boltzmann * env.temperature * c
+    return 4.0 * BOLTZMANN * env.temperature * c
 
 
 def thermal_budget(
@@ -216,22 +211,14 @@ def analytic_displacement_psd(
 def motional_resistance(
     transducer: TransducerConfig, k_eff: float, m_eff: float, q: float
 ) -> float:
-    """Motional resistance at resonance [ohm].
+    """Motional resistance at resonance, sqrt(k_eff m_eff) / (Q eta^2) = c / eta^2 [ohm].
 
-    From geometry: gap^4 sqrt(k_eff m_eff) / (v_dc^2 eps^2 A^2 Q); otherwise
-    the algebraically equal sqrt(k_eff m_eff) / (Q eta^2) = c / eta^2.
+    eta is the transducer's, given or derived from its geometry, so r_x and
+    the motional current always use the same transduction factor.
     """
     if q <= 0:
         raise ValueError("quality factor must be > 0")
-    if transducer.has_geometry:
-        return (
-            transducer.gap**4
-            * math.sqrt(k_eff * m_eff)
-            / (transducer.v_dc**2 * transducer.epsilon**2 * transducer.area**2 * q)
-        )
-    if transducer.eta is not None:
-        return math.sqrt(k_eff * m_eff) / (q * transducer.eta**2)
-    raise ValueError("motional resistance needs geometry or eta")
+    return math.sqrt(k_eff * m_eff) / (q * transducer.eta**2)
 
 
 @dataclass(frozen=True)
@@ -252,7 +239,7 @@ def electronic_budget(readout: ReadoutConfig, r_x: float, env: Environment) -> E
     if r_x <= 0:
         raise ValueError("r_x must be > 0")
     band = env.bandwidth
-    kt4 = 4.0 * env.k_boltzmann * env.temperature
+    kt4 = 4.0 * BOLTZMANN * env.temperature
     vn_gain_density = readout.v_n * (1.0 + r_x / readout.r_f) / r_x  # A/rtHz
 
     i_rf = math.sqrt(kt4 * band / readout.r_f)

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -55,30 +58,45 @@ def atomic_open(path):
     os.replace(tmp, path)
 
 
-def atomic_write(path, text: str) -> None:
-    """Write via a temporary name and rename, so no file is ever partial."""
-    with atomic_open(path) as handle:
-        handle.write(text)
-
-
 def write_report(path, title: str, rows: list[Row],
-                 comments: tuple[str, ...] = (), footnotes: tuple[str, ...] = ()) -> None:
-    body = "".join(f"# {c}\n" for c in comments)
-    atomic_write(path, body + render_table(title, rows, footnotes))
+                 comments: tuple[str, ...] = (), footnotes: tuple[str, ...] = ()) -> str:
+    """Write the table under '# ' comment lines; returns the rendered table."""
+    table = render_table(title, rows, footnotes)
+    with atomic_open(path) as handle:
+        handle.write("".join(f"# {c}\n" for c in comments) + table)
+    return table
 
 
-def csv_field(value: float | str) -> str:
-    if isinstance(value, str):
-        return value
-    return f"{value:.12g}"
+# rows formatted per `%` call; the formatted cells of one block are all that
+# is held in memory at once
+_BLOCK_ROWS = 1 << 12
 
 
-def write_csv(path, header: str, data_rows: list[tuple], comments: tuple[str, ...] = ()) -> None:
-    lines = [f"# {c}" for c in comments]
-    lines.append(header)
-    for row in data_rows:
-        lines.append(",".join(csv_field(v) for v in row))
-    atomic_write(path, "\n".join(lines) + "\n")
+def write_csv(path, header: str, columns, comments: tuple[str, ...] = ()) -> None:
+    """Write equal-length columns as comma-separated rows under a header line.
+
+    Columns are numpy arrays, tuples or lists.  A str cell is written as is,
+    every other cell as %.12g.  Comment lines (prefixed '# ') go on top.
+    """
+    lengths = {len(column) for column in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"columns differ in length: {sorted(lengths)}")
+    n_rows = lengths.pop() if lengths else 0
+    width = len(columns)
+    with atomic_open(path) as handle:
+        handle.write("".join(f"# {c}\n" for c in comments) + header + "\n")
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            block = [column[start:start + _BLOCK_ROWS] for column in columns]
+            block = [b.tolist() if isinstance(b, np.ndarray) else b for b in block]
+            cells = tuple(itertools.chain.from_iterable(zip(*block)))
+            if any(issubclass(t, str) for t in set(map(type, cells))):
+                fields = ["%s" if isinstance(v, str) else "%.12g" for v in cells]
+                template = "".join(
+                    ",".join(fields[i:i + width]) + "\n" for i in range(0, len(fields), width)
+                )
+            else:
+                template = (",".join(["%.12g"] * width) + "\n") * len(block[0])
+            handle.write(template % cells)
 
 
 def write_rows_csv(path, rows: list[Row], comments: tuple[str, ...] = ()) -> None:
@@ -86,6 +104,6 @@ def write_rows_csv(path, rows: list[Row], comments: tuple[str, ...] = ()) -> Non
     write_csv(
         path,
         "quantity,value,unit,source",
-        [(r.quantity, r.value, r.unit, r.source) for r in rows],
+        list(zip(*[(r.quantity, r.value, r.unit, r.source) for r in rows])),
         comments,
     )

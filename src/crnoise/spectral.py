@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal
 
-from .reports import atomic_write
+from .reports import write_csv
 
 DB_PAPER = "paper_20log"
 DB_POWER = "power_10log"
@@ -32,7 +32,6 @@ class Spectrum:
     segment_length: int
     overlap: float
     n_segments: int
-    scaling: str = "density"
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -183,16 +182,13 @@ def write_spectrum_csv(spectrum: Spectrum, path, comments: tuple[str, ...] = ())
     with np.errstate(divide="ignore"):
         db_paper = 20.0 * np.log10(spectrum.values)
         db_power = 10.0 * np.log10(spectrum.values)
-    lines = [f"# {c}" for c in comments]
-    lines.append(
-        f"# window = {spectrum.window}, segment_length = {spectrum.segment_length}, "
+    window = (
+        f"window = {spectrum.window}, segment_length = {spectrum.segment_length}, "
         f"overlap = {spectrum.overlap}, n_segments = {spectrum.n_segments}"
     )
-    lines.append("f_hz,psd,psd_db_paper,psd_db_power")
-    freqs = spectrum.frequencies
-    for i in range(spectrum.values.size):
-        lines.append(
-            f"{freqs[i]:.12g},{spectrum.values[i]:.12g},"
-            f"{db_paper[i]:.12g},{db_power[i]:.12g}"
-        )
-    atomic_write(path, "\n".join(lines) + "\n")
+    write_csv(
+        path,
+        "f_hz,psd,psd_db_paper,psd_db_power",
+        (spectrum.frequencies, spectrum.values, db_paper, db_power),
+        (*comments, window),
+    )

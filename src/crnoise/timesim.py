@@ -33,7 +33,7 @@ from scipy.linalg import matrix_balance, schur
 from scipy.signal import lfilter
 
 from .errors import NumericalError
-from .reports import atomic_open
+from .reports import write_csv
 from .sysmodel import Modes, SystemMatrices, mode_analysis
 
 # steps per period of the fastest mode
@@ -414,9 +414,4 @@ def steady_state_amplitude(
 
 def write_timeseries_csv(series: TimeSeries, path, comments: tuple[str, ...] = ()) -> None:
     """Write t_s,x1_m,x2_m rows; comment lines (prefixed '# ') go on top."""
-    data = np.column_stack((series.times, series.x1, series.x2))
-    with atomic_open(path) as handle:
-        for comment in comments:
-            handle.write(f"# {comment}\n")
-        handle.write("t_s,x1_m,x2_m\n")
-        np.savetxt(handle, data, fmt="%.12g", delimiter=",")
+    write_csv(path, "t_s,x1_m,x2_m", (series.times, series.x1, series.x2), comments)

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,15 @@ def test_presets_parse_and_cover_schema():
         # a preset lists only the keys it changes
         for key in entries:
             assert run.get(key) != defaults[key], f"{name}: {key} repeats its default"
+
+
+def test_negative_seed_names_the_key(tmp_path, capsys):
+    assert run_cli("modes", "--seed", "-1", "--out", str(tmp_path)) == 1
+    err = capsys.readouterr().err.strip()
+    assert "sim.seed" in err and err.endswith("must be >= 0")
+    # a dimensionless key's range message carries no unit
+    with pytest.raises(ConfigError, match=r"must be >= 0$"):
+        build_run_config({"sim.seed": "-1"})
 
 
 def test_seed_required_for_stochastic():
@@ -229,7 +239,6 @@ def test_budget_all_zero_in_noiseless_limit(tmp_path):
     cfg.write_text(
         "environment.temperature = 0\nreadout.i_n = 0\nreadout.v_n = 0\n"
         "budget.x_psd_mode1 = 0\nbudget.x_psd_mode2 = 0\n"
-        "transducer.consistency_tolerance = 0.70\n"
     )
     assert run_cli("budget", "--config", str(cfg), "--out", str(tmp_path)) == 0
     values = report_values(tmp_path / "budget.csv")
@@ -243,7 +252,6 @@ def test_resolution_zero_noise_voltage(tmp_path):
     cfg.write_text(
         "resolution.v_noise_source = paper\nresolution.v_noise_rms = 0\n"
         "resolution.effective_resolution = auto\n"
-        "transducer.consistency_tolerance = 0.70\n"
     )
     assert run_cli("resolution", "--config", str(cfg), "--out", str(tmp_path)) == 0
     values = report_values(tmp_path / "resolution.csv")
@@ -349,8 +357,7 @@ def test_sweep_single_point_matches_budget(tmp_path):
     out_sweep, out_budget, out_res = tmp_path / "s", tmp_path / "b", tmp_path / "r"
     cfg = tmp_path / "one.cfg"
     cfg.write_text(
-        "transducer.consistency_tolerance = 0.70\n"
-        + "".join(f"{key} = {value}\n" for key, value in SWEEP_SOURCES.items())
+        "".join(f"{key} = {value}\n" for key, value in SWEEP_SOURCES.items())
     )
     assert run_cli("sweep", "--config", "paper-reference", "--kc", "-393.5",
                    "--out", str(out_sweep)) == 0
@@ -371,6 +378,19 @@ def test_sweep_single_point_matches_budget(tmp_path):
         assert float(row[column]) == pytest.approx(resolution[quantity], rel=1e-9)
 
 
+def test_defaults_run_without_consistency_warning(tmp_path):
+    """The default transducer is the published one; it must not warn about itself."""
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("budget", "--config", str(cfg), "--out", str(tmp_path / "b")) == 0
+        assert run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "s")) == 0
+    from_budget = [w for w in caught if issubclass(w.category, UserWarning)
+                   and w.filename.endswith("noisebudget.py")]
+    assert from_budget == []
+
+
 def test_sweep_simulate_floor_seeded(tmp_path):
     """Seeded simulated floors: four positive PSD columns, byte-identical reruns."""
     cfg = tmp_path / "floor.cfg"
@@ -378,7 +398,6 @@ def test_sweep_simulate_floor_seeded(tmp_path):
         "sweep.kc_values = -393.5, -1000\n"
         "sweep.simulate_floor = true\n"
         "sim.duration = 0.3\n"
-        "transducer.consistency_tolerance = 0.70\n"
     )
     dirs = (tmp_path / "a", tmp_path / "b")
     for d in dirs:

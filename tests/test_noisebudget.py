@@ -132,6 +132,15 @@ def test_motional_resistance_geometry_identity():
     )
 
 
+def test_motional_resistance_uses_the_given_eta_with_geometry():
+    """An explicit eta wins over the geometry for r_x, as it does for i_mot."""
+    mixed = TransducerConfig(eta=1e-5, v_dc=10.0, epsilon=8.854e-12, area=1e-6, gap=2e-6)
+    k_eff, m_eff, q = 1.2e5, 5e-4, 2000.0
+    r_x = motional_resistance(mixed, k_eff, m_eff, q)
+    assert r_x == motional_resistance(TransducerConfig(eta=1e-5), k_eff, m_eff, q)
+    assert r_x == pytest.approx(38.73e6, rel=1e-3)
+
+
 def test_motional_resistance_scalings():
     base = TransducerConfig(v_dc=10.0, epsilon=8.854e-12, area=1e-6, gap=2e-6)
     double_v = TransducerConfig(v_dc=20.0, epsilon=8.854e-12, area=1e-6, gap=2e-6)

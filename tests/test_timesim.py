@@ -9,6 +9,7 @@ import pytest
 from conftest import textbook_rk4_step
 
 from crnoise import presets, spectral
+from crnoise.reports import _BLOCK_ROWS
 from crnoise.sysmodel import build_system, frequency_response, mode_analysis
 from crnoise.timesim import (
     Forcing,
@@ -389,3 +390,20 @@ def test_timeseries_csv_format(tmp_path):
     assert lines[2] == "0,0,2e-09"
     assert lines[3] == "0.5,1e-09,-1e-09"
     assert not list(tmp_path.glob("*.part"))
+
+
+def test_timeseries_csv_matches_savetxt(tmp_path):
+    """Byte-equal to np.savetxt(fmt="%.12g") over several formatting blocks."""
+    rng = np.random.default_rng(3)
+    n = 3 * _BLOCK_ROWS + 11
+    x1 = rng.standard_normal(n) * 1e-9
+    x1[:4] = (0.0, -0.0, 1.0, 1e-300)
+    series = TimeSeries(dt=1.0 / 123456.7, x1=x1, x2=rng.standard_normal(n) * 3e-11)
+    path = tmp_path / "ts.csv"
+    write_timeseries_csv(series, path, comments=("alpha = 1", "beta = 2"))
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("# alpha = 1\n# beta = 2\nt_s,x1_m,x2_m\n")
+        np.savetxt(handle, np.column_stack((series.times, series.x1, series.x2)),
+                   fmt="%.12g", delimiter=",")
+    assert path.read_bytes() == reference.read_bytes()
