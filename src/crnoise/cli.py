@@ -64,8 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override sim.seed")
         p.add_argument("--out", default=None, help="override output.directory")
-        p.add_argument("--db-convention", choices=("paper", "power"), default=None,
-                       help="override analysis.db_convention")
         if name == "sweep":
             p.add_argument("--kc", default=None,
                            help="comma-separated coupling springs overriding "
@@ -88,8 +86,6 @@ def _load_run(args) -> RunConfig:
         overrides["sim.seed"] = str(args.seed)
     if args.out is not None:
         overrides["output.directory"] = args.out
-    if args.db_convention is not None:
-        overrides["analysis.db_convention"] = args.db_convention
     if getattr(args, "kc", None) is not None:
         overrides["sweep.kc_values"] = args.kc
     return build_run_config(file_entries, overrides)
@@ -244,9 +240,8 @@ def _run_sim(run: RunConfig):
 
 def _welch(run: RunConfig, samples, dt: float) -> spectral.Spectrum:
     """Welch spectrum with the configured analysis.segment_length and overlap."""
-    seg = run.get("analysis.segment_length")
     return spectral.welch_psd(
-        samples, dt, None if seg == "auto" else int(seg), run.get("analysis.overlap")
+        samples, dt, run.get("analysis.segment_length"), run.get("analysis.overlap")
     )
 
 
@@ -343,8 +338,6 @@ def _resolution_report(run: RunConfig):
         run.get("resolution.sensitivity_paper") if source == "paper_simulated"
         else reslib.ar_sensitivity(derived.kappa)
     )
-    eff = run.get("resolution.effective_resolution")
-    eff = None if eff == "auto" else float(eff)
     report = reslib.resolution_report(
         v_out_rms=v_out,
         v_noise_rms=v_noise,
@@ -353,7 +346,7 @@ def _resolution_report(run: RunConfig):
         kappa=derived.kappa,
         bandwidth=run.environment.bandwidth,
         k_eff=derived.k_eff,
-        effective_resolution=eff,
+        effective_resolution=run.get("resolution.effective_resolution"),
     )
     return report, voltages, budget
 
@@ -439,8 +432,7 @@ SWEEP_SOURCES = {
 def _sweep_point(base: RunConfig, kc: float, index: int, simulate_floor: bool):
     run = dataclasses.replace(base, system=dataclasses.replace(base.system, kc=kc))
     report, _, budget = _resolution_report(run)
-    system = sysmodel.build_system(run.system)
-    modes = sysmodel.mode_analysis(system)
+    modes = budget.thermal.modes
     row = [
         kc, sysmodel.derive_quantities(run.system).kappa,
         modes.f1, modes.f2, modes.split_hz, modes.label1,
@@ -464,7 +456,7 @@ def _sweep_point(base: RunConfig, kc: float, index: int, simulate_floor: bool):
                 target=run.get("forcing.noise_target"),
             )
         )
-        series = timesim.simulate(system, forcing, plan)
+        series = timesim.simulate(sysmodel.build_system(run.system), forcing, plan)
         band = run.environment.bandwidth
         for samples in (series.x1, series.x2):
             spectrum = _welch(run, samples, series.dt)

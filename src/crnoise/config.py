@@ -13,7 +13,7 @@ and default.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -110,8 +110,6 @@ SCHEMA: dict[str, KeySpec] = {
                                        "Welch segment; auto = pow2 <= n/8",
                                        minimum=16, allow=("auto",)),
     "analysis.overlap": _f("0.5", "-", "Welch overlap fraction", 0, maximum=1.0, below_max=True),
-    "analysis.db_convention": KeySpec("enum", "paper", "-", "dB convention for spectra",
-                                      choices=("paper", "power")),
     "resolution.sensitivity_source": KeySpec("enum", "formula", "-",
                                              "AR sensitivity: 1/(2|kappa|) or the published "
                                              "simulated value",
@@ -142,8 +140,10 @@ SCHEMA: dict[str, KeySpec] = {
 
 
 def _parse_value(key: str, spec: KeySpec, raw: str):
-    if spec.kind != "str" and raw.lower() in spec.allow:
-        return raw.lower()
+    """Parse one value; the `auto` and `none` tokens parse to None."""
+    token = raw.lower()
+    if spec.kind != "str" and token in spec.allow:
+        return None if token in ("auto", "none") else token
     try:
         if spec.kind == "float":
             value = float(raw)
@@ -213,7 +213,7 @@ class RunConfig:
     """Validated run configuration with constructed domain objects."""
 
     entries: dict[str, str]  # canonical strings, defaults merged
-    values: dict[str, object]  # parsed values
+    values: dict[str, object]  # parsed values; auto and none parse to None
     system: SystemConfig
     environment: Environment
     transducer: TransducerConfig
@@ -222,47 +222,39 @@ class RunConfig:
     def get(self, key: str):
         return self.values[key]
 
-    @property
-    def seed(self) -> int | None:
-        value = self.values["sim.seed"]
-        return None if value == "none" else int(value)
-
     def require_seed(self) -> int:
-        if self.seed is None:
+        seed = self.values["sim.seed"]
+        if seed is None:
             raise ConfigError(
                 "sim.seed is required for stochastic runs (set sim.seed or pass --seed)"
             )
-        return self.seed
+        return seed
 
     def noise_psd(self) -> float:
         value = self.values["forcing.noise_psd"]
-        if value == "auto":
+        if value is None:
             return thermal_force_psd(self.system.c1, self.environment)
-        return float(value)
+        return value
 
     def make_plan(self, modes) -> SimulationPlan:
         dt = self.values["sim.dt"]
-        dt = default_timestep(modes) if dt == "auto" else float(dt)
         return SimulationPlan(
-            dt=dt,
-            duration=float(self.values["sim.duration"]),
-            record_decimation=int(self.values["sim.decimation"]),
+            dt=default_timestep(modes) if dt is None else dt,
+            duration=self.values["sim.duration"],
+            record_decimation=self.values["sim.decimation"],
         )
 
     def make_forcing(self, modes) -> Forcing:
         harmonic: tuple[HarmonicDrive, ...] = ()
-        amplitude = float(self.values["forcing.harmonic_amplitude"])
+        amplitude = self.values["forcing.harmonic_amplitude"]
         if amplitude > 0:
-            raw_freq = self.values["forcing.harmonic_frequency"]
-            frequency = {"mode1": modes.f1, "mode2": modes.f2}.get(raw_freq)
-            if frequency is None:
-                frequency = float(raw_freq)
+            frequency = self.values["forcing.harmonic_frequency"]
             harmonic = (
                 HarmonicDrive(
                     target=int(self.values["forcing.harmonic_target"]),
                     amplitude=amplitude,
-                    frequency=frequency,
-                    phase=float(self.values["forcing.harmonic_phase"]),
+                    frequency={"mode1": modes.f1, "mode2": modes.f2}.get(frequency, frequency),
+                    phase=self.values["forcing.harmonic_phase"],
                 ),
             )
         stochastic = None
@@ -293,6 +285,16 @@ class RunConfig:
         ]
 
 
+# Each section builds one run object: its field f takes the key `<section>.f`.
+# The label names the key(s) in the message of a value the object rejects.
+_SECTIONS = (
+    ("system", SystemConfig, "system.*"),
+    ("environment", Environment, "environment.*"),
+    ("transducer", TransducerConfig, "transducer.eta"),
+    ("readout", ReadoutConfig, "readout.*"),
+)
+
+
 def build_run_config(file_entries: dict[str, str] | None = None,
                      overrides: dict[str, str] | None = None) -> RunConfig:
     """Merge defaults, file entries and overrides; validate everything."""
@@ -303,52 +305,14 @@ def build_run_config(file_entries: dict[str, str] | None = None,
                 raise ConfigError(f"unknown config key '{key}'")
             entries[key] = value
     values = {key: _parse_value(key, SCHEMA[key], entries[key]) for key in SCHEMA}
-
-    try:
-        system = SystemConfig(
-            m1=values["system.m1"], m2=values["system.m2"],
-            km1=values["system.km1"], km2=values["system.km2"],
-            kc=values["system.kc"],
-            c1=values["system.c1"], c2=values["system.c2"], cc=values["system.cc"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"system.*: {exc}") from exc
-    environment = Environment(
-        temperature=values["environment.temperature"],
-        bandwidth=values["environment.bandwidth"],
-    )
-
-    def opt(key: str):
-        return None if values[key] == "none" else values[key]
-
-    eta = values["transducer.eta"]
-    r_x = values["transducer.r_x"]
-    try:
-        transducer = TransducerConfig(
-            eta=None if eta == "auto" else eta,
-            r_x=None if r_x == "auto" else r_x,
-            v_dc=opt("transducer.v_dc"),
-            epsilon=opt("transducer.epsilon"),
-            area=opt("transducer.area"),
-            gap=opt("transducer.gap"),
-            consistency_tolerance=values["transducer.consistency_tolerance"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"transducer.eta: {exc}") from exc
-    readout = ReadoutConfig(
-        r_f=values["readout.r_f"],
-        i_n=values["readout.i_n"],
-        v_n=values["readout.v_n"],
-        neb_factor=values["readout.neb_factor"],
-    )
-    return RunConfig(
-        entries=entries,
-        values=values,
-        system=system,
-        environment=environment,
-        transducer=transducer,
-        readout=readout,
-    )
+    sections = {}
+    for section, cls, label in _SECTIONS:
+        kwargs = {f.name: values[f"{section}.{f.name}"] for f in fields(cls)}
+        try:
+            sections[section] = cls(**kwargs)
+        except ValueError as exc:
+            raise ConfigError(f"{label}: {exc}") from exc
+    return RunConfig(entries=entries, values=values, **sections)
 
 
 def load_config_file(path) -> dict[str, str]:

@@ -135,9 +135,7 @@ class ThermalBudget:
     x_avg: tuple[float, float]  # m^2 per mode
     x_rms: tuple[float, float]  # m per mode
     i_mot_noise: tuple[float, float]  # A rms per mode
-    mode_frequencies: tuple[float, float]  # Hz
-    eta: float  # C/m
-    bandwidth: float  # Hz
+    modes: sysmodel.Modes  # the modes whose frequencies the pipeline used
 
 
 def thermal_force_psd(c: float, env: Environment) -> float:
@@ -180,9 +178,7 @@ def thermal_budget(
         x_avg=x_avg,
         x_rms=x_rms,
         i_mot_noise=i_mot,
-        mode_frequencies=(modes.f1, modes.f2),
-        eta=transducer.eta,
-        bandwidth=band,
+        modes=modes,
     )
 
 
@@ -231,7 +227,6 @@ class ElectronicBudget:
     i_total_paper: float  # A, published-convention density RSS (no B, no NEB)
     i_total_integrated: float  # A rms, RSS of the three integrated rows
     r_x: float  # ohm
-    bandwidth: float  # Hz
 
 
 def electronic_budget(readout: ReadoutConfig, r_x: float, env: Environment) -> ElectronicBudget:
@@ -256,7 +251,6 @@ def electronic_budget(readout: ReadoutConfig, r_x: float, env: Environment) -> E
         i_total_paper=i_total_paper,
         i_total_integrated=i_total_integrated,
         r_x=r_x,
-        bandwidth=band,
     )
 
 

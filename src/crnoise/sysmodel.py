@@ -259,28 +259,27 @@ class SensitivityReport:
 
     frequency_shift, ar_shift and eigenstate_shift are the normalized
     (fractional) shifts of the mode frequency, amplitude-ratio and
-    eigenstate-amplitude readouts.  ar_shift_absolute / eigenstate_shift_absolute
-    carry the raw (un-normalized) shift estimates for a stiffness change; at
-    the symmetric operating point (AR = 1) they coincide numerically with the
-    normalized values.  For mass changes only the dimensionless forms
-    dm/(2|kappa|) and dm/(4|kappa|) with dm = delta_m/m_eff are computed; the
-    raw fields are None.  The raw frequency form |delta/2m| is not computed
-    (it is dimensionally inconsistent) and the normalized form is the
-    authoritative one.
+    eigenstate-amplitude readouts; the eigenstate shift is half the AR shift.
+    The raw frequency form |delta/2m| is not computed (it is dimensionally
+    inconsistent) and the normalized form is the authoritative one.
 
     When kc = 0 the AR and eigenstate readouts are degenerate and their
     shifts are reported as unbounded (inf) with degenerate = True.
     """
 
-    kind: str  # "stiffness" | "mass"
-    delta: float  # N/m or kg
-    delta_normalized: float  # delta / k_eff or delta / m_eff
     frequency_shift: float
     ar_shift: float
     eigenstate_shift: float
-    ar_shift_absolute: float | None = None
-    eigenstate_shift_absolute: float | None = None
-    degenerate: bool = False
+    degenerate: bool
+
+
+def _sensitivity_report(frequency_shift: float, ar_shift: float) -> SensitivityReport:
+    return SensitivityReport(
+        frequency_shift=frequency_shift,
+        ar_shift=ar_shift,
+        eigenstate_shift=ar_shift / 2.0,
+        degenerate=math.isinf(ar_shift),
+    )
 
 
 def sensitivity_stiffness(
@@ -291,29 +290,8 @@ def sensitivity_stiffness(
     frequency: |delta_k / (2 k_eff)|; AR: |delta_k / (2 kc)|;
     eigenstate: |delta_k / (4 kc)|.
     """
-    freq = abs(delta_k / (2.0 * derived.k_eff))
-    if derived.kappa == 0:
-        return SensitivityReport(
-            kind="stiffness",
-            delta=delta_k,
-            delta_normalized=delta_k / derived.k_eff,
-            frequency_shift=freq,
-            ar_shift=math.inf,
-            eigenstate_shift=math.inf,
-            degenerate=True,
-        )
-    ar = abs(delta_k / (2.0 * derived.kc))
-    eig = abs(delta_k / (4.0 * derived.kc))
-    return SensitivityReport(
-        kind="stiffness",
-        delta=delta_k,
-        delta_normalized=delta_k / derived.k_eff,
-        frequency_shift=freq,
-        ar_shift=ar,
-        eigenstate_shift=eig,
-        ar_shift_absolute=ar,
-        eigenstate_shift_absolute=eig,
-    )
+    ar = math.inf if derived.kappa == 0 else abs(delta_k / (2.0 * derived.kc))
+    return _sensitivity_report(abs(delta_k / (2.0 * derived.k_eff)), ar)
 
 
 def sensitivity_mass(delta_m: float, derived: DerivedQuantities) -> SensitivityReport:
@@ -322,23 +300,6 @@ def sensitivity_mass(delta_m: float, derived: DerivedQuantities) -> SensitivityR
     frequency: |delta_m / (2 m_eff)|; AR and eigenstate use the dimensionless
     interpretation dm = delta_m / m_eff: dm/(2|kappa|) and dm/(4|kappa|).
     """
-    freq = abs(delta_m / (2.0 * derived.m_eff))
     dm = delta_m / derived.m_eff
-    if derived.kappa == 0:
-        return SensitivityReport(
-            kind="mass",
-            delta=delta_m,
-            delta_normalized=dm,
-            frequency_shift=freq,
-            ar_shift=math.inf,
-            eigenstate_shift=math.inf,
-            degenerate=True,
-        )
-    return SensitivityReport(
-        kind="mass",
-        delta=delta_m,
-        delta_normalized=dm,
-        frequency_shift=freq,
-        ar_shift=abs(dm / (2.0 * derived.kappa)),
-        eigenstate_shift=abs(dm / (4.0 * derived.kappa)),
-    )
+    ar = math.inf if derived.kappa == 0 else abs(dm / (2.0 * derived.kappa))
+    return _sensitivity_report(abs(delta_m / (2.0 * derived.m_eff)), ar)

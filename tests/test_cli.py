@@ -1,5 +1,6 @@
 """Config parsing, command outputs, exit codes, determinism, round-trips."""
 
+import dataclasses
 import subprocess
 import sys
 import warnings
@@ -7,11 +8,13 @@ import warnings
 import numpy as np
 import pytest
 
+from crnoise import cli, config
 from crnoise.cli import SWEEP_SOURCES, main
-from crnoise.config import build_run_config, parse_config_text
+from crnoise.config import SCHEMA, build_run_config, parse_config_text
 from crnoise.errors import ConfigError
+from crnoise.noisebudget import Environment, ReadoutConfig, TransducerConfig
 from crnoise.presets import PRESET_NAMES, preset_text
-from crnoise.sysmodel import derive_quantities
+from crnoise.sysmodel import SystemConfig, derive_quantities
 
 
 def run_cli(*argv) -> int:
@@ -108,6 +111,66 @@ def test_presets_parse_and_cover_schema():
         # a preset lists only the keys it changes
         for key in entries:
             assert run.get(key) != defaults[key], f"{name}: {key} repeats its default"
+
+
+# the config sections that build one run object each, field by field
+SECTION_CLASSES = {
+    "system": SystemConfig,
+    "environment": Environment,
+    "transducer": TransducerConfig,
+    "readout": ReadoutConfig,
+}
+
+
+def test_section_keys_are_the_dataclass_fields():
+    for section, cls in SECTION_CLASSES.items():
+        keys = {key for key in SCHEMA if key.split(".")[0] == section}
+        assert keys == {f"{section}.{f.name}" for f in dataclasses.fields(cls)}
+
+
+class _RecordingValues(dict):
+    """RunConfig.values that records every key read from it."""
+
+    def __init__(self, values, read: set):
+        super().__init__(values)
+        self.read = read
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_every_key_outside_the_sections_is_read(tmp_path, monkeypatch):
+    """A key that no command reads is a key that changes nothing."""
+    read: set[str] = set()
+    real_build = config.build_run_config
+
+    def recording_build(*args, **kwargs):
+        run = real_build(*args, **kwargs)
+        run.values = _RecordingValues(run.values, read)
+        return run
+
+    monkeypatch.setattr(config, "build_run_config", recording_build)
+    monkeypatch.setattr(cli, "build_run_config", recording_build)
+    harmonic = tmp_path / "harmonic.cfg"
+    harmonic.write_text("forcing.harmonic_amplitude = 1e-6\nsim.duration = 0.05\n")
+    noise = tmp_path / "noise.cfg"
+    noise.write_text(NOISE_CFG)
+    floor = tmp_path / "floor.cfg"
+    floor.write_text("sweep.simulate_floor = true\nsim.duration = 0.3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for argv in (
+            ("modes", "--config", "paper-reference"),
+            ("budget", "--config", "paper-reference"),
+            ("resolution", "--config", "paper-reference"),
+            ("psd", "--config", str(noise), "--seed", "5"),
+            ("simulate", "--config", str(harmonic)),
+            ("sweep", "--config", str(floor), "--seed", "5", "--kc", "-393.5"),
+        ):
+            assert run_cli(*argv, "--out", str(tmp_path / argv[0])) == 0
+    unread = {key for key in SCHEMA if key.split(".")[0] not in SECTION_CLASSES} - read
+    assert unread == set()
 
 
 def test_negative_seed_names_the_key(tmp_path, capsys):
@@ -304,15 +367,6 @@ def test_unwritable_output_exit_code(tmp_path, capsys):
     assert "cr-noise-lab: cannot write output:" in capsys.readouterr().err
 
 
-def test_db_convention_flag(tmp_path):
-    cfg = tmp_path / "noise.cfg"
-    cfg.write_text(NOISE_CFG)
-    assert run_cli("psd", "--config", str(cfg), "--seed", "5",
-                   "--db-convention", "power", "--out", str(tmp_path)) == 0
-    text = (tmp_path / "psd_summary.txt").read_text()
-    assert "# analysis.db_convention = power" in text
-
-
 def test_uncoupled_demo_preset_loads(tmp_path, capsys):
     assert run_cli("modes", "--config", "uncoupled-demo", "--out", str(tmp_path)) == 0
     out = capsys.readouterr().out
@@ -379,13 +433,18 @@ def test_sweep_single_point_matches_budget(tmp_path):
 
 
 def test_defaults_run_without_consistency_warning(tmp_path):
-    """The default transducer is the published one; it must not warn about itself."""
+    """The default transducer is the published one; it must not warn about itself.
+
+    Nor must uncoupled-demo, whose readout uses its own resonator's r_x.
+    """
     cfg = tmp_path / "empty.cfg"
     cfg.write_text("")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run_cli("budget", "--config", str(cfg), "--out", str(tmp_path / "b")) == 0
         assert run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "s")) == 0
+        assert run_cli("budget", "--config", "uncoupled-demo",
+                       "--out", str(tmp_path / "u")) == 0
     from_budget = [w for w in caught if issubclass(w.category, UserWarning)
                    and w.filename.endswith("noisebudget.py")]
     assert from_budget == []

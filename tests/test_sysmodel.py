@@ -252,6 +252,7 @@ def test_reference_ar_sensitivity(reference_config):
     # 1/(2|kappa|) = 156.25 per unit normalized stiffness change
     assert report.ar_shift / 1e-6 == pytest.approx(156.25, rel=1e-12)
     assert report.eigenstate_shift / 1e-6 == pytest.approx(78.125, rel=1e-12)
+    assert report.eigenstate_shift == abs(dk / (4 * derived.kc))
 
 
 def test_mass_ar_shift_reference(reference_config):
