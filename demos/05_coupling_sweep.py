@@ -1,16 +1,19 @@
 """How the coupling-spring strength moves the noise floor and the sensitivity.
 
-Sweeps the electrostatic coupling spring, recomputing modes, the analytic
-displacement-noise floor at each mode, and the AR sensitivity.  Weaker
-coupling buys sensitivity (1/(2|kappa|) grows) while the per-mode noise
-floor drops at the out-of-phase peak.
+Sweeps the electrostatic coupling spring, computing modes, the analytic
+displacement-noise floor at each mode, and the AR sensitivity for every kc
+in one array pass.  Weaker coupling buys sensitivity (1/(2|kappa|) grows)
+while the per-mode noise floor drops at the out-of-phase peak.
 """
 
 import dataclasses
 
+import numpy as np
+
 from crnoise import (
     Environment,
     analytic_displacement_psd,
+    ar_sensitivity,
     build_system,
     derive_quantities,
     mode_analysis,
@@ -19,28 +22,25 @@ from crnoise import (
 from crnoise.presets import reference_system
 
 env = Environment(temperature=300.0, bandwidth=10.0)
-base = reference_system()
+kcs = np.array([-200.0, -393.5, -600.0, -1000.0, -2000.0])
+cfg = dataclasses.replace(reference_system(), kc=kcs)
+split = mode_analysis(build_system(cfg)).split_hz
+kappa = derive_quantities(cfg).kappa
+sensitivity = ar_sensitivity(kappa)
+psd1, psd2 = analytic_displacement_psd(cfg, env, "1")
+db1 = [to_db(p, "paper_20log") for p in psd1]
+db2 = [to_db(p, "paper_20log") for p in psd2]
 
 print(f"{'kc [N/m]':>10} {'kappa':>10} {'split [Hz]':>11} "
       f"{'noise@f1 [dB]':>14} {'noise@f2 [dB]':>14} {'1/(2|kappa|)':>13}")
-for kc in (-200.0, -393.5, -600.0, -1000.0, -2000.0):
-    cfg = dataclasses.replace(base, kc=kc)
-    modes = mode_analysis(build_system(cfg))
-    derived = derive_quantities(cfg)
-    psd = analytic_displacement_psd(cfg, env, "1")
-    print(f"{kc:10.1f} {derived.kappa:10.5f} {modes.split_hz:11.3f} "
-          f"{to_db(psd[0], 'paper_20log'):14.1f} {to_db(psd[1], 'paper_20log'):14.1f} "
-          f"{1 / (2 * abs(derived.kappa)):13.1f}")
+for i, kc in enumerate(kcs):
+    print(f"{kc:10.1f} {kappa[i]:10.5f} {split[i]:11.3f} "
+          f"{db1[i]:14.1f} {db2[i]:14.1f} {sensitivity[i]:13.1f}")
 
 print("\nthe published comparison pair (kc = -393.5 vs -1000 N/m):")
-for kc in (-393.5, -1000.0):
-    cfg = dataclasses.replace(base, kc=kc)
-    modes = mode_analysis(build_system(cfg))
-    derived = derive_quantities(cfg)
-    psd = analytic_displacement_psd(cfg, env, "1")
-    print(f"  kc = {kc:8.1f}: split {modes.split_hz:6.2f} Hz, "
-          f"mode-1 peak {to_db(psd[0], 'paper_20log'):7.1f} dB, "
-          f"AR sensitivity {1 / (2 * abs(derived.kappa)):6.1f}")
+for i in (1, 3):
+    print(f"  kc = {kcs[i]:8.1f}: split {split[i]:6.2f} Hz, "
+          f"mode-1 peak {db1[i]:7.1f} dB, AR sensitivity {sensitivity[i]:6.1f}")
 print("in this analytic model the per-mode peak floor barely moves with kc;")
 print("the payoff of weaker coupling is the 1/(2|kappa|) sensitivity gain, so the")
 print("minimum detectable stiffness improves in direct proportion.")

@@ -46,7 +46,6 @@ from .spectral import (
     band_mean_psd,
     band_power,
     parseval_ratio,
-    rms_from_mean_square,
     to_db,
     welch_psd,
 )
@@ -75,7 +74,6 @@ from .timesim import (
     duration_for_segments,
     simulate,
     steady_state_amplitude,
-    thermal_force_samples,
 )
 
 __version__ = "0.1.0"

@@ -6,7 +6,7 @@ Commands
     simulate    time-domain run, CSV trajectory, steady-state summary
     psd         time-domain run + Welch spectra and band powers
     resolution  readout voltages, output resolution, detection limit
-    sweep       repeat modes/budget/resolution over a list of coupling springs
+    sweep       modes/budget/resolution over a list of coupling springs
 
 --config takes a file path or a shipped preset name (paper-reference,
 uncoupled-demo).  Every emitted file starts with the fully resolved `# key =
@@ -173,7 +173,8 @@ def _budget_report(run: RunConfig) -> tuple[NoiseBudgetReport, str]:
     return report, label
 
 
-def _budget_rows(report: NoiseBudgetReport, x_psd_label: str) -> list[Row]:
+def _budget_rows(run: RunConfig) -> tuple[list[Row], NoiseBudgetReport]:
+    report, x_psd_label = _budget_report(run)
     th, el = report.thermal, report.electronic
     rows = [
         Row("f_noise_psd", th.f_noise_psd, "N^2/Hz", "4*kB*T*c"),
@@ -185,7 +186,7 @@ def _budget_rows(report: NoiseBudgetReport, x_psd_label: str) -> list[Row]:
         Row("x_rms_mode2", th.x_rms[1], "m", "sqrt(avg)"),
         Row("i_mot_noise_mode1", th.i_mot_noise[0], "A_rms", "eta*omega1*x_rms"),
         Row("i_mot_noise_mode2", th.i_mot_noise[1], "A_rms", "eta*omega2*x_rms"),
-        Row("r_x", el.r_x, "ohm", "input"),
+        Row("r_x", el.r_x, "ohm", "input" if run.transducer.r_x is not None else "c/eta^2"),
         Row("i_rf", el.i_rf, "A_rms", "sqrt(4*kB*T*B/R_f)"),
         Row("i_vn", el.i_vn, "A_rms", "v_n*(1+R_x/R_f)/R_x*sqrt(B)*1.57"),
         Row("i_in", el.i_in, "A_rms", "i_n*sqrt(B)*1.57"),
@@ -197,7 +198,7 @@ def _budget_rows(report: NoiseBudgetReport, x_psd_label: str) -> list[Row]:
         Row("i_system_integrated_mode2", report.i_system_integrated[1], "A_rms", "RSS of mech and elec"),
         Row("dominant_source", report.dominant_source, "-", "largest component"),
     ]
-    return rows
+    return rows, report
 
 
 def _budget_footnotes(report: NoiseBudgetReport) -> tuple[str, ...]:
@@ -216,8 +217,7 @@ def _budget_footnotes(report: NoiseBudgetReport) -> tuple[str, ...]:
 
 
 def cmd_budget(run: RunConfig, args) -> int:
-    report, label = _budget_report(run)
-    rows = _budget_rows(report, label)
+    rows, report = _budget_rows(run)
     notes = _budget_footnotes(report)
     out = _out_dir(run)
     table = write_report(out / "budget.txt", "noise budget", rows, comments=_echo(run),
@@ -429,55 +429,50 @@ SWEEP_SOURCES = {
 }
 
 
-def _sweep_point(base: RunConfig, kc: float, index: int, simulate_floor: bool):
-    run = dataclasses.replace(base, system=dataclasses.replace(base.system, kc=kc))
-    report, _, budget = _resolution_report(run)
-    modes = budget.thermal.modes
-    row = [
-        kc, sysmodel.derive_quantities(run.system).kappa,
-        modes.f1, modes.f2, modes.split_hz, modes.label1,
-        modes.modal_q1, modes.modal_q2, report.sensitivity,
-        budget.thermal.x_psd[0], budget.thermal.x_psd[1],
-        budget.thermal.i_mot_noise[0], budget.thermal.i_mot_noise[1],
-        budget.electronic.i_rf, budget.electronic.i_vn, budget.electronic.i_in,
-        budget.electronic.i_total_paper, budget.electronic.i_total_integrated,
-        budget.i_system_paper[0], budget.i_system_paper[1],
-        report.amplitude_resolution[0], report.amplitude_resolution[1],
-        report.ar_resolution[0], report.ar_resolution[1],
-        report.min_detectable.absolute, report.min_detectable.density,
-    ]
-    if simulate_floor:
-        seed = run.require_seed() + index
-        plan = run.make_plan(modes)
-        forcing = timesim.Forcing(
-            stochastic=timesim.StochasticDrive(
-                force_psd=run.noise_psd() or thermal_force_psd(run.system.c1, run.environment),
-                seed=seed,
-                target=run.get("forcing.noise_target"),
-            )
-        )
-        series = timesim.simulate(sysmodel.build_system(run.system), forcing, plan)
-        band = run.environment.bandwidth
-        for samples in (series.x1, series.x2):
-            spectrum = _welch(run, samples, series.dt)
-            row.append(spectral.band_mean_psd(spectrum, modes.f1, band))
-            row.append(spectral.band_mean_psd(spectrum, modes.f2, band))
-    return row
+def _sweep_floors(run: RunConfig) -> list:
+    """Simulated floor columns, one run per design: the engine takes one at a time."""
+    seed = run.require_seed()
+    force_psd = run.noise_psd() or thermal_force_psd(run.system.c1, run.environment)
+    band = run.environment.bandwidth
+    floors = []
+    for i, kc in enumerate(run.system.kc):
+        system = sysmodel.build_system(dataclasses.replace(run.system, kc=kc))
+        modes = sysmodel.mode_analysis(system)
+        drive = timesim.StochasticDrive(force_psd=force_psd, seed=seed + i,
+                                        target=run.get("forcing.noise_target"))
+        series = timesim.simulate(system, timesim.Forcing(stochastic=drive), run.make_plan(modes))
+        floors.append([
+            spectral.band_mean_psd(_welch(run, samples, series.dt), f, band)
+            for samples in (series.x1, series.x2) for f in (modes.f1, modes.f2)
+        ])
+    return list(zip(*floors))
 
 
 def cmd_sweep(run: RunConfig, args) -> int:
+    kc = np.array(run.get("sweep.kc_values"))
     base = build_run_config(run.entries | SWEEP_SOURCES)
-    simulate_floor = run.get("sweep.simulate_floor")
-    rows = [
-        _sweep_point(base, kc, i, simulate_floor)
-        for i, kc in enumerate(run.get("sweep.kc_values"))
+    base = dataclasses.replace(base, system=dataclasses.replace(base.system, kc=kc))
+    report, _, budget = _resolution_report(base)
+    thermal, el, modes = budget.thermal, budget.electronic, budget.thermal.modes
+    columns = [
+        kc, sysmodel.derive_quantities(base.system).kappa,
+        modes.f1, modes.f2, modes.split_hz, modes.label1,
+        modes.modal_q1, modes.modal_q2, report.sensitivity,
+        *thermal.x_psd, *thermal.i_mot_noise,
+        el.i_rf, el.i_vn, el.i_in, el.i_total_paper, el.i_total_integrated,
+        *budget.i_system_paper, *report.amplitude_resolution, *report.ar_resolution,
+        report.min_detectable.absolute, report.min_detectable.density,
     ]
-    header = SWEEP_HEADER + (SWEEP_FLOOR_HEADER if simulate_floor else "")
+    header = SWEEP_HEADER
+    if run.get("sweep.simulate_floor"):
+        columns += _sweep_floors(base)
+        header += SWEEP_FLOOR_HEADER
     out = _out_dir(run)
-    write_csv(out / "sweep.csv", header, list(zip(*rows)), comments=_echo(run))
+    # i_rf, i_in (and i_vn for a given r_x) do not depend on kc: scalars
+    write_csv(out / "sweep.csv", header, np.broadcast_arrays(*columns), comments=_echo(run))
     summary = [
-        Row(f"kc={r[0]:g}", r[4], "Hz split", f"ar_sensitivity {r[8]:.4g}")
-        for r in rows
+        Row(f"kc={k:g}", split, "Hz split", f"ar_sensitivity {sens:.4g}")
+        for k, split, sens in zip(kc, modes.split_hz, report.sensitivity)
     ]
     _print(render_table("coupling sweep", summary))
     return 0

@@ -13,11 +13,12 @@ published final-row expression, an RSS of per-rtHz densities without the
 bandwidth or NEB factors (numerically ~1.57e-13 A for the reference
 readout); total_integrated is the internally consistent RSS of the three
 integrated rows (~6.0e-13 A rms for the same inputs).  Reports carry both.
+
+A SystemConfig whose kc is an array of N designs gives arrays of length N.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -158,7 +159,7 @@ def thermal_budget(
     simulated spectrum, or from published values.  The force pipeline uses
     the resonator-1 damping (the noise-injection convention).
     """
-    if any(p < 0 for p in x_psd_per_mode):
+    if np.any(np.less(x_psd_per_mode, 0)):
         raise ValueError("displacement-noise PSD must be >= 0")
     check_transduction_consistency(transducer, config.c1)
     modes = sysmodel.mode_analysis(sysmodel.build_system(config))
@@ -167,13 +168,13 @@ def thermal_budget(
     f_psd = thermal_force_psd(config.c1, env)
     f_avg = f_psd * band
     x_avg = tuple(p * band for p in x_psd_per_mode)
-    x_rms = tuple(math.sqrt(v) for v in x_avg)
+    x_rms = tuple(np.sqrt(v) for v in x_avg)
     omegas = (modes.omega1, modes.omega2)
     i_mot = tuple(transducer.eta * w * x for w, x in zip(omegas, x_rms))
     return ThermalBudget(
         f_noise_psd=f_psd,
         f_noise_avg=f_avg,
-        f_noise_rms=math.sqrt(f_avg),
+        f_noise_rms=np.sqrt(f_avg),
         x_psd=tuple(x_psd_per_mode),
         x_avg=x_avg,
         x_rms=x_rms,
@@ -192,16 +193,16 @@ def analytic_displacement_psd(
     """
     system = sysmodel.build_system(config)
     modes = sysmodel.mode_analysis(system)
-    response = sysmodel.frequency_response(system, np.array([modes.f1, modes.f2]))
-    out = []
-    for i in range(2):
-        total = 0.0
-        if noise_target in ("1", "both"):
-            total += abs(response.h[i, 0, 0]) ** 2 * thermal_force_psd(config.c1, env)
-        if noise_target in ("2", "both"):
-            total += abs(response.h[i, 0, 1]) ** 2 * thermal_force_psd(config.c2, env)
-        out.append(total)
-    return (out[0], out[1])
+    h = sysmodel.frequency_response(system, np.stack([modes.f1, modes.f2], axis=-1)).h
+    # |h| by hypot, which rounds as abs() of a complex scalar does; np.abs of
+    # a complex array can differ in the last bit
+    gain = np.hypot(h.real, h.imag)
+    total = np.zeros(h.shape[:-2])
+    if noise_target in ("1", "both"):
+        total += gain[..., 0, 0] ** 2 * thermal_force_psd(config.c1, env)
+    if noise_target in ("2", "both"):
+        total += gain[..., 0, 1] ** 2 * thermal_force_psd(config.c2, env)
+    return tuple(np.moveaxis(total, -1, 0))
 
 
 def motional_resistance(
@@ -212,9 +213,9 @@ def motional_resistance(
     eta is the transducer's, given or derived from its geometry, so r_x and
     the motional current always use the same transduction factor.
     """
-    if q <= 0:
+    if np.any(q <= 0):
         raise ValueError("quality factor must be > 0")
-    return math.sqrt(k_eff * m_eff) / (q * transducer.eta**2)
+    return np.sqrt(k_eff * m_eff) / (q * transducer.eta**2)
 
 
 @dataclass(frozen=True)
@@ -231,19 +232,19 @@ class ElectronicBudget:
 
 def electronic_budget(readout: ReadoutConfig, r_x: float, env: Environment) -> ElectronicBudget:
     """Budget the transimpedance readout noise for motional resistance r_x."""
-    if r_x <= 0:
+    if np.any(r_x <= 0):
         raise ValueError("r_x must be > 0")
     band = env.bandwidth
     kt4 = 4.0 * BOLTZMANN * env.temperature
     vn_gain_density = readout.v_n * (1.0 + r_x / readout.r_f) / r_x  # A/rtHz
 
-    i_rf = math.sqrt(kt4 * band / readout.r_f)
-    i_vn = vn_gain_density * math.sqrt(band) * readout.neb_factor
-    i_in = readout.i_n * math.sqrt(band) * readout.neb_factor
-    i_total_paper = math.sqrt(
+    i_rf = np.sqrt(kt4 * band / readout.r_f)
+    i_vn = vn_gain_density * np.sqrt(band) * readout.neb_factor
+    i_in = readout.i_n * np.sqrt(band) * readout.neb_factor
+    i_total_paper = np.sqrt(
         readout.i_n**2 + vn_gain_density**2 + kt4 / readout.r_f
     )
-    i_total_integrated = math.sqrt(i_rf**2 + i_vn**2 + i_in**2)
+    i_total_integrated = np.sqrt(i_rf**2 + i_vn**2 + i_in**2)
     return ElectronicBudget(
         i_rf=i_rf,
         i_vn=i_vn,
@@ -256,9 +257,9 @@ def electronic_budget(readout: ReadoutConfig, r_x: float, env: Environment) -> E
 
 def total_system_noise(i_mech: float, i_elec: float) -> float:
     """RSS of uncorrelated mechanical and electronic noise currents [A]."""
-    if i_mech < 0 or i_elec < 0:
+    if np.any(i_mech < 0) or np.any(i_elec < 0):
         raise ValueError("noise currents must be >= 0")
-    return math.hypot(i_mech, i_elec)
+    return np.hypot(i_mech, i_elec)
 
 
 @dataclass(frozen=True)
@@ -302,9 +303,10 @@ def full_noise_budget(
         SOURCE_FEEDBACK_RESISTOR: electronic.i_rf,
         SOURCE_AMPLIFIER_VOLTAGE: electronic.i_vn,
         SOURCE_AMPLIFIER_CURRENT: electronic.i_in,
-        SOURCE_MECHANICAL: max(thermal.i_mot_noise),
+        SOURCE_MECHANICAL: np.maximum(*thermal.i_mot_noise),
     }
-    dominant = max(components, key=components.get)
+    largest = np.argmax(np.broadcast_arrays(*components.values()), axis=0)
+    dominant = np.array(list(components))[largest]
     return NoiseBudgetReport(
         thermal=thermal,
         electronic=electronic,

@@ -5,12 +5,16 @@ resolvable fractional amplitude shift is the noise-to-carrier voltage ratio,
 and the amplitude-ratio (AR) readout resolution is the RSS of the two
 contributing channels.  Dividing a resolution by the AR sensitivity yields
 the minimum detectable (normalized) stiffness perturbation.
+
+The arithmetic takes arrays of designs as well as scalars.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 SENSITIVITY_FORMULA = "formula"
 SENSITIVITY_PAPER = "paper_simulated"
@@ -39,18 +43,18 @@ def output_voltage(i_mot: float, r_f: float) -> OutputVoltage:
 
 def amplitude_resolution(v_noise: float, v_out: float) -> float:
     """Smallest resolvable fractional amplitude shift v_noise / v_out."""
-    if v_noise < 0:
+    if np.any(v_noise < 0):
         raise ValueError("v_noise must be >= 0")
-    if v_out <= 0:
+    if np.any(v_out <= 0):
         raise ValueError("no carrier signal: v_out must be > 0")
     return v_noise / v_out
 
 
 def ar_resolution(res_r1: float, res_r2: float) -> float:
     """AR readout resolution: RSS of the two per-resonator resolutions."""
-    if res_r1 < 0 or res_r2 < 0:
+    if np.any(res_r1 < 0) or np.any(res_r2 < 0):
         raise ValueError("resolutions must be >= 0")
-    return math.hypot(res_r1, res_r2)
+    return np.hypot(res_r1, res_r2)
 
 
 @dataclass(frozen=True)
@@ -87,16 +91,16 @@ def min_detectable_stiffness(
     k_eff: float | None = None,
 ) -> MinDetectableStiffness:
     """resolution / sensitivity, plus its spectral density over a bandwidth."""
-    if resolution < 0:
+    if np.any(resolution < 0):
         raise ValueError("resolution must be >= 0")
-    if sensitivity <= 0:
+    if np.any(sensitivity <= 0):
         raise ValueError("sensitivity must be > 0")
     absolute = resolution / sensitivity
     density = None
     if bandwidth is not None:
         if bandwidth <= 0:
             raise ValueError("bandwidth must be > 0")
-        density = (resolution / math.sqrt(bandwidth)) / sensitivity
+        density = (resolution / np.sqrt(bandwidth)) / sensitivity
     scaled = absolute * k_eff if k_eff is not None else None
     return MinDetectableStiffness(absolute=absolute, density=density, scaled_by_k_eff=scaled)
 
@@ -132,7 +136,7 @@ def compute_readout_voltages(
         records.append(
             ModeReadout(mode=mode, x_peak=x, i_mot_peak=i_mot, v_out_peak=v.peak, v_out_rms=v.rms)
         )
-    if i_system_total < 0:
+    if np.any(i_system_total < 0):
         raise ValueError("i_system_total must be >= 0")
     return ReadoutVoltages(modes=(records[0], records[1]), v_noise_rms=i_system_total * r_f)
 
@@ -164,7 +168,8 @@ def ar_sensitivity(kappa: float) -> float:
 
     Unbounded (inf) for an uncoupled pair.
     """
-    return math.inf if kappa == 0 else 1.0 / (2.0 * abs(kappa))
+    with np.errstate(divide="ignore"):
+        return 1.0 / (2.0 * np.abs(kappa))
 
 
 def resolution_report(
@@ -185,11 +190,12 @@ def resolution_report(
     """
     amp_res = tuple(amplitude_resolution(v_noise_rms, v) for v in v_out_rms)
     ar_res = tuple(ar_resolution(r, r) for r in amp_res)
-    snrs = tuple(v / v_noise_rms for v in v_out_rms) if v_noise_rms > 0 else (math.inf, math.inf)
-    worst = 1 + int(snrs[1] < snrs[0])
+    with np.errstate(divide="ignore"):
+        snrs = tuple(np.divide(v, v_noise_rms) for v in v_out_rms)
+    worst = 1 + (snrs[1] < snrs[0])
     formula = ar_sensitivity(kappa)
     if effective_resolution is None:
-        effective_resolution = min(ar_res)
+        effective_resolution = np.minimum(*ar_res)
     detect = min_detectable_stiffness(effective_resolution, sensitivity, bandwidth, k_eff)
     return ResolutionReport(
         amplitude_resolution=amp_res,

@@ -138,13 +138,6 @@ def band_mean_psd(spectrum: Spectrum, f_center: float, bandwidth: float) -> floa
     return band_power(spectrum, f_center, bandwidth) / (hi - lo)
 
 
-def rms_from_mean_square(mean_square: float) -> float:
-    """Root of a mean-square value; rejects negative input."""
-    if mean_square < 0:
-        raise ValueError(f"mean square must be >= 0, got {mean_square!r}")
-    return math.sqrt(mean_square)
-
-
 def to_db(psd_value: float, convention: str = DB_PAPER) -> float:
     """PSD value in dB under the chosen convention.
 

@@ -5,6 +5,9 @@ solves the modal eigenproblem, evaluates the analytic receptance
 (displacement per unit force) over frequency, and provides the closed-form
 first-order output-shift estimates used to rate stiffness and mass sensing
 through the frequency, amplitude-ratio (AR) and eigenstate readouts.
+
+kc may be a 1-D array of N designs, evaluated in one array pass: matrices
+stack to (N, 2, 2) and every per-design result gains a leading axis N.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ class SystemConfig:
     m2: float  # mass, kg
     km1: float  # mechanical spring, N/m
     km2: float  # mechanical spring, N/m
-    kc: float  # coupling spring, N/m (negative for electrostatic coupling)
+    kc: float | np.ndarray  # coupling spring(s), N/m (negative for electrostatic coupling)
     c1: float  # resonator damping, N*s/m
     c2: float  # resonator damping, N*s/m
     cc: float  # coupler damping, N*s/m
@@ -53,20 +56,16 @@ class SystemConfig:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         for name in ("km1", "km2"):
             km = getattr(self, name)
-            if km + self.kc <= 0:
-                raise ValueError(
-                    f"stiffness matrix not positive definite: "
-                    f"{name} + kc = {km + self.kc:g} <= 0"
-                )
-            if km + 2.0 * self.kc <= 0:
-                raise ValueError(
-                    f"stiffness matrix not positive definite: "
-                    f"{name} + 2*kc = {km + 2.0 * self.kc:g} <= 0"
-                )
-        km_min = min(self.km1, self.km2)
-        if abs(self.kc) / km_min > _WEAK_COUPLING_RATIO:
+            for term, diagonal in (("kc", km + self.kc), ("2*kc", km + 2.0 * self.kc)):
+                if np.any(diagonal <= 0):
+                    raise ValueError(
+                        f"stiffness matrix not positive definite: "
+                        f"{name} + {term} = {np.min(diagonal):g} <= 0"
+                    )
+        ratio = np.max(np.abs(self.kc)) / min(self.km1, self.km2)
+        if ratio > _WEAK_COUPLING_RATIO:
             warnings.warn(
-                f"|kc|/km = {abs(self.kc) / km_min:.3g} > {_WEAK_COUPLING_RATIO}; "
+                f"|kc|/km = {ratio:.3g} > {_WEAK_COUPLING_RATIO}; "
                 "first-order weak-coupling sensitivity formulas may be inaccurate",
                 stacklevel=2,
             )
@@ -97,22 +96,18 @@ def derive_quantities(config: SystemConfig) -> DerivedQuantities:
     k_eff = 0.5 * ((config.km1 + config.kc) + (config.km2 + config.kc))
     m_eff = 0.5 * (config.m1 + config.m2)
     c_mean = 0.5 * (config.c1 + config.c2)
-    q = math.sqrt(k_eff * m_eff) / c_mean if c_mean > 0 else math.inf
+    with np.errstate(divide="ignore"):
+        q = np.sqrt(k_eff * m_eff) / c_mean
     return DerivedQuantities(k_eff=k_eff, m_eff=m_eff, kappa=config.kc / k_eff, q=q)
 
 
 @dataclass(frozen=True)
 class SystemMatrices:
-    """Assembled 2x2 matrices of the equations of motion."""
+    """Assembled 2x2 matrices of the equations of motion, (N, 2, 2) for N designs."""
 
     mass: np.ndarray  # kg
     damping: np.ndarray  # N*s/m
     stiffness: np.ndarray  # N/m
-
-    @property
-    def coupling_spring(self) -> float:
-        """kc recovered from the off-diagonal stiffness, N/m."""
-        return -float(self.stiffness[0, 1])
 
 
 def build_system(config: SystemConfig) -> SystemMatrices:
@@ -122,26 +117,32 @@ def build_system(config: SystemConfig) -> SystemMatrices:
     nominal design condition c1 = c2 = cc this coincides with writing -c in
     the coupled equations of motion; a warning is raised otherwise.
     """
-    fully_uncoupled = config.kc == 0 and config.cc == 0
+    kc = np.asarray(config.kc, dtype=float)
+    fully_uncoupled = np.all(kc == 0) and config.cc == 0
     if not (config.c1 == config.c2 == config.cc) and not fully_uncoupled:
         warnings.warn(
             "cc differs from c1/c2: off-diagonal damping uses the coupler "
             "value -cc, which departs from the equal-damping idealization",
             stacklevel=2,
         )
-    mass = np.array([[config.m1, 0.0], [0.0, config.m2]])
-    damping = np.array(
-        [[config.c1 + config.cc, -config.cc], [-config.cc, config.c2 + config.cc]]
-    )
-    stiffness = np.array(
-        [[config.km1 + config.kc, -config.kc], [-config.kc, config.km2 + config.kc]]
+    stiffness = np.empty(kc.shape + (2, 2))
+    stiffness[..., 0, 0] = config.km1 + kc
+    stiffness[..., 0, 1] = stiffness[..., 1, 0] = -kc
+    stiffness[..., 1, 1] = config.km2 + kc
+    mass = np.broadcast_to([[config.m1, 0.0], [0.0, config.m2]], stiffness.shape)
+    damping = np.broadcast_to(
+        [[config.c1 + config.cc, -config.cc], [-config.cc, config.c2 + config.cc]],
+        stiffness.shape,
     )
     return SystemMatrices(mass=mass, damping=damping, stiffness=stiffness)
 
 
 @dataclass(frozen=True)
 class Modes:
-    """Modal decomposition of the coupled pair, ordered omega1 <= omega2."""
+    """Modal decomposition of the coupled pair, ordered omega1 <= omega2.
+
+    For N designs every field gains a leading axis of length N.
+    """
 
     omega1: float  # rad/s
     omega2: float  # rad/s
@@ -159,10 +160,6 @@ class Modes:
         return self.f2 - self.f1
 
 
-def _mode_label(shape: np.ndarray) -> str:
-    return IN_PHASE if shape[0] * shape[1] > 0 else OUT_OF_PHASE
-
-
 def mode_analysis(system: SystemMatrices) -> Modes:
     """Solve the generalized symmetric eigenproblem K v = w^2 M v.
 
@@ -173,37 +170,35 @@ def mode_analysis(system: SystemMatrices) -> Modes:
     c_i = v'Cv.
     """
     chol = np.linalg.cholesky(system.mass)
-    reduced = np.linalg.solve(chol, np.linalg.solve(chol, system.stiffness).T).T
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (reduced + reduced.T))
-    shapes = np.linalg.solve(chol.T, eigvecs)
+    reduced = np.linalg.solve(chol, np.linalg.solve(chol, system.stiffness).mT).mT
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (reduced + reduced.mT))
+    shapes = np.linalg.solve(chol.mT, eigvecs)  # columns are the modes
 
-    omegas = np.sqrt(eigvals)
-    out_shapes = []
-    labels = []
-    modal_q = []
-    kc = system.coupling_spring
-    for i in range(2):
-        shape = shapes[:, i] / np.linalg.norm(shapes[:, i])
-        if shape[0] < 0 or (shape[0] == 0 and shape[1] < 0):
-            shape = -shape
-        out_shapes.append(shape)
-        labels.append(DEGENERATE if kc == 0 else _mode_label(shape))
-        m_i = float(shape @ system.mass @ shape)
-        k_i = float(shape @ system.stiffness @ shape)
-        c_i = float(shape @ system.damping @ shape)
-        modal_q.append(math.sqrt(k_i * m_i) / c_i if c_i > 0 else math.inf)
+    shapes = shapes / np.sqrt(np.vecdot(shapes, shapes, axis=-2))[..., None, :]
+    first, second = shapes[..., 0, :], shapes[..., 1, :]
+    flip = (first < 0) | ((first == 0) & (second < 0))
+    shapes = np.where(flip[..., None, :], -shapes, shapes)
+    labels = np.where(
+        (system.stiffness[..., 0, 1] == 0)[..., None],
+        DEGENERATE,
+        np.where(shapes[..., 0, :] * shapes[..., 1, :] > 0, IN_PHASE, OUT_OF_PHASE),
+    )
+    m, k, c = (np.vecdot(shapes, a @ shapes, axis=-2)
+               for a in (system.mass, system.stiffness, system.damping))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        modal_q = np.where(c > 0, np.sqrt(k * m) / c, np.inf)
 
+    # mode axis first: unpacking a one-design array gives scalars
+    omega1, omega2 = np.moveaxis(np.sqrt(eigvals), -1, 0)
+    shape1, shape2 = np.moveaxis(shapes, -1, 0)
+    label1, label2 = np.moveaxis(labels, -1, 0)
+    modal_q1, modal_q2 = np.moveaxis(modal_q, -1, 0)
     return Modes(
-        omega1=float(omegas[0]),
-        omega2=float(omegas[1]),
-        f1=float(omegas[0]) / (2.0 * math.pi),
-        f2=float(omegas[1]) / (2.0 * math.pi),
-        shape1=out_shapes[0],
-        shape2=out_shapes[1],
-        label1=labels[0],
-        label2=labels[1],
-        modal_q1=modal_q[0],
-        modal_q2=modal_q[1],
+        omega1=omega1, omega2=omega2,
+        f1=omega1 / (2.0 * math.pi), f2=omega2 / (2.0 * math.pi),
+        shape1=shape1, shape2=shape2,
+        label1=label1, label2=label2,
+        modal_q1=modal_q1, modal_q2=modal_q2,
     )
 
 
@@ -212,7 +207,7 @@ class FrequencyResponse:
     """Complex receptance h[j][k] = displacement of j per unit force on k."""
 
     frequencies: np.ndarray  # Hz
-    h: np.ndarray  # complex, shape (n, 2, 2), m/N
+    h: np.ndarray  # complex, shape (F, 2, 2) or (N, F, 2, 2), m/N
 
 
 def frequency_response(
@@ -220,36 +215,38 @@ def frequency_response(
 ) -> FrequencyResponse:
     """Evaluate h(w) = (-w^2 M + i w C + K)^-1 on a grid of frequencies [Hz].
 
-    The 2x2 inverse is formed explicitly from the determinant.  The matrix
-    can only become singular at an undamped resonance (zero damping at an
-    eigenfrequency); that case raises NumericalError.
+    For N designs the grid is one row per design, shape (F,) or (N, F), and
+    h has shape (N, F, 2, 2).  The 2x2 inverse is formed explicitly from the
+    determinant.  The matrix can only become singular at an undamped
+    resonance (zero damping at an eigenfrequency); that case raises
+    NumericalError.
     """
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
     if np.any(freqs < 0):
         raise ValueError("frequencies must be >= 0")
     omega = 2.0 * math.pi * freqs
 
-    m, c, k = system.mass, system.damping, system.stiffness
-    d11 = -(omega**2) * m[0, 0] + 1j * omega * c[0, 0] + k[0, 0]
-    d12 = -(omega**2) * m[0, 1] + 1j * omega * c[0, 1] + k[0, 1]
-    d21 = -(omega**2) * m[1, 0] + 1j * omega * c[1, 0] + k[1, 0]
-    d22 = -(omega**2) * m[1, 1] + 1j * omega * c[1, 1] + k[1, 1]
+    # a frequency axis ahead of each 2x2 block
+    m, c, k = (a[..., None, :, :] for a in (system.mass, system.damping, system.stiffness))
+    d11 = -(omega**2) * m[..., 0, 0] + 1j * omega * c[..., 0, 0] + k[..., 0, 0]
+    d12 = -(omega**2) * m[..., 0, 1] + 1j * omega * c[..., 0, 1] + k[..., 0, 1]
+    d21 = -(omega**2) * m[..., 1, 0] + 1j * omega * c[..., 1, 0] + k[..., 1, 0]
+    d22 = -(omega**2) * m[..., 1, 1] + 1j * omega * c[..., 1, 1] + k[..., 1, 1]
     det = d11 * d22 - d12 * d21
 
     # scale from the matrix terms, not from the (possibly cancelling) sums
-    term = np.maximum(
-        np.abs(k).max(), np.maximum(omega**2 * np.abs(m).max(), omega * np.abs(c).max())
-    )
+    m_max, c_max, k_max = (np.abs(a).max(axis=(-2, -1)) for a in (m, c, k))
+    term = np.maximum(k_max, np.maximum(omega**2 * m_max, omega * c_max))
     bad = np.abs(det) <= 1e-12 * term**2
     if np.any(bad):
-        f_bad = freqs[np.argmax(bad)]
+        f_bad = np.broadcast_to(freqs, bad.shape)[bad][0]
         raise NumericalError(f"undamped resonance: receptance singular at {f_bad:g} Hz")
 
-    h = np.empty((freqs.size, 2, 2), dtype=complex)
-    h[:, 0, 0] = d22 / det
-    h[:, 0, 1] = -d12 / det
-    h[:, 1, 0] = -d21 / det
-    h[:, 1, 1] = d11 / det
+    h = np.empty(det.shape + (2, 2), dtype=complex)
+    h[..., 0, 0] = d22 / det
+    h[..., 0, 1] = -d12 / det
+    h[..., 1, 0] = -d21 / det
+    h[..., 1, 1] = d11 / det
     return FrequencyResponse(frequencies=freqs, h=h)
 
 

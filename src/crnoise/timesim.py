@@ -144,20 +144,6 @@ def duration_for_segments(
     return (n_samples + 1) * dt
 
 
-def thermal_force_samples(force_psd: float, dt: float, n: int, seed: int) -> np.ndarray:
-    """Gaussian force samples whose one-sided PSD equals force_psd [N^2/Hz].
-
-    The samples are i.i.d. zero-mean with variance force_psd / (2 dt); the
-    stream is fully determined by the seed.
-    """
-    if force_psd < 0:
-        raise ValueError("force_psd must be >= 0")
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    sigma = math.sqrt(force_psd / (2.0 * dt))
-    return np.random.default_rng(seed).standard_normal(n) * sigma
-
-
 def _state_matrices(system: SystemMatrices) -> tuple[np.ndarray, np.ndarray]:
     """First-order form x' = A x + B u, state (x1, v1, x2, v2), input (F1, F2)."""
     m1, m2 = system.mass[0, 0], system.mass[1, 1]

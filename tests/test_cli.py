@@ -1,6 +1,7 @@
 """Config parsing, command outputs, exit codes, determinism, round-trips."""
 
 import dataclasses
+import re
 import subprocess
 import sys
 import warnings
@@ -402,34 +403,75 @@ def test_sweep_kc_negative_list_without_spaces(tmp_path):
     assert [r[0] for r in rows] == ["-393.5", "-1000"]
 
 
-def test_sweep_single_point_matches_budget(tmp_path):
-    """A sweep point equals budget and resolution run with the sweep's sources.
+def table_rows(path):
+    """quantity -> (value, source) cells of a rendered report table."""
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    cells = [re.split(r"\s{2,}", l.strip()) for l in lines[4:] if not l.startswith("note:")]
+    return {quantity: (value, source) for quantity, value, _, source in cells}
 
-    The sweep runs on the paper-reference preset, whose published resolution
-    sources the sweep replaces with SWEEP_SOURCES.
+
+# sweep column -> the quantity that modes (6 digits), budget or resolution
+# (12 digits) report for the same design
+SWEEP_COLUMNS = {
+    "modes": {"kappa": "kappa", "f1_hz": "f1", "f2_hz": "f2", "split_hz": "mode_split",
+              "modal_q1": "modal_q1", "modal_q2": "modal_q2"},
+    "budget": {"i_mot_mode1_a": "i_mot_noise_mode1", "i_mot_mode2_a": "i_mot_noise_mode2",
+               "i_rf_a": "i_rf", "i_vn_a": "i_vn", "i_in_a": "i_in",
+               "i_elec_paper_a": "i_elec_total_paper",
+               "i_elec_integrated_a": "i_elec_total_integrated",
+               "i_system_paper_mode1_a": "i_system_paper_mode1",
+               "i_system_paper_mode2_a": "i_system_paper_mode2"},
+    "resolution": {"ar_sensitivity": "sensitivity_formula",
+                   "amp_res_mode1": "amplitude_resolution_mode1",
+                   "amp_res_mode2": "amplitude_resolution_mode2",
+                   "ar_res_mode1": "ar_resolution_mode1", "ar_res_mode2": "ar_resolution_mode2",
+                   "min_detectable_norm": "min_detectable_stiffness",
+                   "min_detectable_density": "min_detectable_density"},
+}
+
+
+@pytest.mark.filterwarnings("ignore:cc differs from c1/c2")
+def test_sweep_single_point_matches_budget(tmp_path, capsys):
+    """Each sweep row equals modes, budget and resolution run at its kc.
+
+    Those commands run with SWEEP_SOURCES, the sources the sweep evaluates
+    every design with, on both presets, at kc values that include 0 and a
+    positive spring.  uncoupled-demo derives r_x = c/eta^2 per design, so its
+    sweep takes the electronic budget of an array of motional resistances.
     """
-    out_sweep, out_budget, out_res = tmp_path / "s", tmp_path / "b", tmp_path / "r"
-    cfg = tmp_path / "one.cfg"
-    cfg.write_text(
-        "".join(f"{key} = {value}\n" for key, value in SWEEP_SOURCES.items())
-    )
-    assert run_cli("sweep", "--config", "paper-reference", "--kc", "-393.5",
-                   "--out", str(out_sweep)) == 0
-    assert run_cli("budget", "--config", str(cfg), "--out", str(out_budget)) == 0
-    assert run_cli("resolution", "--config", str(cfg), "--out", str(out_res)) == 0
-    header, rows = read_csv_table(out_sweep / "sweep.csv")
-    budget = report_values(out_budget / "budget.csv")
-    resolution = report_values(out_res / "resolution.csv")
-    row = dict(zip(header, rows[0]))
-    assert float(row["i_rf_a"]) == pytest.approx(budget["i_rf"], rel=1e-9)
-    assert float(row["i_mot_mode1_a"]) == pytest.approx(budget["i_mot_noise_mode1"], rel=1e-9)
-    assert float(row["f1_hz"]) == pytest.approx(2474.73, abs=0.01)
-    for column, quantity in (
-        ("amp_res_mode1", "amplitude_resolution_mode1"),
-        ("ar_res_mode1", "ar_resolution_mode1"),
-        ("min_detectable_density", "min_detectable_density"),
-    ):
-        assert float(row[column]) == pytest.approx(resolution[quantity], rel=1e-9)
+    kcs = ("-393.5", "0", "250", "-1000")
+    for preset in PRESET_NAMES:
+        out = tmp_path / preset
+        assert run_cli("sweep", "--config", preset, "--kc=" + ",".join(kcs),
+                       "--out", str(out)) == 0
+        header, rows = read_csv_table(out / "sweep.csv")
+        assert [r[0] for r in rows] == list(kcs)
+        for kc, cells in zip(kcs, rows):
+            row = dict(zip(header, cells))
+            entries = parse_config_text(preset_text(preset)) | SWEEP_SOURCES | {"system.kc": kc}
+            cfg = out / f"kc{kc}.cfg"
+            cfg.write_text("".join(f"{key} = {value}\n" for key, value in entries.items()))
+            point = out / f"kc{kc}"
+            for command in SWEEP_COLUMNS:
+                assert run_cli(command, "--config", str(cfg), "--out", str(point)) == 0
+            modes = table_rows(point / "modes.txt")
+            budget = report_values(point / "budget.csv")
+            resolution = report_values(point / "resolution.csv")
+            assert row["label1"] == modes["f1"][1]
+            for column, quantity in SWEEP_COLUMNS["modes"].items():
+                assert float(row[column]) == pytest.approx(float(modes[quantity][0]), rel=1e-5)
+            for reported, command in ((budget, "budget"), (resolution, "resolution")):
+                for column, quantity in SWEEP_COLUMNS[command].items():
+                    assert float(row[column]) == pytest.approx(reported[quantity], rel=1e-9)
+            for mode in ("1", "2"):  # x_avg = x_psd * B, B = 10 Hz in both presets
+                assert float(row[f"x_psd_mode{mode}"]) * 10.0 == pytest.approx(
+                    budget[f"x_avg_mode{mode}"], rel=1e-9)
+            r_x_source = table_rows(point / "budget.txt")["r_x"][1]
+            assert r_x_source == ("c/eta^2" if preset == "uncoupled-demo" else "input")
+    capsys.readouterr()
+    assert run_cli("sweep", "--config", "paper-reference", "--kc=-393.5,-70000",
+                   "--out", str(tmp_path / "bad")) == 1
+    assert "km1 + 2*kc = -16637.8 <= 0" in capsys.readouterr().err
 
 
 def test_defaults_run_without_consistency_warning(tmp_path):

@@ -10,7 +10,6 @@ from crnoise.spectral import (
     DB_POWER,
     band_power,
     parseval_ratio,
-    rms_from_mean_square,
     to_db,
     welch_psd,
     write_spectrum_csv,
@@ -124,14 +123,6 @@ def test_band_edges_clamped():
 
 
 # --- rms and dB -------------------------------------------------------------------
-
-def test_rms_published_values():
-    assert rms_from_mean_square(7.762e-29) == pytest.approx(8.810e-15, rel=1e-3)
-    assert rms_from_mean_square(5.136e-22) == pytest.approx(2.266e-11, rel=1e-3)
-    assert rms_from_mean_square(0.0) == 0.0
-    with pytest.raises(ValueError):
-        rms_from_mean_square(-1e-30)
-
 
 def test_db_published_values():
     assert to_db(7.76e-30, DB_PAPER) == pytest.approx(-582.2, abs=0.05)

@@ -1,5 +1,6 @@
 """System assembly, modal analysis, receptance and sensitivity formulas."""
 
+import dataclasses
 import math
 import warnings
 
@@ -166,6 +167,26 @@ def test_degenerate_split_scales_linearly(reference_config):
     # split ~ |kc| to first order
     assert splits[0] / splits[1] == pytest.approx(2.0, rel=2e-4)
     assert splits[1] / splits[2] == pytest.approx(2.0, rel=1e-4)
+
+
+def test_stacked_designs_match_single_designs_bit_for_bit(reference_config):
+    """An array of kc gives, design by design, the bits of one scalar kc each."""
+    rng = np.random.default_rng(6)
+    kcs = np.concatenate([-np.exp(rng.uniform(np.log(10.0), np.log(12000.0), 300)),
+                          [0.0, 250.0, -393.5]])
+    stacked = build_system(dataclasses.replace(reference_config, kc=kcs))
+    assert stacked.stiffness.shape == stacked.mass.shape == (kcs.size, 2, 2)
+    modes = mode_analysis(stacked)
+    h = frequency_response(stacked, np.stack([modes.f1, modes.f2], axis=-1)).h
+    assert h.shape == (kcs.size, 2, 2, 2)
+    assert set(modes.label1) == {"out_of_phase", "in_phase", "degenerate"}
+    for i, kc in enumerate(kcs.tolist()):
+        system = build_system(dataclasses.replace(reference_config, kc=kc))
+        one = mode_analysis(system)
+        for name in ("omega1", "omega2", "f1", "f2", "shape1", "shape2",
+                     "label1", "label2", "modal_q1", "modal_q2"):
+            assert np.array_equal(getattr(modes, name)[i], getattr(one, name)), (kc, name)
+        assert np.array_equal(h[i], frequency_response(system, [one.f1, one.f2]).h), kc
 
 
 # --- frequency response -------------------------------------------------------

@@ -19,8 +19,8 @@ from crnoise.timesim import (
     TimeSeries,
     default_timestep,
     simulate,
+    _noise_streams,
     steady_state_amplitude,
-    thermal_force_samples,
     write_timeseries_csv,
 )
 
@@ -47,13 +47,20 @@ def single_resonator(q=100.0):
 
 # --- thermal force samples -----------------------------------------------------
 
+def engine_force_samples(force_psd, dt, n, seed):
+    """The first n force samples the engine draws for a noise-driven resonator."""
+    drive = StochasticDrive(force_psd=force_psd, seed=seed)
+    [(_, rng)], sigma = _noise_streams(drive, dt)
+    return rng.standard_normal(n) * sigma
+
+
 def test_zero_psd_gives_zero_series():
-    assert np.all(thermal_force_samples(0.0, 1e-5, 1000, seed=1) == 0.0)
+    assert np.all(engine_force_samples(0.0, 1e-5, 1000, seed=1) == 0.0)
 
 
 def test_sample_variance_matches_psd():
     psd, dt = 5.136e-23, 8e-6
-    samples = thermal_force_samples(psd, dt, 1_000_000, seed=42)
+    samples = engine_force_samples(psd, dt, 1_000_000, seed=42)
     assert abs(samples.mean()) < 5e-3 * samples.std()
     # sigma^2 = S_F / (2 dt) = 3.21e-18 N^2
     assert samples.var() == pytest.approx(psd / (2 * dt), rel=0.05)
@@ -62,7 +69,7 @@ def test_sample_variance_matches_psd():
 
 def test_sample_stream_psd_is_flat():
     psd, dt = 5.136e-23, 8e-6
-    samples = thermal_force_samples(psd, dt, 500_000, seed=3)
+    samples = engine_force_samples(psd, dt, 500_000, seed=3)
     spectrum = spectral.welch_psd(samples, dt, segment_length=2048)
     freqs = spectrum.frequencies
     sel = (freqs >= 0.1 * 0.1 / dt) & (freqs <= 0.5 / dt)
@@ -71,10 +78,10 @@ def test_sample_stream_psd_is_flat():
 
 
 def test_same_seed_bit_identical():
-    a = thermal_force_samples(1e-22, 1e-5, 5000, seed=7)
-    b = thermal_force_samples(1e-22, 1e-5, 5000, seed=7)
+    a = engine_force_samples(1e-22, 1e-5, 5000, seed=7)
+    b = engine_force_samples(1e-22, 1e-5, 5000, seed=7)
     assert np.array_equal(a, b)
-    c = thermal_force_samples(1e-22, 1e-5, 5000, seed=8)
+    c = engine_force_samples(1e-22, 1e-5, 5000, seed=8)
     assert not np.array_equal(a, c)
 
 
