@@ -1,8 +1,11 @@
 """One-sided power spectral density estimation and band arithmetic.
 
-Welch averaging with a Hann window at 50% overlap is the workhorse here;
-density scaling is used throughout, so integrating a spectrum over a band
-returns the mean-square content of that band.  The dB helper offers two
+Welch averaging with a periodic Hann window at 50% overlap is the workhorse
+here, computed with numpy's real FFT: the segments are strided views of the
+record, windowed and transformed in blocks of about 2**20 samples (one
+segment, if that is longer), so the estimator's working memory is bounded by
+the block, not by the record length.  Density scaling is used throughout, so integrating a spectrum over a
+band returns the mean-square content of that band.  The dB helper offers two
 conventions: 20*log10 of the PSD value ("paper_20log", the convention the
 reference design's published numbers follow) and the physically standard
 10*log10 ("power_10log").
@@ -14,12 +17,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .reports import write_csv
 
 DB_PAPER = "paper_20log"
 DB_POWER = "power_10log"
+
+# samples windowed and transformed per pass of the Welch estimator
+_WELCH_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -57,8 +63,13 @@ def welch_psd(
 ) -> Spectrum:
     """Hann-windowed, overlap-averaged one-sided PSD of a sampled channel.
 
-    No detrending is applied, so the integral of the spectrum matches the
-    mean square (not the variance) of the input.
+    Segments of segment_length samples start every segment_length - noverlap
+    samples; each is weighted by the periodic Hann window
+    w[k] = 0.5 - 0.5 cos(2 pi k / L) and transformed with a real FFT, and the
+    averaged |X|^2 is scaled by 2 dt / sum(w^2), except that DC and (for even
+    L) Nyquist, which a one-sided spectrum holds once, take half of that.  No
+    detrending is applied, so the integral of the spectrum matches the mean
+    square (not the variance) of the input.
     """
     x = np.asarray(samples, dtype=float)
     if dt <= 0:
@@ -67,24 +78,32 @@ def welch_psd(
         raise ValueError("overlap must lie in [0, 1)")
     if segment_length is None:
         segment_length = default_segment_length(x.size)
+    if segment_length < 2:
+        raise ValueError(f"segment_length must be >= 2, got {segment_length}")
     if segment_length > x.size:
         raise ValueError(
             f"series too short: {x.size} samples < segment_length {segment_length}"
         )
     noverlap = int(segment_length * overlap)
-    freqs, psd = signal.welch(
-        x,
-        fs=1.0 / dt,
-        window="hann",
-        nperseg=segment_length,
-        noverlap=noverlap,
-        detrend=False,
-        scaling="density",
-        return_onesided=True,
-    )
-    n_segments = 1 + (x.size - segment_length) // (segment_length - noverlap)
+    step = segment_length - noverlap
+    n_segments = 1 + (x.size - segment_length) // step
+
+    window = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(segment_length) / segment_length)
+    segments = sliding_window_view(x, segment_length)[::step]
+    per_block = max(1, _WELCH_BLOCK // segment_length)
+    power = np.zeros(segment_length // 2 + 1)
+    for first in range(0, n_segments, per_block):
+        spectra = np.fft.rfft(segments[first : first + per_block] * window, axis=-1)
+        power += np.sum(spectra.real**2 + spectra.imag**2, axis=0)
+
+    psd = power * (2.0 * dt / (n_segments * np.sum(window**2)))
+    psd[0] /= 2.0
+    if segment_length % 2 == 0:
+        psd[-1] /= 2.0
+    fs = 1.0 / dt
     return Spectrum(
-        df=float(freqs[1] - freqs[0]),
+        # rounded as rfftfreq(L, 1/fs) rounds its first bin
+        df=1.0 / (segment_length * (1.0 / fs)),
         values=psd,
         window="hann",
         segment_length=segment_length,

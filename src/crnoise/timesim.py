@@ -11,10 +11,13 @@ with constant matrices.  The engine evaluates that recursion in the complex
 Schur basis of the balanced update matrix, Phi = S T S^-1 with S = D Q, D a
 diagonal power-of-two scaling that puts positions and velocities on a common
 scale, and Q unitary.  T is upper triangular, so the four states are
-first-order IIR filters solved bottom-up, each driven by the rows below it
-delayed one step.  The basis stays well conditioned even for defective or
-critically damped Phi, so one code path reproduces the RK4 trajectory to
-rounding at compiled-filter speed.
+first-order recurrences y[n] = T_ii y[n-1] + u[n] solved bottom-up, each
+driven by the rows below it delayed one step.  Each recurrence is a blocked
+prefix scan: within a block the solution is a cumulative sum of geometrically
+weighted inputs, and the state carries exactly from block to block (Blelloch
+1990, "Prefix sums and their applications").  The basis stays well
+conditioned even for defective or critically damped Phi, so one code path
+reproduces the RK4 trajectory to rounding in a few array passes per chunk.
 
 Deterministic harmonic drives are sampled at the true substep times (full
 4th-order accuracy).  Stochastic thermal force is zero-order-hold per step:
@@ -29,8 +32,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import matrix_balance, schur
-from scipy.signal import lfilter
 
 from .errors import NumericalError
 from .reports import write_csv
@@ -41,6 +42,10 @@ _DEFAULT_STEPS_PER_PERIOD = 50
 _MIN_STEPS_PER_PERIOD = 20
 _MAX_SAMPLES = 2**31
 _CHUNK_STEPS = 1 << 20
+# longest block of the prefix scan, and the largest growth |a|^-L (or |a|^L)
+# of its weights over one block
+_SCAN_BLOCK = 1 << 12
+_SCAN_GROWTH = 1e3
 
 NOISE_TARGET_1 = "1"
 NOISE_TARGET_2 = "2"
@@ -275,14 +280,60 @@ def _record_rows(plan: SimulationPlan) -> dict[str, int]:
     return rows
 
 
+def _scan_block_length(a: complex) -> int:
+    """Largest power of two L <= _SCAN_BLOCK with |a|^-L and |a|^L <= _SCAN_GROWTH."""
+    rate = abs(math.log(abs(a))) if a != 0 else math.inf
+    length = _SCAN_BLOCK
+    while length > 1 and rate * length > math.log(_SCAN_GROWTH):
+        length //= 2
+    return length
+
+
+def _first_order_scan(a: complex, u: np.ndarray, y_prev: complex) -> np.ndarray:
+    """Solve y[n] = a y[n-1] + u[n] for n = 0 .. len(u)-1, with y[-1] = y_prev.
+
+    The steps are cut into blocks of L (a power of two that divides
+    _SCAN_BLOCK), counted from u[0].  Within a block entered with state y_in,
+    y[k] = a^k (a y_in + sum_{j<=k} a^-j u[j]): one cumulative sum for all
+    blocks at once.  The block-end states are then chained in order, and each
+    block's last entry is set to that carry, so a run cut into pieces of whole
+    blocks returns the same values as one call.
+    """
+    n = u.size
+    length = _scan_block_length(a)
+    # a^k as a running product: its rounding error grows like sqrt(k), where
+    # exp(k log a) would carry the rounding of log a into every block alike
+    rise = np.full(length, a, dtype=complex)
+    rise[0] = 1.0
+    np.cumprod(rise, out=rise)
+    w = np.zeros((-(-n // length), length), dtype=complex)
+    w.reshape(-1)[:n] = u
+    w /= rise
+    np.cumsum(w, axis=1, out=w)
+
+    a, a_last = complex(a), complex(rise[-1])
+    carries = [complex(y_prev)]
+    for s in w[:, -1].tolist():
+        carries.append(a_last * (s + a * carries[-1]))
+    carries = np.array(carries)
+    w += a * carries[:-1, None]
+    w *= rise
+    w[:, -1] = carries[1:]
+    return w.reshape(-1)[:n]
+
+
 def _run_schur(phi, g0, gm, g1, x0, forcing, plan, n_steps):
     """Evaluate the RK4 recursion y[n+1] = T y[n] + w[n] in the Schur basis.
 
-    Row i is the scalar filter y_i[n+1] = T_ii y_i[n] + w_i[n] +
-    sum_{j>i} T_ij y_j[n], run with lfilter from the bottom row up; the lower
-    rows are already solved, so their contribution is a known input delayed
-    by one step.  The state y carries across fixed-size chunks.
+    Row i is the scalar recurrence y_i[n+1] = T_ii y_i[n] + w_i[n] +
+    sum_{j>i} T_ij y_j[n], solved by _first_order_scan from the bottom row up;
+    the lower rows are already solved, so their contribution is a known input
+    delayed by one step.  The state y carries across fixed-size chunks of
+    whole scan blocks, so the scan's blocks sit on the global step grid and
+    the trajectory does not depend on how the run is cut into chunks.
     """
+    from scipy.linalg import matrix_balance, schur
+
     balanced, (scale, _) = matrix_balance(phi, permute=False, separate=True)
     t_mat, q = schur(balanced, output="complex")
     s_mat = scale[:, None] * q  # x = Re(S y)
@@ -301,16 +352,18 @@ def _run_schur(phi, g0, gm, g1, x0, forcing, plan, n_steps):
         out[name][0] = x0[row]
 
     streams, sigma = _noise_streams(forcing.stochastic, plan.dt)
-    y = s_inv @ x0  # state at the start of the current chunk
 
-    # chunks aligned to the decimation grid; one buffer, reused by every
-    # chunk, holds the input w and is then overwritten row by row with y
-    chunk = max(dec, (_CHUNK_STEPS // dec) * dec)
-    buf = np.empty((4, min(chunk, n_steps)), dtype=complex)
+    # one buffer, reused by every chunk: column 0 holds the state y the chunk
+    # starts from, columns 1.. the input w, overwritten row by row with y.
+    # Each row's delayed coupling term is thus one array product for every
+    # step, which rounds the same wherever the chunk boundaries fall.
+    chunk = max(_SCAN_BLOCK, _CHUNK_STEPS // _SCAN_BLOCK * _SCAN_BLOCK)
+    buf = np.empty((4, min(chunk, n_steps) + 1), dtype=complex)
+    buf[:, 0] = s_inv @ x0
     dt = plan.dt
     for start in range(0, n_steps, chunk):
         n_c = min(chunk, n_steps - start)
-        ys = buf[:, :n_c]
+        prev, ys = buf[:, :n_c], buf[:, 1 : n_c + 1]
         ys[...] = 0.0
         if forcing.harmonic:
             t = (start + np.arange(n_c)) * dt
@@ -324,19 +377,16 @@ def _run_schur(phi, g0, gm, g1, x0, forcing, plan, n_steps):
 
         for i in reversed(range(4)):
             for j in range(i + 1, 4):
-                ys[i, 0] += t_mat[i, j] * y[j]
-                ys[i, 1:] += t_mat[i, j] * ys[j, :-1]
-            ys[i], _ = lfilter(
-                [1.0], np.array([1.0, -diag[i]]), ys[i], zi=np.array([diag[i] * y[i]])
-            )
-        y = ys[:, -1].copy()
+                ys[i] += t_mat[i, j] * prev[j]
+            ys[i] = _first_order_scan(diag[i], ys[i], prev[i, 0])
+        buf[:, 0] = ys[:, -1]
 
-        # ys[:, k] is the state after global step start+k+1; chunks are
-        # aligned to the decimation grid, so recorded steps sit at k = dec-1,
-        # 2*dec-1, ... and land at consecutive output slots.  Re(S y) is
-        # formed elementwise so that it rounds the same for every decimation.
-        rec = ys[:, dec - 1 :: dec]
-        first = start // dec + 1
+        # ys[:, k] is the state after global step start+k+1; the recorded
+        # steps are the multiples of dec, from k = skip on.  Re(S y) is formed
+        # elementwise so that it rounds the same for every decimation.
+        skip = (-start - 1) % dec
+        rec = ys[:, skip::dec]
+        first = (start + skip + 1) // dec
         for name, row in rows.items():
             x = out[name][first : first + rec.shape[1]]
             x[...] = 0.0

@@ -1,6 +1,7 @@
 """Config parsing, command outputs, exit codes, determinism, round-trips."""
 
 import dataclasses
+import json
 import re
 import subprocess
 import sys
@@ -527,6 +528,29 @@ def test_stochastic_csv_byte_identical(tmp_path):
         assert proc.returncode == 0, proc.stderr
     for name in ("timeseries.csv", "spectrum_x1.csv", "spectrum_x2.csv"):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+def test_light_commands_import_no_scipy(tmp_path):
+    """Only simulating commands pay for scipy: importing the CLI loads neither
+    scipy.signal nor scipy.linalg, and modes, budget, resolution and sweep
+    load no scipy module at all."""
+    script = f"""
+import json, sys
+import crnoise.cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+after_import = scipy_modules()
+for command in ("modes", "budget", "resolution", "sweep"):
+    out = {str(tmp_path)!r}
+    assert crnoise.cli.main([command, "--config", "paper-reference", "--out", out]) == 0
+print(json.dumps([after_import, scipy_modules()]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    after_import, after_commands = json.loads(proc.stdout.splitlines()[-1])
+    assert "scipy.signal" not in after_import
+    assert "scipy.linalg" not in after_import
+    assert after_commands == []
 
 
 def test_echoed_config_round_trip(tmp_path):

@@ -1,10 +1,11 @@
-"""Welch estimation, band integration, rms and dB conversions."""
+"""Welch estimation, band integration and dB conversions."""
 
 import math
 
 import numpy as np
 import pytest
 
+from crnoise import spectral
 from crnoise.spectral import (
     DB_PAPER,
     DB_POWER,
@@ -53,6 +54,41 @@ def test_too_short_series_rejected():
         welch_psd(np.zeros(100), 1e-4, segment_length=256)
     with pytest.raises(ValueError, match="too short"):
         welch_psd(np.zeros(10), 1e-4)
+    for length in (1, 0, -4):
+        with pytest.raises(ValueError, match="segment_length"):
+            welch_psd(np.zeros(100), 1e-4, segment_length=length)
+
+
+@pytest.mark.parametrize("segment_length", [16, 100, 333, 4096, 65536])
+def test_matches_scipy_welch(segment_length):
+    """Same estimate as scipy.signal.welch (Hann, density, no detrend).
+
+    The bound is on max |dS| / max(S), not per bin: a random walk's
+    leakage-floor bins sit 1e-9 to 1e-6 below its peak, and there the two
+    FFTs' rounding differs by up to a few 1e-12 of the bin's own value.
+    """
+    from scipy.signal import welch
+
+    dt = 1e-3
+    rng = np.random.default_rng(segment_length)
+    white = rng.standard_normal(4 * segment_length + 10_000)
+    for x in (white, np.cumsum(white)):
+        for overlap in (0.0, 0.25, 0.5):
+            spectrum = welch_psd(x, dt, segment_length=segment_length, overlap=overlap)
+            freqs, psd = welch(x, fs=1.0 / dt, window="hann", nperseg=segment_length,
+                               noverlap=int(segment_length * overlap), detrend=False,
+                               scaling="density")
+            assert spectrum.values.shape == psd.shape
+            assert np.max(np.abs(spectrum.values - psd)) <= 1e-12 * psd.max()
+            assert spectrum.df == freqs[1]
+
+
+def test_accumulation_block_changes_only_rounding(monkeypatch):
+    x = np.cumsum(np.random.default_rng(3).standard_normal(50_000))
+    whole = welch_psd(x, 1e-3, segment_length=1000, overlap=0.25)
+    monkeypatch.setattr(spectral, "_WELCH_BLOCK", 1)  # one segment per block
+    single = welch_psd(x, 1e-3, segment_length=1000, overlap=0.25)
+    assert np.max(np.abs(single.values - whole.values)) <= 1e-13 * whole.values.max()
 
 
 def test_defaults_pick_pow2_segment():
@@ -122,7 +158,7 @@ def test_band_edges_clamped():
     assert band_power(spectrum, 100.0, 10.0) == pytest.approx(10.0)
 
 
-# --- rms and dB -------------------------------------------------------------------
+# --- dB --------------------------------------------------------------------------
 
 def test_db_published_values():
     assert to_db(7.76e-30, DB_PAPER) == pytest.approx(-582.2, abs=0.05)

@@ -1,5 +1,6 @@
 """Integrator correctness, stochastic forcing statistics, signal extraction."""
 
+import cmath
 import dataclasses
 import math
 import warnings
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import textbook_rk4_step
 
-from crnoise import presets, spectral
+from crnoise import presets, spectral, timesim
 from crnoise.reports import _BLOCK_ROWS
 from crnoise.sysmodel import build_system, frequency_response, mode_analysis
 from crnoise.timesim import (
@@ -19,6 +20,7 @@ from crnoise.timesim import (
     TimeSeries,
     default_timestep,
     simulate,
+    _first_order_scan,
     _noise_streams,
     steady_state_amplitude,
     write_timeseries_csv,
@@ -227,15 +229,78 @@ def test_concurrent_runs_match_serial(reference):
         assert np.array_equal(a.x2, b.x2)
 
 
-def test_decimation_subsamples(reference):
-    _, system, modes = reference
+def chunk_test_run(system, modes, n_steps, decimation=1):
+    """Thermal and harmonic drive together, every channel recorded."""
     dt = default_timestep(modes)
-    forcing = Forcing(stochastic=StochasticDrive(force_psd=5.1e-23, seed=4, target="1"))
-    full = simulate(system, forcing, SimulationPlan(dt=dt, duration=1000 * dt))
-    deci = simulate(system, forcing, SimulationPlan(dt=dt, duration=1000 * dt,
-                                                    record_decimation=5))
-    assert deci.dt == pytest.approx(5 * dt)
-    assert np.array_equal(deci.x1, full.x1[::5])
+    forcing = Forcing(
+        harmonic=(HarmonicDrive(1, 1e-6, modes.f1, 0.3),),
+        stochastic=StochasticDrive(force_psd=5.1e-23, seed=4, target="both"),
+    )
+    plan = SimulationPlan(dt=dt, duration=n_steps * dt, record_decimation=decimation,
+                          record_velocity=True)
+    return quiet_simulate(system, forcing, plan)
+
+
+CHANNELS = ("x1", "x2", "v1", "v2")
+
+
+def test_decimation_subsamples(reference, monkeypatch):
+    """Across chunks of 4096 steps, which none of these decimations divides."""
+    _, system, modes = reference
+    monkeypatch.setattr(timesim, "_CHUNK_STEPS", 4096)
+    n_steps = 3 * 4096 + 1234
+    full = chunk_test_run(system, modes, n_steps)
+    for decimation in (5, 7, 5000):
+        deci = chunk_test_run(system, modes, n_steps, decimation)
+        assert deci.dt == pytest.approx(decimation * full.dt)
+        for name in CHANNELS:
+            assert np.array_equal(getattr(deci, name), getattr(full, name)[::decimation])
+
+
+def test_trajectory_independent_of_chunk_size(reference, monkeypatch):
+    _, system, modes = reference
+    n_steps = 3 * 4096 + 1234
+    whole = chunk_test_run(system, modes, n_steps)  # one chunk
+    for chunk_steps in (4096, 10_000):  # 4 and 2 chunks
+        monkeypatch.setattr(timesim, "_CHUNK_STEPS", chunk_steps)
+        cut = chunk_test_run(system, modes, n_steps)
+        for name in CHANNELS:
+            assert np.array_equal(getattr(cut, name), getattr(whole, name))
+
+
+@pytest.mark.parametrize("magnitude", [0.999975, 0.85, 0.3, 1.0])
+def test_first_order_scan_matches_lfilter(magnitude):
+    """y[n] = a y[n-1] + u[n] to 1e-11 of full scale; 0.999975 is the
+    reference pair's Schur diagonal at Q = 2547 and the default step."""
+    from scipy.signal import lfilter
+
+    a = magnitude * cmath.exp(0.126j)
+    length = timesim._scan_block_length(a)  # the longest block with |a|^-L <= 1e3
+    assert 4096 % length == 0 and magnitude**-length <= 1e3
+    assert length == 4096 or magnitude ** (-2 * length) > 1e3
+    rng = np.random.default_rng(int(magnitude * 1e6))
+    for n in (1, 4095, 4097, 100_000):
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        y_prev = complex(*rng.standard_normal(2))
+        expected, _ = lfilter([1.0], [1.0, -a], u, zi=[a * y_prev])
+        y = _first_order_scan(a, u, y_prev)
+        assert y.shape == (n,)
+        assert np.max(np.abs(y - expected)) <= 1e-11 * np.max(np.abs(expected))
+
+
+def test_first_order_scan_free_decay_keeps_phase():
+    """Free decay y[n] = a^(n+1) over 1e5 steps at the reference pair's |a|.
+
+    The scan's block powers a^k are a running product.  Taken as exp(k log a)
+    they would repeat the rounding of log a in every block, and the phase
+    error would grow to ~1e-12 over these steps.
+    """
+    from scipy.signal import lfilter
+
+    a = 0.999975 * cmath.exp(0.126j)
+    u = np.zeros(100_000, dtype=complex)
+    expected, _ = lfilter([1.0], [1.0, -a], u, zi=[a])
+    assert np.max(np.abs(_first_order_scan(a, u, 1.0) - expected)) <= 1e-13
 
 
 def test_steady_state_matches_receptance(reference):
