@@ -7,17 +7,19 @@ times is exactly a linear recursion
 
     x[n+1] = Phi x[n] + G0 u(t_n) + Gm u(t_n + dt/2) + G1 u(t_n + dt)
 
-with constant matrices.  The engine evaluates that recursion in the complex
-Schur basis of the balanced update matrix, Phi = S T S^-1 with S = D Q, D a
-diagonal power-of-two scaling that puts positions and velocities on a common
-scale, and Q unitary.  T is upper triangular, so the four states are
-first-order recurrences y[n] = T_ii y[n-1] + u[n] solved bottom-up, each
-driven by the rows below it delayed one step.  Each recurrence is a blocked
-prefix scan: within a block the solution is a cumulative sum of geometrically
-weighted inputs, and the state carries exactly from block to block (Blelloch
-1990, "Prefix sums and their applications").  The basis stays well
-conditioned even for defective or critically damped Phi, so one code path
-reproduces the RK4 trajectory to rounding in a few array passes per chunk.
+with constant real 4x4 matrices.  The engine evaluates that recursion as a
+blocked prefix scan (Blelloch 1990, "Prefix sums and their applications").
+Within a block of L steps entered with state c, the state after step k+1 is
+
+    Phi^k (Phi c + sum_{j<=k} Phi^-j w[j]),    w[j] the input of step j,
+
+so one cumulative sum per state component solves every block of a chunk at
+once, and the block-end states carry exactly from block to block.  L is the
+longest power of two over which no eigenvalue of Phi grows or decays by more
+than a factor 1e3, which bounds the rounding of the weighted sums.  Matrix
+products round alike under any power-of-two scaling of the state, so
+positions and velocities need no common scale, and one code path serves
+defective and critically damped Phi as well.
 
 Deterministic harmonic drives are sampled at the true substep times (full
 4th-order accuracy).  Stochastic thermal force is zero-order-hold per step:
@@ -186,16 +188,6 @@ def _rk4_update_matrices(
     return phi, g0, gm, g1
 
 
-def _harmonic_force(drives: tuple[HarmonicDrive, ...], t: np.ndarray) -> np.ndarray:
-    """Total harmonic force on each resonator at times t, shape (2, len(t))."""
-    force = np.zeros((2, t.size))
-    for d in drives:
-        force[d.target - 1] += d.amplitude * np.sin(
-            2.0 * math.pi * d.frequency * t + d.phase
-        )
-    return force
-
-
 def _noise_streams(drive: StochasticDrive | None, dt: float):
     """((resonator index, generator) pairs, sigma) for the stochastic force streams."""
     if drive is None:
@@ -215,9 +207,10 @@ def simulate(
 ) -> TimeSeries:
     """Integrate the coupled equations of motion and record the trajectory.
 
-    The classical RK4 recursion is evaluated in the balanced Schur basis of
-    its update matrix (see the module docstring); long runs stream through
-    fixed-size chunks, recording every plan.record_decimation-th state.
+    The classical RK4 recursion is evaluated as a blocked prefix scan (see
+    the module docstring); long runs stream through fixed-size chunks,
+    recording every plan.record_decimation-th state.  metadata["scan_block"]
+    is the scan's block length L.
     """
     modes = mode_analysis(system)
     if plan.dt > 1.0 / (_MIN_STEPS_PER_PERIOD * modes.f2):
@@ -245,7 +238,7 @@ def simulate(
     phi, g0, gm, g1 = _rk4_update_matrices(a, b, plan.dt)
 
     x0 = np.asarray(plan.initial_state, dtype=float)
-    channels = _run_schur(phi, g0, gm, g1, x0, forcing, plan, n_steps)
+    channels, block = _run_scan(phi, g0, gm, g1, x0, forcing, plan, n_steps)
 
     for name, data in channels.items():
         if not np.isfinite(data).all():
@@ -262,6 +255,7 @@ def simulate(
         "seed": seed,
         "f1_hz": modes.f1,
         "f2_hz": modes.f2,
+        "scan_block": block,
     }
     return TimeSeries(
         dt=plan.dt * plan.record_decimation,
@@ -280,69 +274,50 @@ def _record_rows(plan: SimulationPlan) -> dict[str, int]:
     return rows
 
 
-def _scan_block_length(a: complex) -> int:
-    """Largest power of two L <= _SCAN_BLOCK with |a|^-L and |a|^L <= _SCAN_GROWTH."""
-    rate = abs(math.log(abs(a))) if a != 0 else math.inf
+def _accumulate(z, weights, f, tmp):
+    """z[i] += weights[i] * f for each state component i, through the buffer tmp."""
+    for i in range(4):
+        np.multiply(weights[i], f, out=tmp)
+        z[i] += tmp
+
+
+def _apply(m, v):
+    """m @ v for a (4, 4) m and a (4, n) v, elementwise: a column rounds alike for any n."""
+    return sum(m[:, i, None] * v[i] for i in range(4))
+
+
+def _run_scan(phi, g0, gm, g1, x0, forcing, plan, n_steps):
+    """Evaluate the RK4 recursion x[n+1] = Phi x[n] + w[n] as a blocked prefix scan.
+
+    Returns the recorded channels and the block length L.  Blocks count from
+    step 0 and chunks hold whole blocks, so the trajectory does not depend on
+    the chunk length; channels are formed at every step, then decimated.
+    """
+    # L: the largest power of two <= _SCAN_BLOCK over which no eigenvalue
+    # grows or decays by more than _SCAN_GROWTH
+    rate = max(abs(math.log(abs(lam))) if lam else math.inf for lam in np.linalg.eigvals(phi))
     length = _SCAN_BLOCK
     while length > 1 and rate * length > math.log(_SCAN_GROWTH):
         length //= 2
-    return length
 
-
-def _first_order_scan(a: complex, u: np.ndarray, y_prev: complex) -> np.ndarray:
-    """Solve y[n] = a y[n-1] + u[n] for n = 0 .. len(u)-1, with y[-1] = y_prev.
-
-    The steps are cut into blocks of L (a power of two that divides
-    _SCAN_BLOCK), counted from u[0].  Within a block entered with state y_in,
-    y[k] = a^k (a y_in + sum_{j<=k} a^-j u[j]): one cumulative sum for all
-    blocks at once.  The block-end states are then chained in order, and each
-    block's last entry is set to that carry, so a run cut into pieces of whole
-    blocks returns the same values as one call.
-    """
-    n = u.size
-    length = _scan_block_length(a)
-    # a^k as a running product: its rounding error grows like sqrt(k), where
-    # exp(k log a) would carry the rounding of log a into every block alike
-    rise = np.full(length, a, dtype=complex)
-    rise[0] = 1.0
-    np.cumprod(rise, out=rise)
-    w = np.zeros((-(-n // length), length), dtype=complex)
-    w.reshape(-1)[:n] = u
-    w /= rise
-    np.cumsum(w, axis=1, out=w)
-
-    a, a_last = complex(a), complex(rise[-1])
-    carries = [complex(y_prev)]
-    for s in w[:, -1].tolist():
-        carries.append(a_last * (s + a * carries[-1]))
-    carries = np.array(carries)
-    w += a * carries[:-1, None]
-    w *= rise
-    w[:, -1] = carries[1:]
-    return w.reshape(-1)[:n]
-
-
-def _run_schur(phi, g0, gm, g1, x0, forcing, plan, n_steps):
-    """Evaluate the RK4 recursion y[n+1] = T y[n] + w[n] in the Schur basis.
-
-    Row i is the scalar recurrence y_i[n+1] = T_ii y_i[n] + w_i[n] +
-    sum_{j>i} T_ij y_j[n], solved by _first_order_scan from the bottom row up;
-    the lower rows are already solved, so their contribution is a known input
-    delayed by one step.  The state y carries across fixed-size chunks of
-    whole scan blocks, so the scan's blocks sit on the global step grid and
-    the trajectory does not depend on how the run is cut into chunks.
-    """
-    from scipy.linalg import matrix_balance, schur
-
-    balanced, (scale, _) = matrix_balance(phi, permute=False, separate=True)
-    t_mat, q = schur(balanced, output="complex")
-    s_mat = scale[:, None] * q  # x = Re(S y)
-    s_inv = q.conj().T / scale[None, :]
-    w0 = s_inv @ g0  # (4, 2) complex
-    wm = s_inv @ gm
-    w1 = s_inv @ g1
-    w_zoh = w0 + wm + w1
-    diag = np.diag(t_mat)
+    # Phi^k and Phi^-k, k < L, as running products; one Newton step refines
+    # the inverse to the accuracy of a matrix product
+    eye = np.eye(4)
+    inv = np.linalg.inv(phi)
+    inv += inv @ (eye - phi @ inv)
+    rise, fall = [eye], [eye]
+    for _ in range(length - 1):
+        rise.append(rise[-1] @ phi)
+        fall.append(fall[-1] @ inv)
+    rise_last, fall = rise[-1], np.array(fall)
+    ((m00, m01, m02, m03), (m10, m11, m12, m13),
+     (m20, m21, m22, m23), (m30, m31, m32, m33)) = (rise_last @ phi).tolist()  # Phi^L
+    # rise[i, m, k] = (Phi^k)_im, and w[i, r, k] = (Phi^-k G)_ir is the weight
+    # of input r at step k of a block; each is a contiguous row over k
+    rise = np.moveaxis(np.array(rise), 0, -1).copy()
+    w0, wm, w1, w_zoh = (
+        np.moveaxis(fall @ g, 0, -1).copy() for g in (g0, gm, g1, g0 + gm + g1)
+    )
 
     dec = plan.record_decimation
     n_rec = n_steps // dec + 1
@@ -353,48 +328,62 @@ def _run_schur(phi, g0, gm, g1, x0, forcing, plan, n_steps):
 
     streams, sigma = _noise_streams(forcing.stochastic, plan.dt)
 
-    # one buffer, reused by every chunk: column 0 holds the state y the chunk
-    # starts from, columns 1.. the input w, overwritten row by row with y.
-    # Each row's delayed coupling term is thus one array product for every
-    # step, which rounds the same wherever the chunk boundaries fall.
+    # buffers reused by every chunk: the scan, one input or output row, and a
+    # product.  A chunk's last block is padded to length L; the padded steps
+    # are never recorded or carried on.
     chunk = max(_SCAN_BLOCK, _CHUNK_STEPS // _SCAN_BLOCK * _SCAN_BLOCK)
-    buf = np.empty((4, min(chunk, n_steps) + 1), dtype=complex)
-    buf[:, 0] = s_inv @ x0
+    size = min(chunk, -(-n_steps // length) * length)
+    scan = np.empty((4, size))
+    row_buf, tmp_buf = np.empty((2, size))
     dt = plan.dt
+    c0, c1, c2, c3 = x0.tolist()  # the state the next block is entered with
     for start in range(0, n_steps, chunk):
         n_c = min(chunk, n_steps - start)
-        prev, ys = buf[:, :n_c], buf[:, 1 : n_c + 1]
-        ys[...] = 0.0
-        if forcing.harmonic:
-            t = (start + np.arange(n_c)) * dt
-            ys += w0 @ _harmonic_force(forcing.harmonic, t)
-            ys += wm @ _harmonic_force(forcing.harmonic, t + 0.5 * dt)
-            ys += w1 @ _harmonic_force(forcing.harmonic, t + dt)
+        n_b = -(-n_c // length)
+        z = scan[:, : n_b * length].reshape(4, n_b, length)
+        flat = row_buf[: n_b * length]
+        f = flat.reshape(n_b, length)
+        tmp = tmp_buf[: n_b * length].reshape(n_b, length)
+
+        z[...] = 0.0
+        for d in forcing.harmonic:
+            for weights, offset in ((w0, 0.0), (wm, 0.5 * dt), (w1, dt)):
+                t = np.arange(start, start + flat.size) * dt + offset
+                flat[:] = d.amplitude * np.sin(2.0 * math.pi * d.frequency * t + d.phase)
+                _accumulate(z, weights[:, d.target - 1], f, tmp)
         for row, rng in streams:
-            samples = rng.standard_normal(n_c) * sigma
-            for i in range(4):
-                ys[i] += w_zoh[i, row] * samples
+            rng.standard_normal(out=flat[:n_c])
+            flat[:n_c] *= sigma
+            flat[n_c:] = 0.0
+            _accumulate(z, w_zoh[:, row], f, tmp)
 
-        for i in reversed(range(4)):
-            for j in range(i + 1, 4):
-                ys[i] += t_mat[i, j] * prev[j]
-            ys[i] = _first_order_scan(diag[i], ys[i], prev[i, 0])
-        buf[:, 0] = ys[:, -1]
+        # a block entered with state c is left with Phi^L c + Phi^(L-1) e, e its
+        # last partial sum.  Only that chain runs block by block (on floats,
+        # Phi^L written out: a strongly damped pair has blocks of a few steps);
+        # the rest is elementwise, so it rounds alike for every chunk length.
+        np.cumsum(z, axis=2, out=z)
+        starts = []
+        for e0, e1, e2, e3 in _apply(rise_last, z[:, :, -1]).T.tolist():
+            starts.append((c0, c1, c2, c3))
+            c0, c1, c2, c3 = (m00 * c0 + m01 * c1 + m02 * c2 + m03 * c3 + e0,
+                              m10 * c0 + m11 * c1 + m12 * c2 + m13 * c3 + e1,
+                              m20 * c0 + m21 * c1 + m22 * c2 + m23 * c3 + e2,
+                              m30 * c0 + m31 * c1 + m32 * c2 + m33 * c3 + e3)
+        z += _apply(phi, np.array(starts).T)[:, :, None]
 
-        # ys[:, k] is the state after global step start+k+1; the recorded
-        # steps are the multiples of dec, from k = skip on.  Re(S y) is formed
-        # elementwise so that it rounds the same for every decimation.
+        # z[:, b, k] is the state after global step start+b*L+k+1 up to the
+        # factor Phi^k; the recorded steps are the multiples of dec
         skip = (-start - 1) % dec
-        rec = ys[:, skip::dec]
         first = (start + skip + 1) // dec
         for name, row in rows.items():
-            x = out[name][first : first + rec.shape[1]]
-            x[...] = 0.0
-            for i in range(4):
-                x += s_mat[row, i].real * rec[i].real
-                x -= s_mat[row, i].imag * rec[i].imag
+            np.multiply(rise[row, 0], z[0], out=f)
+            for i in range(1, 4):
+                np.multiply(rise[row, i], z[i], out=tmp)
+                f += tmp
+            rec = flat[skip:n_c:dec]
+            out[name][first : first + rec.size] = rec
 
-    return out
+    return out, length
 
 
 @dataclass(frozen=True)

@@ -531,26 +531,40 @@ def test_stochastic_csv_byte_identical(tmp_path):
 
 
 def test_light_commands_import_no_scipy(tmp_path):
-    """Only simulating commands pay for scipy: importing the CLI loads neither
-    scipy.signal nor scipy.linalg, and modes, budget, resolution and sweep
-    load no scipy module at all."""
+    """The package runs on numpy alone: with scipy made unimportable, all six
+    commands run, the simulated budget route and a sweep that simulates its
+    floors included, and no scipy module is loaded."""
+    configs = {
+        "noise": NOISE_CFG,
+        "harmonic": "forcing.harmonic_amplitude = 1e-6\nsim.duration = 0.05\n",
+        "simulated": "budget.x_psd_source = simulated\n" + NOISE_CFG,
+        "floor": "sweep.simulate_floor = true\nsim.duration = 0.3\n",
+    }
+    for name, text in configs.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
+    runs = [
+        ["modes", "--config", "paper-reference"],
+        ["budget", "--config", "paper-reference"],
+        ["resolution", "--config", "paper-reference"],
+        ["sweep", "--config", "paper-reference"],
+        ["psd", "--config", str(tmp_path / "noise.cfg"), "--seed", "5"],
+        ["simulate", "--config", str(tmp_path / "harmonic.cfg")],
+        ["budget", "--config", str(tmp_path / "simulated.cfg"), "--seed", "5"],
+        ["sweep", "--config", str(tmp_path / "floor.cfg"), "--seed", "5", "--kc", "-393.5"],
+    ]
     script = f"""
-import json, sys
-import crnoise.cli
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-after_import = scipy_modules()
-for command in ("modes", "budget", "resolution", "sweep"):
-    out = {str(tmp_path)!r}
-    assert crnoise.cli.main([command, "--config", "paper-reference", "--out", out]) == 0
-print(json.dumps([after_import, scipy_modules()]))
+import json, sys, warnings
+sys.modules["scipy"] = None  # importing scipy or any submodule now fails
+warnings.simplefilter("ignore")
+from crnoise.cli import main
+for i, argv in enumerate({runs!r}):
+    assert main(argv + ["--out", {str(tmp_path)!r} + f"/out{{i}}"]) == 0, argv
+print(json.dumps(sorted(m for m, module in sys.modules.items()
+                        if m.split(".")[0] == "scipy" and module is not None)))
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    after_import, after_commands = json.loads(proc.stdout.splitlines()[-1])
-    assert "scipy.signal" not in after_import
-    assert "scipy.linalg" not in after_import
-    assert after_commands == []
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_echoed_config_round_trip(tmp_path):

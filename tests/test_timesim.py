@@ -1,6 +1,5 @@
 """Integrator correctness, stochastic forcing statistics, signal extraction."""
 
-import cmath
 import dataclasses
 import math
 import warnings
@@ -20,7 +19,6 @@ from crnoise.timesim import (
     TimeSeries,
     default_timestep,
     simulate,
-    _first_order_scan,
     _noise_streams,
     steady_state_amplitude,
     write_timeseries_csv,
@@ -117,15 +115,10 @@ def test_update_map_matches_textbook_rk4(reference):
         assert np.allclose(got, want, rtol=1e-12, atol=1e-20)
 
 
-def _hand_stepped_rk4(system, forcing, plan):
-    """Oracle trajectory: textbook RK4 steps on M a = F - K x - C v.
-
-    Harmonic drives are evaluated at the stage times; the noise streams are
-    drawn as the engine documents them (seed, seed ^ 1 for "both") and held
-    over each step.  Returns the state (x1, v1, x2, v2) after every step.
-    """
-    mass_inv = np.linalg.inv(system.mass)
-    k, c = system.stiffness, system.damping
+def _oracle_forces(forcing, plan):
+    """(harmonic(t), noise) as the engine documents them: the harmonic force
+    on each resonator at time t, and the held noise force of every step
+    (seeds seed, seed ^ 1 for "both"), shape (2, n_steps)."""
     n_steps = int(round(plan.duration / plan.dt))
     noise = np.zeros((2, n_steps))
     drive = forcing.stochastic
@@ -139,8 +132,20 @@ def _hand_stepped_rk4(system, forcing, plan):
             force[d.target - 1] += d.amplitude * math.sin(2 * math.pi * d.frequency * t + d.phase)
         return force
 
+    return harmonic, noise
+
+
+def _hand_stepped_rk4(system, forcing, plan):
+    """Oracle trajectory: textbook RK4 steps on M a = F - K x - C v.
+
+    Harmonic drives are evaluated at the stage times; the noise is held over
+    each step.  Returns the state (x1, v1, x2, v2) after every step.
+    """
+    mass_inv = np.linalg.inv(system.mass)
+    k, c = system.stiffness, system.damping
+    harmonic, noise = _oracle_forces(forcing, plan)
     states = [np.asarray(plan.initial_state, dtype=float)]
-    for n in range(n_steps):
+    for n in range(noise.shape[1]):
         def f(t, s, held=noise[:, n]):
             x, v = s[[0, 2]], s[[1, 3]]
             a = mass_inv @ (harmonic(t) + held - k @ x - c @ v)
@@ -148,6 +153,41 @@ def _hand_stepped_rk4(system, forcing, plan):
 
         states.append(textbook_rk4_step(f, states[-1], n * plan.dt, plan.dt))
     return np.array(states)
+
+
+def _exact_step_loop(system, forcing, plan):
+    """Oracle trajectory: the engine's recursion x[n+1] = Phi x[n] + G0 u(t_n)
+    + Gm u(t_n + dt/2) + G1 u(t_n + dt), stepped one at a time, each state
+    component the exactly rounded sum (math.fsum) of its products."""
+    from crnoise.timesim import _rk4_update_matrices, _state_matrices
+
+    dt = plan.dt
+    phi, g0, gm, g1 = _rk4_update_matrices(*_state_matrices(system), dt)
+    harmonic, noise = _oracle_forces(forcing, plan)
+    n_steps = noise.shape[1]
+    forces = [np.array([harmonic(n * dt + offset) for n in range(n_steps)])
+              for offset in (0.0, 0.5 * dt, dt)]
+    forces += [noise.T] * 3  # held over the step, so weighted by G0 + Gm + G1
+    # products[n][i]: the input products of state component i at step n
+    products = np.concatenate(
+        [u[:, None, :] * g for g, u in zip((g0, gm, g1) * 2, forces)], axis=2
+    ).tolist()
+    phi = phi.tolist()
+    states = [list(plan.initial_state)]
+    for n in range(n_steps):
+        x = states[-1]
+        states.append([
+            math.fsum([p * xm for p, xm in zip(phi[i], x)] + products[n][i]) for i in range(4)
+        ])
+    return np.array(states)
+
+
+def oracle_test_forcing(modes):
+    """Two harmonic drives, one per resonator, and noise on both."""
+    return Forcing(
+        harmonic=(HarmonicDrive(1, 1e-6, modes.f1), HarmonicDrive(2, 4e-7, 2100.0, 0.2)),
+        stochastic=StochasticDrive(force_psd=5e-23, seed=12, target="both"),
+    )
 
 
 def damped_reference(fraction: float, coupled: bool = True):
@@ -171,16 +211,47 @@ def test_engine_matches_hand_stepped_rk4(reference, fraction, coupled):
     dt = default_timestep(modes)
     plan = SimulationPlan(dt=dt, duration=3000 * dt, record_decimation=2,
                           initial_state=(1e-7, 0.0, -3e-8, 2e-4), record_velocity=True)
-    forcing = Forcing(
-        harmonic=(HarmonicDrive(1, 1e-6, modes.f1), HarmonicDrive(2, 4e-7, 2100.0, 0.2)),
-        stochastic=StochasticDrive(force_psd=5e-23, seed=12, target="both"),
-    )
+    forcing = oracle_test_forcing(modes)
     series = quiet_simulate(system, forcing, plan)
     oracle = _hand_stepped_rk4(system, forcing, plan)[:: plan.record_decimation]
     for name, col in (("x1", 0), ("v1", 1), ("x2", 2), ("v2", 3)):
         got, want = getattr(series, name), oracle[:, col]
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), name
+
+
+@pytest.mark.parametrize(
+    "fraction, coupled",
+    [(None, True), (0.999, True), (1.0, False)],
+    ids=["reference", "near_critical", "critical_uncoupled"],
+)
+def test_engine_matches_exact_step_loop(reference, fraction, coupled, monkeypatch):
+    """The scan against the recursion it evaluates, over several scan blocks
+    and chunks, to 1e-13 of full scale (~1e-14 is typical; without the
+    Newton step on Phi^-1 the reference pair reaches 5.6e-13).  Its block
+    length L is the longest power of two <= 4096 over which no eigenvalue of
+    Phi grows or decays by more than 1e3."""
+    from crnoise.timesim import _rk4_update_matrices, _state_matrices
+
+    system = reference[1] if fraction is None else damped_reference(fraction, coupled)
+    modes = mode_analysis(system)
+    dt = default_timestep(modes)
+    monkeypatch.setattr(timesim, "_CHUNK_STEPS", 8192)
+    plan = SimulationPlan(dt=dt, duration=(3 * 4096 + 1234) * dt,
+                          initial_state=(1e-7, 0.0, -3e-8, 2e-4), record_velocity=True)
+    forcing = oracle_test_forcing(modes)
+    series = quiet_simulate(system, forcing, plan)
+    oracle = _exact_step_loop(system, forcing, plan)
+    for name, col in (("x1", 0), ("v1", 1), ("x2", 2), ("v2", 3)):
+        got, want = getattr(series, name), oracle[:, col]
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
+
+    phi = _rk4_update_matrices(*_state_matrices(system), dt)[0]
+    rate = np.max(np.abs(np.log(np.abs(np.linalg.eigvals(phi)))))
+    length = series.metadata["scan_block"]
+    assert 4096 % length == 0 and rate * length <= math.log(1e3)
+    assert length == 4096 or rate * 2 * length > math.log(1e3)
 
 
 # --- simulate ---------------------------------------------------------------------
@@ -266,41 +337,6 @@ def test_trajectory_independent_of_chunk_size(reference, monkeypatch):
         cut = chunk_test_run(system, modes, n_steps)
         for name in CHANNELS:
             assert np.array_equal(getattr(cut, name), getattr(whole, name))
-
-
-@pytest.mark.parametrize("magnitude", [0.999975, 0.85, 0.3, 1.0])
-def test_first_order_scan_matches_lfilter(magnitude):
-    """y[n] = a y[n-1] + u[n] to 1e-11 of full scale; 0.999975 is the
-    reference pair's Schur diagonal at Q = 2547 and the default step."""
-    from scipy.signal import lfilter
-
-    a = magnitude * cmath.exp(0.126j)
-    length = timesim._scan_block_length(a)  # the longest block with |a|^-L <= 1e3
-    assert 4096 % length == 0 and magnitude**-length <= 1e3
-    assert length == 4096 or magnitude ** (-2 * length) > 1e3
-    rng = np.random.default_rng(int(magnitude * 1e6))
-    for n in (1, 4095, 4097, 100_000):
-        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        y_prev = complex(*rng.standard_normal(2))
-        expected, _ = lfilter([1.0], [1.0, -a], u, zi=[a * y_prev])
-        y = _first_order_scan(a, u, y_prev)
-        assert y.shape == (n,)
-        assert np.max(np.abs(y - expected)) <= 1e-11 * np.max(np.abs(expected))
-
-
-def test_first_order_scan_free_decay_keeps_phase():
-    """Free decay y[n] = a^(n+1) over 1e5 steps at the reference pair's |a|.
-
-    The scan's block powers a^k are a running product.  Taken as exp(k log a)
-    they would repeat the rounding of log a in every block, and the phase
-    error would grow to ~1e-12 over these steps.
-    """
-    from scipy.signal import lfilter
-
-    a = 0.999975 * cmath.exp(0.126j)
-    u = np.zeros(100_000, dtype=complex)
-    expected, _ = lfilter([1.0], [1.0, -a], u, zi=[a])
-    assert np.max(np.abs(_first_order_scan(a, u, 1.0) - expected)) <= 1e-13
 
 
 def test_steady_state_matches_receptance(reference):
