@@ -43,6 +43,7 @@ from .spectral import (
     DB_PAPER,
     DB_POWER,
     Spectrum,
+    Welch,
     band_mean_psd,
     band_power,
     parseval_ratio,

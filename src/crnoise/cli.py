@@ -155,8 +155,10 @@ def _x_psd_inputs(run: RunConfig) -> tuple[tuple[float, float], str]:
         raise ConfigError(
             "forcing.noise_psd: stochastic forcing required (set it to auto or > 0)"
         )
-    series, modes, _ = _run_sim(run)
-    spectrum = _welch(run, series.x1, series.dt)
+    system, modes, plan, forcing = _sim_inputs(run)
+    welch = _welch(run, plan)
+    timesim.simulate(system, forcing, plan, sinks={"x1": welch.add})
+    spectrum = welch.spectrum()
     band = run.environment.bandwidth
     psd = (
         spectral.band_mean_psd(spectrum, modes.f1, band),
@@ -229,20 +231,23 @@ def cmd_budget(run: RunConfig, args) -> int:
 
 # --- simulate / psd ----------------------------------------------------------
 
-def _run_sim(run: RunConfig):
+def _sim_inputs(run: RunConfig):
     system = sysmodel.build_system(run.system)
     modes = sysmodel.mode_analysis(system)
-    plan = run.make_plan(modes)
-    forcing = run.make_forcing(modes)
-    series = timesim.simulate(system, forcing, plan)
-    return series, modes, forcing
+    return system, modes, run.make_plan(modes), run.make_forcing(modes)
 
 
-def _welch(run: RunConfig, samples, dt: float) -> spectral.Spectrum:
-    """Welch spectrum with the configured analysis.segment_length and overlap."""
-    return spectral.welch_psd(
-        samples, dt, run.get("analysis.segment_length"), run.get("analysis.overlap")
-    )
+def _run_sim(run: RunConfig):
+    """Simulate and collect the whole record (simulate and psd write all of it)."""
+    system, modes, plan, forcing = _sim_inputs(run)
+    return timesim.simulate(system, forcing, plan), modes, forcing
+
+
+def _welch(run: RunConfig, plan: timesim.SimulationPlan) -> spectral.Welch:
+    """A Welch accumulator for one channel of the planned record, with the
+    configured analysis.segment_length and analysis.overlap."""
+    return spectral.Welch(plan.n_samples, plan.record_dt,
+                          run.get("analysis.segment_length"), run.get("analysis.overlap"))
 
 
 def cmd_simulate(run: RunConfig, args) -> int:
@@ -299,7 +304,8 @@ def cmd_psd(run: RunConfig, args) -> int:
     band = run.environment.bandwidth
     rows = []
     for name, samples in (("x1", series.x1), ("x2", series.x2)):
-        spectrum = _welch(run, samples, series.dt)
+        spectrum = spectral.welch_psd(samples, series.dt, run.get("analysis.segment_length"),
+                                      run.get("analysis.overlap"))
         spectral.write_spectrum_csv(spectrum, out / f"spectrum_{name}.csv", comments=_echo(run))
         rows += _band_rows(name, spectrum, samples, modes, band)
     notes = (
@@ -430,7 +436,8 @@ SWEEP_SOURCES = {
 
 
 def _sweep_floors(run: RunConfig) -> list:
-    """Simulated floor columns, one run per design: the engine takes one at a time."""
+    """Simulated floor columns, one streamed run per design: the engine takes
+    one at a time."""
     seed = run.require_seed()
     force_psd = run.noise_psd() or thermal_force_psd(run.system.c1, run.environment)
     band = run.environment.bandwidth
@@ -440,11 +447,13 @@ def _sweep_floors(run: RunConfig) -> list:
         modes = sysmodel.mode_analysis(system)
         drive = timesim.StochasticDrive(force_psd=force_psd, seed=seed + i,
                                         target=run.get("forcing.noise_target"))
-        series = timesim.simulate(system, timesim.Forcing(stochastic=drive), run.make_plan(modes))
-        floors.append([
-            spectral.band_mean_psd(_welch(run, samples, series.dt), f, band)
-            for samples in (series.x1, series.x2) for f in (modes.f1, modes.f2)
-        ])
+        plan = run.make_plan(modes)
+        welch = {name: _welch(run, plan) for name in ("x1", "x2")}
+        timesim.simulate(system, timesim.Forcing(stochastic=drive), plan,
+                         sinks={name: w.add for name, w in welch.items()})
+        spectra = [w.spectrum() for w in welch.values()]
+        floors.append([spectral.band_mean_psd(spectrum, f, band)
+                       for spectrum in spectra for f in (modes.f1, modes.f2)])
     return list(zip(*floors))
 
 

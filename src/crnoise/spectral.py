@@ -1,11 +1,15 @@
 """One-sided power spectral density estimation and band arithmetic.
 
 Welch averaging with a periodic Hann window at 50% overlap is the workhorse
-here, computed with numpy's real FFT: the segments are strided views of the
-record, windowed and transformed in blocks of about 2**20 samples (one
-segment, if that is longer), so the estimator's working memory is bounded by
-the block, not by the record length.  Density scaling is used throughout, so integrating a spectrum over a
-band returns the mean-square content of that band.  The dB helper offers two
+here, computed with numpy's real FFT.  `Welch` accumulates the estimate over
+a record that arrives in chunks, such as the engine's streamed output: each
+segment is windowed and transformed once its samples are in, at most about
+2**20 samples (or one segment, if that is longer) at a time, and only the
+partial segment at the end of a chunk is carried.  Its working memory is
+thus bounded by the chunk and that block, not by the record length, and
+`welch_psd` is the same estimate of a record held whole.  Density scaling is
+used throughout, so integrating a spectrum over a band returns the
+mean-square content of that band.  The dB helper offers two
 conventions: 20*log10 of the PSD value ("paper_20log", the convention the
 reference design's published numbers follow) and the physically standard
 10*log10 ("power_10log").
@@ -55,6 +59,130 @@ def default_segment_length(n_samples: int) -> int:
     return 2 ** int(math.floor(math.log2(n_samples / 8)))
 
 
+class Welch:
+    """Welch estimate of one record, accumulated over consecutive chunks of it.
+
+    The record's length is fixed up front, so segments are transformed as
+    soon as their samples have arrived; only the partial segment at the end
+    of a chunk is carried, in one preallocated buffer.  Segments are summed
+    one by one within blocks of _WELCH_BLOCK // segment_length segments
+    counted from segment 0, and the block sums are added up, so the result
+    does not depend on how the record is cut into chunks.  Segments complete
+    within one chunk are windowed and transformed together, at most one
+    block at a time, so the working memory is bounded by the chunk and the
+    block, not by the record length.  See `welch_psd` for the estimator.
+    """
+
+    def __init__(
+        self,
+        n_samples: int,
+        dt: float,
+        segment_length: int | None = None,
+        overlap: float = 0.5,
+    ):
+        if dt <= 0:
+            raise ValueError("dt must be > 0")
+        if not 0.0 <= overlap < 1.0:
+            raise ValueError("overlap must lie in [0, 1)")
+        if segment_length is None:
+            segment_length = default_segment_length(n_samples)
+        if segment_length < 2:
+            raise ValueError(f"segment_length must be >= 2, got {segment_length}")
+        if segment_length > n_samples:
+            raise ValueError(
+                f"series too short: {n_samples} samples < segment_length {segment_length}"
+            )
+        self.n_samples = n_samples
+        self.dt = dt
+        self.segment_length = segment_length
+        self.overlap = overlap
+        self._step = segment_length - int(segment_length * overlap)
+        self.n_segments = 1 + (n_samples - segment_length) // self._step
+        self._per_block = max(1, _WELCH_BLOCK // segment_length)
+        self._window = 0.5 - 0.5 * np.cos(
+            2.0 * math.pi * np.arange(segment_length) / segment_length
+        )
+        self._power = np.zeros(segment_length // 2 + 1)
+        self._block = np.zeros_like(self._power)  # sum over the current block
+        # the carried partial segment (< segment_length samples, starting at
+        # the next segment) followed by the head of the next chunk
+        self._carry = np.empty(2 * segment_length)
+        self._carried = 0
+        self._seen = 0  # samples received
+        self._next = 0  # index of the next segment to transform
+
+    def add(self, chunk) -> None:
+        """Take the record's next samples."""
+        x = np.asarray(chunk, dtype=float)
+        origin = self._seen  # record index of x[0]
+        self._seen += x.size
+        if self._next == self.n_segments:
+            return  # samples past the last segment
+        carried = self._carried
+        if carried:
+            # the segments that start in the carried samples end within the
+            # first segment_length samples of x
+            head = x[: self.segment_length]
+            self._carry[carried : carried + head.size] = head
+            self._transform(self._carry[: carried + head.size], origin - carried)
+        start = self._next * self._step  # record index of the next segment
+        if start >= origin:
+            self._transform(x, origin)
+            rest = x[self._next * self._step - origin :]
+        else:  # x ended before the next segment did; it is all in the carry
+            rest = self._carry[start - (origin - carried) : carried + x.size]
+        self._carried = 0 if self._next == self.n_segments else rest.size
+        self._carry[: self._carried] = rest[: self._carried]
+
+    def _transform(self, data: np.ndarray, origin: int) -> None:
+        """Add every segment, from the next one on, that lies whole in data.
+
+        data[0] is record sample `origin`, at or before the next segment.
+        """
+        length, step = self.segment_length, self._step
+        while self._next < self.n_segments:
+            first = self._next * step - origin
+            count = min(
+                (data.size - first - length) // step + 1,
+                self._per_block - self._next % self._per_block,
+                self.n_segments - self._next,
+            )
+            if count <= 0:
+                return
+            segments = sliding_window_view(
+                data[first : first + (count - 1) * step + length], length
+            )[::step]
+            spectra = np.fft.rfft(segments * self._window, axis=-1)
+            for row in spectra.real**2 + spectra.imag**2:
+                self._block += row
+            self._next += count
+            if self._next % self._per_block == 0 or self._next == self.n_segments:
+                self._power += self._block
+                self._block[:] = 0.0
+
+    def spectrum(self) -> Spectrum:
+        """The one-sided PSD of the whole record."""
+        if self._seen != self.n_samples:
+            raise ValueError(
+                f"Welch estimate took {self._seen} samples, expected {self.n_samples}"
+            )
+        window = self._window
+        psd = self._power * (2.0 * self.dt / (self.n_segments * np.sum(window**2)))
+        psd[0] /= 2.0
+        if self.segment_length % 2 == 0:
+            psd[-1] /= 2.0
+        fs = 1.0 / self.dt
+        return Spectrum(
+            # rounded as rfftfreq(L, 1/fs) rounds its first bin
+            df=1.0 / (self.segment_length * (1.0 / fs)),
+            values=psd,
+            window="hann",
+            segment_length=self.segment_length,
+            overlap=self.overlap,
+            n_segments=self.n_segments,
+        )
+
+
 def welch_psd(
     samples: np.ndarray,
     dt: float,
@@ -69,47 +197,13 @@ def welch_psd(
     averaged |X|^2 is scaled by 2 dt / sum(w^2), except that DC and (for even
     L) Nyquist, which a one-sided spectrum holds once, take half of that.  No
     detrending is applied, so the integral of the spectrum matches the mean
-    square (not the variance) of the input.
+    square (not the variance) of the input.  A record that arrives in chunks
+    gives the same estimate through `Welch`.
     """
     x = np.asarray(samples, dtype=float)
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    if not 0.0 <= overlap < 1.0:
-        raise ValueError("overlap must lie in [0, 1)")
-    if segment_length is None:
-        segment_length = default_segment_length(x.size)
-    if segment_length < 2:
-        raise ValueError(f"segment_length must be >= 2, got {segment_length}")
-    if segment_length > x.size:
-        raise ValueError(
-            f"series too short: {x.size} samples < segment_length {segment_length}"
-        )
-    noverlap = int(segment_length * overlap)
-    step = segment_length - noverlap
-    n_segments = 1 + (x.size - segment_length) // step
-
-    window = 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(segment_length) / segment_length)
-    segments = sliding_window_view(x, segment_length)[::step]
-    per_block = max(1, _WELCH_BLOCK // segment_length)
-    power = np.zeros(segment_length // 2 + 1)
-    for first in range(0, n_segments, per_block):
-        spectra = np.fft.rfft(segments[first : first + per_block] * window, axis=-1)
-        power += np.sum(spectra.real**2 + spectra.imag**2, axis=0)
-
-    psd = power * (2.0 * dt / (n_segments * np.sum(window**2)))
-    psd[0] /= 2.0
-    if segment_length % 2 == 0:
-        psd[-1] /= 2.0
-    fs = 1.0 / dt
-    return Spectrum(
-        # rounded as rfftfreq(L, 1/fs) rounds its first bin
-        df=1.0 / (segment_length * (1.0 / fs)),
-        values=psd,
-        window="hann",
-        segment_length=segment_length,
-        overlap=overlap,
-        n_segments=n_segments,
-    )
+    welch = Welch(x.size, dt, segment_length, overlap)
+    welch.add(x)
+    return welch.spectrum()
 
 
 def band_power(spectrum: Spectrum, f_center: float, bandwidth: float) -> float:

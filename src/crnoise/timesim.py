@@ -21,6 +21,12 @@ products round alike under any power-of-two scaling of the state, so
 positions and velocities need no common scale, and one code path serves
 defective and critically damped Phi as well.
 
+The engine works through the run in chunks of 2^16 steps and hands out each
+chunk's recorded samples as soon as they are formed.  `simulate` either
+collects them into a TimeSeries or passes them to per-channel sinks, such as
+`spectral.Welch.add`; a streamed run forms only the channels it is asked for
+and holds no record, so its memory does not grow with the run's length.
+
 Deterministic harmonic drives are sampled at the true substep times (full
 4th-order accuracy).  Stochastic thermal force is zero-order-hold per step:
 i.i.d. Gaussian samples with variance force_psd / (2 dt), so the one-sided
@@ -42,12 +48,16 @@ from .sysmodel import Modes, SystemMatrices, mode_analysis
 # steps per period of the fastest mode
 _DEFAULT_STEPS_PER_PERIOD = 50
 _MIN_STEPS_PER_PERIOD = 20
-_MAX_SAMPLES = 2**31
-_CHUNK_STEPS = 1 << 20
+# recorded samples a collected run may hold, in bytes; streamed channels are
+# passed on chunk by chunk and hold nothing
+_MAX_RECORD_BYTES = 1 << 32
+_CHUNK_STEPS = 1 << 16
 # longest block of the prefix scan, and the largest growth |a|^-L (or |a|^L)
 # of its weights over one block
 _SCAN_BLOCK = 1 << 12
 _SCAN_GROWTH = 1e3
+# recorded channels, in the order they are formed and checked, and their state rows
+_STATE_ROWS = {"x1": 0, "x2": 2, "v1": 1, "v2": 3}
 
 NOISE_TARGET_1 = "1"
 NOISE_TARGET_2 = "2"
@@ -116,21 +126,39 @@ class SimulationPlan:
         if len(self.initial_state) != 4:
             raise ValueError("initial_state must have 4 entries (x1, v1, x2, v2)")
 
-
-@dataclass
-class TimeSeries:
-    """Recorded displacement (and optionally velocity) samples."""
-
-    dt: float  # s, after decimation
-    x1: np.ndarray  # m
-    x2: np.ndarray  # m
-    v1: np.ndarray | None = None  # m/s
-    v2: np.ndarray | None = None
-    metadata: dict = field(default_factory=dict)
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.duration / self.dt))
 
     @property
     def n_samples(self) -> int:
-        return self.x1.size
+        """Recorded samples: the initial state and every record_decimation-th step."""
+        return self.n_steps // self.record_decimation + 1
+
+    @property
+    def record_dt(self) -> float:
+        return self.dt * self.record_decimation
+
+
+@dataclass
+class TimeSeries:
+    """Recorded displacement (and optionally velocity) samples.
+
+    A run that streamed its channels to sinks holds no arrays (all None);
+    n_samples still counts the samples it recorded.
+    """
+
+    dt: float  # s, after decimation
+    x1: np.ndarray | None  # m
+    x2: np.ndarray | None  # m
+    v1: np.ndarray | None = None  # m/s
+    v2: np.ndarray | None = None
+    metadata: dict = field(default_factory=dict)
+    n_samples: int | None = None  # None: the length of x1
+
+    def __post_init__(self) -> None:
+        if self.n_samples is None:
+            self.n_samples = self.x1.size
 
     @property
     def times(self) -> np.ndarray:
@@ -204,13 +232,21 @@ def simulate(
     system: SystemMatrices,
     forcing: Forcing,
     plan: SimulationPlan,
+    sinks: dict | None = None,
 ) -> TimeSeries:
     """Integrate the coupled equations of motion and record the trajectory.
 
     The classical RK4 recursion is evaluated as a blocked prefix scan (see
-    the module docstring); long runs stream through fixed-size chunks,
-    recording every plan.record_decimation-th state.  metadata["scan_block"]
-    is the scan's block length L.
+    the module docstring) in fixed-size chunks of steps, recording every
+    plan.record_decimation-th state.  metadata["scan_block"] is the scan's
+    block length L.
+
+    Without sinks the recorded channels (x1 and x2, plus v1 and v2 when
+    plan.record_velocity) are collected into the returned series.  sinks
+    maps channel names ("x1", "x2", "v1", "v2") to callables: only those
+    channels are formed, each chunk of recorded samples is passed on in
+    order (the array is reused afterwards), and the returned series holds
+    no arrays.
     """
     modes = mode_analysis(system)
     if plan.dt > 1.0 / (_MIN_STEPS_PER_PERIOD * modes.f2):
@@ -218,13 +254,23 @@ def simulate(
             f"dt = {plan.dt:g} s too large: must be <= 1/({_MIN_STEPS_PER_PERIOD}*f2) "
             f"= {1.0 / (_MIN_STEPS_PER_PERIOD * modes.f2):g} s"
         )
-    n_steps = int(round(plan.duration / plan.dt))
+    n_steps = plan.n_steps
     if n_steps < 1:
         raise ValueError("duration shorter than one time step")
-    if n_steps + 1 > _MAX_SAMPLES:
-        raise ValueError(
-            f"{n_steps + 1} samples exceed the addressable limit {_MAX_SAMPLES}"
-        )
+    record = {}
+    if sinks is None:
+        names = list(_STATE_ROWS)[: 4 if plan.record_velocity else 2]
+        held = plan.n_samples * len(names) * 8
+        if held > _MAX_RECORD_BYTES:
+            raise ValueError(
+                f"the run would hold {held / 1e9:.3g} GB of recorded samples, above "
+                f"{_MAX_RECORD_BYTES / 1e9:.3g} GB: shorten sim.duration or raise "
+                "sim.decimation"
+            )
+        record = {name: np.empty(plan.n_samples) for name in names}
+        sinks = {name: _collector(data) for name, data in record.items()}
+    elif not sinks or set(sinks) - set(_STATE_ROWS):
+        raise ValueError(f"sinks {sorted(sinks)}: name one or more of x1, x2, v1, v2")
     for d in forcing.harmonic:
         q_max = max(modes.modal_q1, modes.modal_q2)
         if math.isfinite(q_max) and plan.duration * d.frequency < 5.0 * q_max:
@@ -236,17 +282,21 @@ def simulate(
 
     a, b = _state_matrices(system)
     phi, g0, gm, g1 = _rk4_update_matrices(a, b, plan.dt)
+    block = _scan_block_length(phi)
 
     x0 = np.asarray(plan.initial_state, dtype=float)
-    channels, block = _run_scan(phi, g0, gm, g1, x0, forcing, plan, n_steps)
-
-    for name, data in channels.items():
-        if not np.isfinite(data).all():
-            bad = int(np.argmin(np.isfinite(data)))
-            raise NumericalError(
-                f"non-finite {name} at t = {bad * plan.dt * plan.record_decimation:g} s "
-                f"(sample {bad})"
-            )
+    rows = {name: row for name, row in _STATE_ROWS.items() if name in sinks}
+    first = 0  # index of the chunk's first sample in the record
+    for chunk in _run_scan(phi, g0, gm, g1, x0, forcing, plan, rows, block):
+        for name, data in chunk.items():
+            if not np.isfinite(data).all():
+                bad = first + int(np.argmin(np.isfinite(data)))
+                raise NumericalError(
+                    f"non-finite {name} at t = {bad * plan.dt * plan.record_decimation:g} s "
+                    f"(sample {bad})"
+                )
+            sinks[name](data)
+        first += data.size
 
     seed = forcing.stochastic.seed if forcing.stochastic is not None else None
     metadata = {
@@ -258,20 +308,26 @@ def simulate(
         "scan_block": block,
     }
     return TimeSeries(
-        dt=plan.dt * plan.record_decimation,
-        x1=channels["x1"],
-        x2=channels["x2"],
-        v1=channels.get("v1"),
-        v2=channels.get("v2"),
+        dt=plan.record_dt,
+        x1=record.get("x1"),
+        x2=record.get("x2"),
+        v1=record.get("v1"),
+        v2=record.get("v2"),
         metadata=metadata,
+        n_samples=first,
     )
 
 
-def _record_rows(plan: SimulationPlan) -> dict[str, int]:
-    rows = {"x1": 0, "x2": 2}
-    if plan.record_velocity:
-        rows.update({"v1": 1, "v2": 3})
-    return rows
+def _collector(out: np.ndarray):
+    """A sink that copies consecutive chunks into out."""
+    filled = 0
+
+    def take(chunk: np.ndarray) -> None:
+        nonlocal filled
+        out[filled : filled + chunk.size] = chunk
+        filled += chunk.size
+
+    return take
 
 
 def _accumulate(z, weights, f, tmp):
@@ -286,19 +342,26 @@ def _apply(m, v):
     return sum(m[:, i, None] * v[i] for i in range(4))
 
 
-def _run_scan(phi, g0, gm, g1, x0, forcing, plan, n_steps):
-    """Evaluate the RK4 recursion x[n+1] = Phi x[n] + w[n] as a blocked prefix scan.
-
-    Returns the recorded channels and the block length L.  Blocks count from
-    step 0 and chunks hold whole blocks, so the trajectory does not depend on
-    the chunk length; channels are formed at every step, then decimated.
-    """
-    # L: the largest power of two <= _SCAN_BLOCK over which no eigenvalue
-    # grows or decays by more than _SCAN_GROWTH
+def _scan_block_length(phi) -> int:
+    """The largest power of two <= _SCAN_BLOCK over which no eigenvalue of
+    phi grows or decays by more than _SCAN_GROWTH."""
     rate = max(abs(math.log(abs(lam))) if lam else math.inf for lam in np.linalg.eigvals(phi))
     length = _SCAN_BLOCK
     while length > 1 and rate * length > math.log(_SCAN_GROWTH):
         length //= 2
+    return length
+
+
+def _run_scan(phi, g0, gm, g1, x0, forcing, plan, rows, length):
+    """Evaluate the RK4 recursion x[n+1] = Phi x[n] + w[n] as a blocked prefix scan.
+
+    A generator: yields {channel: recorded samples} for the channels in rows
+    (name -> state row), first the initial state, then chunk by chunk.  The
+    arrays are reused by the next chunk.  Blocks of `length` steps count from
+    step 0 and chunks hold whole blocks, so the trajectory does not depend on
+    the chunk length; channels are formed at every step, then decimated.
+    """
+    yield {name: x0[row : row + 1] for name, row in rows.items()}
 
     # Phi^k and Phi^-k, k < L, as running products; one Newton step refines
     # the inverse to the accuracy of a matrix product
@@ -319,22 +382,17 @@ def _run_scan(phi, g0, gm, g1, x0, forcing, plan, n_steps):
         np.moveaxis(fall @ g, 0, -1).copy() for g in (g0, gm, g1, g0 + gm + g1)
     )
 
-    dec = plan.record_decimation
-    n_rec = n_steps // dec + 1
-    rows = _record_rows(plan)
-    out = {name: np.empty(n_rec) for name in rows}
-    for name, row in rows.items():
-        out[name][0] = x0[row]
-
+    n_steps, dec = plan.n_steps, plan.record_decimation
     streams, sigma = _noise_streams(forcing.stochastic, plan.dt)
 
-    # buffers reused by every chunk: the scan, one input or output row, and a
-    # product.  A chunk's last block is padded to length L; the padded steps
-    # are never recorded or carried on.
+    # buffers reused by every chunk: the scan, one input row, a product and
+    # the formed channels.  A chunk's last block is padded to length L; the
+    # padded steps are never recorded or carried on.
     chunk = max(_SCAN_BLOCK, _CHUNK_STEPS // _SCAN_BLOCK * _SCAN_BLOCK)
     size = min(chunk, -(-n_steps // length) * length)
     scan = np.empty((4, size))
     row_buf, tmp_buf = np.empty((2, size))
+    formed = np.empty((len(rows), size))
     dt = plan.dt
     c0, c1, c2, c3 = x0.tolist()  # the state the next block is entered with
     for start in range(0, n_steps, chunk):
@@ -374,16 +432,17 @@ def _run_scan(phi, g0, gm, g1, x0, forcing, plan, n_steps):
         # z[:, b, k] is the state after global step start+b*L+k+1 up to the
         # factor Phi^k; the recorded steps are the multiples of dec
         skip = (-start - 1) % dec
-        first = (start + skip + 1) // dec
-        for name, row in rows.items():
-            np.multiply(rise[row, 0], z[0], out=f)
+        if skip >= n_c:
+            continue
+        out = {}
+        for (name, row), full in zip(rows.items(), formed):
+            g = full[: n_b * length].reshape(n_b, length)
+            np.multiply(rise[row, 0], z[0], out=g)
             for i in range(1, 4):
                 np.multiply(rise[row, i], z[i], out=tmp)
-                f += tmp
-            rec = flat[skip:n_c:dec]
-            out[name][first : first + rec.size] = rec
-
-    return out, length
+                g += tmp
+            out[name] = full[skip:n_c:dec]
+        yield out
 
 
 @dataclass(frozen=True)

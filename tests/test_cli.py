@@ -512,6 +512,33 @@ def test_sweep_simulate_floor_seeded(tmp_path):
     assert (dirs[0] / "sweep.csv").read_bytes() == (dirs[1] / "sweep.csv").read_bytes()
 
 
+def test_simulated_budget_memory_flat_in_duration(tmp_path):
+    """The simulated budget route streams the engine into Welch: its traced
+    peak at 20 s is within 10% of that at 2 s (a held record is ~40 MB at
+    20 s).  A first run takes the one-time allocations."""
+    import contextlib
+    import io
+    import tracemalloc
+
+    def peak(duration: float) -> int:
+        cfg = tmp_path / f"budget_{duration}.cfg"
+        cfg.write_text("budget.x_psd_source = simulated\nforcing.noise_psd = auto\n"
+                       "forcing.noise_target = both\nanalysis.segment_length = 4096\n"
+                       f"sim.duration = {duration}\n")
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run_cli("budget", "--config", str(cfg), "--seed", "3",
+                               "--out", str(tmp_path / "out")) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2.0)
+    short, long = peak(2.0), peak(20.0)
+    assert long <= 1.1 * short, (short, long)
+
+
 # --- determinism and round-trip -----------------------------------------------------
 
 def test_stochastic_csv_byte_identical(tmp_path):

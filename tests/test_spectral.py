@@ -1,5 +1,6 @@
 """Welch estimation, band integration and dB conversions."""
 
+import itertools
 import math
 
 import numpy as np
@@ -89,6 +90,63 @@ def test_accumulation_block_changes_only_rounding(monkeypatch):
     monkeypatch.setattr(spectral, "_WELCH_BLOCK", 1)  # one segment per block
     single = welch_psd(x, 1e-3, segment_length=1000, overlap=0.25)
     assert np.max(np.abs(single.values - whole.values)) <= 1e-13 * whole.values.max()
+
+
+def blocked_welch_reference(x, dt, segment_length, overlap):
+    """The one-shot estimator: strided segments, windowed and transformed a
+    block of _WELCH_BLOCK // L segments at a time, block sums added up."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    step = segment_length - int(segment_length * overlap)
+    n_segments = 1 + (x.size - segment_length) // step
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_length) / segment_length)
+    segments = sliding_window_view(x, segment_length)[::step]
+    per_block = max(1, spectral._WELCH_BLOCK // segment_length)
+    power = np.zeros(segment_length // 2 + 1)
+    for first in range(0, n_segments, per_block):
+        spectra = np.fft.rfft(segments[first : first + per_block] * window, axis=-1)
+        power += np.sum(spectra.real**2 + spectra.imag**2, axis=0)
+    psd = power * (2.0 * dt / (n_segments * np.sum(window**2)))
+    psd[0] /= 2.0
+    if segment_length % 2 == 0:
+        psd[-1] /= 2.0
+    return psd
+
+
+@pytest.mark.parametrize("block", [None, 256])
+@pytest.mark.parametrize("segment_length", [16, 100, 333])
+@pytest.mark.parametrize("overlap", [0.0, 0.25, 0.5])
+def test_chunked_welch_equals_one_shot(segment_length, overlap, block, monkeypatch):
+    """Welch fed in chunks of 1, 7, step - 1, L + 3 and random lengths gives
+    the estimate of the whole record bit for bit, with L below and above
+    _WELCH_BLOCK (256: 16 and 2 segments per block, and 1 for L = 333)."""
+    if block is not None:
+        monkeypatch.setattr(spectral, "_WELCH_BLOCK", block)
+    rng = np.random.default_rng(segment_length)
+    x = np.cumsum(rng.standard_normal(40 * segment_length + 17))
+    whole = welch_psd(x, 1e-3, segment_length, overlap)
+    assert np.array_equal(whole.values, blocked_welch_reference(x, 1e-3, segment_length, overlap))
+    step = segment_length - int(segment_length * overlap)
+    lengths = [[1], [7], [step - 1], [segment_length + 3],
+               list(rng.integers(1, 3 * segment_length, size=x.size))]
+    for pattern in lengths:
+        welch = spectral.Welch(x.size, 1e-3, segment_length, overlap)
+        start = 0
+        for k in itertools.cycle(pattern):
+            if start >= x.size:
+                break
+            welch.add(x[start : start + k])
+            start += k
+        spectrum = welch.spectrum()
+        assert np.array_equal(spectrum.values, whole.values), pattern[:1]
+        assert (spectrum.df, spectrum.n_segments) == (whole.df, whole.n_segments)
+
+
+def test_welch_needs_the_whole_record():
+    welch = spectral.Welch(1000, 1e-3, 100)
+    welch.add(np.ones(999))
+    with pytest.raises(ValueError, match="999 samples, expected 1000"):
+        welch.spectrum()
 
 
 def test_defaults_pick_pow2_segment():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from conftest import textbook_rk4_step
 
 from crnoise import presets, spectral, timesim
+from crnoise.errors import NumericalError
 from crnoise.reports import _BLOCK_ROWS
 from crnoise.sysmodel import build_system, frequency_response, mode_analysis
 from crnoise.timesim import (
@@ -300,8 +302,8 @@ def test_concurrent_runs_match_serial(reference):
         assert np.array_equal(a.x2, b.x2)
 
 
-def chunk_test_run(system, modes, n_steps, decimation=1):
-    """Thermal and harmonic drive together, every channel recorded."""
+def chunk_test_run(system, modes, n_steps, decimation=1, sinks=None):
+    """Thermal and harmonic drive together, every channel recorded (or streamed)."""
     dt = default_timestep(modes)
     forcing = Forcing(
         harmonic=(HarmonicDrive(1, 1e-6, modes.f1, 0.3),),
@@ -309,7 +311,7 @@ def chunk_test_run(system, modes, n_steps, decimation=1):
     )
     plan = SimulationPlan(dt=dt, duration=n_steps * dt, record_decimation=decimation,
                           record_velocity=True)
-    return quiet_simulate(system, forcing, plan)
+    return quiet_simulate(system, forcing, plan, sinks=sinks)
 
 
 CHANNELS = ("x1", "x2", "v1", "v2")
@@ -337,6 +339,97 @@ def test_trajectory_independent_of_chunk_size(reference, monkeypatch):
         cut = chunk_test_run(system, modes, n_steps)
         for name in CHANNELS:
             assert np.array_equal(getattr(cut, name), getattr(whole, name))
+
+
+def streamed(names):
+    """Sinks that keep a copy of every chunk they are passed."""
+    chunks = {name: [] for name in names}
+    return chunks, {name: (lambda c, keep=chunks[name]: keep.append(c.copy())) for name in names}
+
+
+def test_streamed_chunks_match_record(reference, monkeypatch):
+    """Chunks passed to sinks, joined, are the collected record, bit for bit."""
+    _, system, modes = reference
+    monkeypatch.setattr(timesim, "_CHUNK_STEPS", 4096)
+    n_steps = 3 * 4096 + 1234
+    for decimation in (1, 5, 7, 5000):
+        whole = chunk_test_run(system, modes, n_steps, decimation)
+        chunks, sinks = streamed(CHANNELS)
+        series = chunk_test_run(system, modes, n_steps, decimation, sinks)
+        assert series.n_samples == whole.n_samples
+        assert all(getattr(series, name) is None for name in CHANNELS)
+        for name in CHANNELS:
+            assert len(chunks[name]) == min(5, 1 + n_steps // decimation)
+            assert np.array_equal(np.concatenate(chunks[name]), getattr(whole, name))
+
+
+def test_streamed_run_forms_only_requested_channels(reference, monkeypatch):
+    _, system, modes = reference
+    formed = set()
+    scan = timesim._run_scan
+
+    def spy(*args):
+        for chunk in scan(*args):
+            formed.update(chunk)
+            yield chunk
+
+    monkeypatch.setattr(timesim, "_run_scan", spy)
+    chunks, sinks = streamed(["x2"])
+    series = chunk_test_run(system, modes, 5000, 3, sinks)
+    assert formed == {"x2"}
+    assert sum(c.size for c in chunks["x2"]) == series.n_samples == 5000 // 3 + 1
+    with pytest.raises(ValueError, match="x1, x2, v1, v2"):
+        chunk_test_run(system, modes, 100, 1, {"x3": print})
+
+
+def test_non_finite_sample_named_alike_when_streamed(reference, monkeypatch):
+    """A growing (negatively damped) pair overflows in its third chunk; both
+    paths name the same record sample, and the record before it is finite."""
+    _, system, modes = reference
+    monkeypatch.setattr(timesim, "_CHUNK_STEPS", 4096)
+    unstable = dataclasses.replace(system, damping=-1000.0 * system.damping)
+    dt = default_timestep(modes)
+
+    def run(n_steps, sinks=None):
+        plan = SimulationPlan(dt=dt, duration=n_steps * dt, record_decimation=3,
+                              initial_state=(1e-7, 0.0, 0.0, 0.0))
+        with np.errstate(all="ignore"):
+            return simulate(unstable, Forcing(), plan, sinks=sinks)
+
+    messages = []
+    for sinks in (None, streamed(["x2", "x1"])[1]):
+        with pytest.raises(NumericalError, match="non-finite x1") as caught:
+            run(60_000, sinks)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    bad = int(re.search(r"sample (\d+)", messages[0]).group(1))
+    assert bad * 3 > 2 * 4096
+    before = run(3 * (bad - 1))
+    assert np.isfinite(before.x1).all() and before.n_samples == bad
+
+
+def test_record_bound_checked_before_the_run(reference, monkeypatch):
+    """What a collected run would hold (samples x channels x 8 B) is bounded;
+    streamed channels hold nothing and are not."""
+    _, system, modes = reference
+    dt = default_timestep(modes)
+    plan = SimulationPlan(dt=dt, duration=1000 * dt, record_decimation=4)
+    held = (1000 // 4 + 1) * 2 * 8
+    monkeypatch.setattr(timesim, "_MAX_RECORD_BYTES", held)
+    assert simulate(system, Forcing(), plan).n_samples == 251
+
+    def no_run(*args):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(timesim, "_run_scan", no_run)
+    with pytest.raises(ValueError, match="sim.duration.*sim.decimation"):
+        simulate(system, Forcing(), dataclasses.replace(plan, record_velocity=True))
+    monkeypatch.setattr(timesim, "_MAX_RECORD_BYTES", held - 1)
+    with pytest.raises(ValueError, match="sim.duration.*sim.decimation"):
+        simulate(system, Forcing(), plan)
+    monkeypatch.undo()  # the engine runs again
+    monkeypatch.setattr(timesim, "_MAX_RECORD_BYTES", 0)
+    assert simulate(system, Forcing(), plan, sinks={"x1": len, "x2": len}).n_samples == 251
 
 
 def test_steady_state_matches_receptance(reference):
