@@ -48,14 +48,21 @@ def render_table(title: str, rows: list[Row], footnotes: tuple[str, ...] = ()) -
 
 @contextmanager
 def atomic_open(path):
-    """Text handle on a temporary name, fsynced and renamed to `path` on exit."""
+    """Text handle on a temporary name, fsynced and renamed to `path` on exit.
+
+    If the body raises, the temporary is removed and `path` is left as it was.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + ".part")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-        yield handle
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
+            yield handle
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_report(path, title: str, rows: list[Row],

@@ -108,6 +108,10 @@ class Welch:
         # the next segment) followed by the head of the next chunk
         self._carry = np.empty(2 * segment_length)
         self._carried = 0
+        # the windowed segments and their transforms, reused by every batch
+        # and grown to the largest batch
+        self._windowed = np.empty((1, segment_length))
+        self._spectra = np.empty((1, segment_length // 2 + 1), dtype=complex)
         self._seen = 0  # samples received
         self._next = 0  # index of the next segment to transform
 
@@ -131,8 +135,12 @@ class Welch:
             rest = x[self._next * self._step - origin :]
         else:  # x ended before the next segment did; it is all in the carry
             rest = self._carry[start - (origin - carried) : carried + x.size]
-        self._carried = 0 if self._next == self.n_segments else rest.size
-        self._carry[: self._carried] = rest[: self._carried]
+        if self._next == self.n_segments:  # every segment is in: drop the buffers
+            self._carried = 0
+            self._carry = self._windowed = self._spectra = None
+        else:
+            self._carried = rest.size
+            self._carry[: rest.size] = rest
 
     def _transform(self, data: np.ndarray, origin: int) -> None:
         """Add every segment, from the next one on, that lies whole in data.
@@ -152,8 +160,16 @@ class Welch:
             segments = sliding_window_view(
                 data[first : first + (count - 1) * step + length], length
             )[::step]
-            spectra = np.fft.rfft(segments * self._window, axis=-1)
-            for row in spectra.real**2 + spectra.imag**2:
+            if self._windowed.shape[0] < count:
+                self._windowed = np.empty((count, length))
+                self._spectra = np.empty((count, length // 2 + 1), dtype=complex)
+            windowed = np.multiply(segments, self._window, out=self._windowed[:count])
+            spectra = np.fft.rfft(windowed, axis=-1, out=self._spectra[:count])
+            # |X|^2 = re^2 + im^2, formed in the windowed segments' memory
+            power = windowed.reshape(-1)[: spectra.size].reshape(spectra.shape)
+            np.square(spectra.real, out=power)
+            power += np.square(spectra.imag, out=spectra.imag)
+            for row in power:
                 self._block += row
             self._next += count
             if self._next % self._per_block == 0 or self._next == self.n_segments:

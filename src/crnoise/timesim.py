@@ -26,6 +26,10 @@ chunk's recorded samples as soon as they are formed.  `simulate` either
 collects them into a TimeSeries or passes them to per-channel sinks, such as
 `spectral.Welch.add`; a streamed run forms only the channels it is asked for
 and holds no record, so its memory does not grow with the run's length.
+Either way the sinks run in order on one worker thread, which takes each
+chunk through a one-slot handoff while the engine forms the next one; numpy
+releases the GIL in the scan's array operations, the noise draws and the
+FFTs, so on two cores the engine and, say, a Welch estimate overlap.
 
 Deterministic harmonic drives are sampled at the true substep times (full
 4th-order accuracy).  Stochastic thermal force is zero-order-hold per step:
@@ -36,6 +40,7 @@ power spectral density of the sample stream equals force_psd.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -244,9 +249,12 @@ def simulate(
     Without sinks the recorded channels (x1 and x2, plus v1 and v2 when
     plan.record_velocity) are collected into the returned series.  sinks
     maps channel names ("x1", "x2", "v1", "v2") to callables: only those
-    channels are formed, each chunk of recorded samples is passed on in
-    order (the array is reused afterwards), and the returned series holds
-    no arrays.
+    channels are formed, each chunk of recorded samples is passed on, and
+    the returned series holds no arrays.  The sinks are called in order on
+    one worker thread while the engine forms the next chunk, and the array
+    a sink is given is valid only during the call.  An exception a sink
+    raises stops the run and is raised here; the worker thread has ended
+    whenever simulate returns or raises.
     """
     modes = mode_analysis(system)
     if plan.dt > 1.0 / (_MIN_STEPS_PER_PERIOD * modes.f2):
@@ -287,16 +295,17 @@ def simulate(
     x0 = np.asarray(plan.initial_state, dtype=float)
     rows = {name: row for name, row in _STATE_ROWS.items() if name in sinks}
     first = 0  # index of the chunk's first sample in the record
-    for chunk in _run_scan(phi, g0, gm, g1, x0, forcing, plan, rows, block):
-        for name, data in chunk.items():
-            if not np.isfinite(data).all():
-                bad = first + int(np.argmin(np.isfinite(data)))
-                raise NumericalError(
-                    f"non-finite {name} at t = {bad * plan.dt * plan.record_decimation:g} s "
-                    f"(sample {bad})"
-                )
-            sinks[name](data)
-        first += data.size
+    with _SinkThread(sinks) as handoff:
+        for chunk in _run_scan(phi, g0, gm, g1, x0, forcing, plan, rows, block):
+            for name, data in chunk.items():
+                if not np.isfinite(data).all():
+                    bad = first + int(np.argmin(np.isfinite(data)))
+                    raise NumericalError(
+                        f"non-finite {name} at t = "
+                        f"{bad * plan.dt * plan.record_decimation:g} s (sample {bad})"
+                    )
+            handoff.put(chunk)
+            first += data.size
 
     seed = forcing.stochastic.seed if forcing.stochastic is not None else None
     metadata = {
@@ -316,6 +325,69 @@ def simulate(
         metadata=metadata,
         n_samples=first,
     )
+
+
+class _SinkThread:
+    """Calls the sinks on one worker thread, chunk after chunk, in order.
+
+    `put` hands a {channel: samples} chunk over through a one-slot handoff
+    and waits only while the chunk before it is still in the slot, so the
+    worker is at most two chunks behind: the one it is passing on and the
+    one in the slot.  The first exception a sink raises stops the worker and
+    is raised again by the next `put`, or on leaving the `with` block.
+    Leaving the block joins the worker, once every chunk handed over has
+    been passed on, or, when an exception leaves it, once the sink call
+    under way returns.
+    """
+
+    def __init__(self, sinks: dict):
+        self._sinks = sinks
+        self._cond = threading.Condition()
+        self._slot = []  # the chunk handed over and not yet taken
+        self._closed = False  # no chunk follows the one in the slot
+        self._error = None  # what a sink raised
+        self._thread = threading.Thread(target=self._work, name="crnoise-sinks", daemon=True)
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def put(self, chunk: dict) -> None:
+        with self._cond:
+            while self._slot and self._error is None:
+                self._cond.wait()
+            if self._error is not None:
+                raise self._error
+            self._slot.append(chunk)
+            self._cond.notify()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        with self._cond:
+            if exc_type is not None:
+                self._slot.clear()
+            self._closed = True
+            self._cond.notify()
+        self._thread.join()
+        if exc_type is None and self._error is not None:
+            raise self._error
+
+    def _work(self) -> None:
+        while True:
+            with self._cond:
+                while not (self._slot or self._closed):
+                    self._cond.wait()
+                if not self._slot:
+                    return
+                chunk = self._slot.pop()
+                self._cond.notify()
+            try:
+                for name, data in chunk.items():
+                    self._sinks[name](data)
+            except BaseException as exc:
+                with self._cond:
+                    self._error = exc
+                    self._cond.notify()
+                return
 
 
 def _collector(out: np.ndarray):
@@ -357,9 +429,11 @@ def _run_scan(phi, g0, gm, g1, x0, forcing, plan, rows, length):
 
     A generator: yields {channel: recorded samples} for the channels in rows
     (name -> state row), first the initial state, then chunk by chunk.  The
-    arrays are reused by the next chunk.  Blocks of `length` steps count from
-    step 0 and chunks hold whole blocks, so the trajectory does not depend on
-    the chunk length; channels are formed at every step, then decimated.
+    chunks' arrays rotate through a ring of three buffers, so a chunk stays
+    valid until the caller has asked for two more.  Blocks of `length` steps
+    count from step 0 and chunks hold whole blocks, so the trajectory does
+    not depend on the chunk length; undecimated channels are formed at every
+    step at once, decimated ones at the recorded steps only.
     """
     yield {name: x0[row : row + 1] for name, row in rows.items()}
 
@@ -376,23 +450,26 @@ def _run_scan(phi, g0, gm, g1, x0, forcing, plan, rows, length):
     ((m00, m01, m02, m03), (m10, m11, m12, m13),
      (m20, m21, m22, m23), (m30, m31, m32, m33)) = (rise_last @ phi).tolist()  # Phi^L
     # rise[i, m, k] = (Phi^k)_im, and w[i, r, k] = (Phi^-k G)_ir is the weight
-    # of input r at step k of a block; each is a contiguous row over k
+    # of input r at step k of a block; each is a contiguous row over k.  Only
+    # the weights the forcing uses are built.
     rise = np.moveaxis(np.array(rise), 0, -1).copy()
-    w0, wm, w1, w_zoh = (
-        np.moveaxis(fall @ g, 0, -1).copy() for g in (g0, gm, g1, g0 + gm + g1)
-    )
+    if forcing.harmonic:
+        w0, wm, w1 = (np.moveaxis(fall @ g, 0, -1).copy() for g in (g0, gm, g1))
+    if forcing.stochastic is not None:
+        w_zoh = np.moveaxis(fall @ (g0 + gm + g1), 0, -1).copy()
+    del fall
 
     n_steps, dec = plan.n_steps, plan.record_decimation
     streams, sigma = _noise_streams(forcing.stochastic, plan.dt)
 
-    # buffers reused by every chunk: the scan, one input row, a product and
-    # the formed channels.  A chunk's last block is padded to length L; the
-    # padded steps are never recorded or carried on.
+    # buffers reused by every chunk: the scan, one input row and a product.
+    # A chunk's last block is padded to length L; the padded steps are never
+    # recorded or carried on.
     chunk = max(_SCAN_BLOCK, _CHUNK_STEPS // _SCAN_BLOCK * _SCAN_BLOCK)
     size = min(chunk, -(-n_steps // length) * length)
     scan = np.empty((4, size))
     row_buf, tmp_buf = np.empty((2, size))
-    formed = np.empty((len(rows), size))
+    ring = [np.empty((len(rows), -(-size // dec))) for _ in range(3)]
     dt = plan.dt
     c0, c1, c2, c3 = x0.tolist()  # the state the next block is entered with
     for start in range(0, n_steps, chunk):
@@ -427,21 +504,37 @@ def _run_scan(phi, g0, gm, g1, x0, forcing, plan, rows, length):
                               m10 * c0 + m11 * c1 + m12 * c2 + m13 * c3 + e1,
                               m20 * c0 + m21 * c1 + m22 * c2 + m23 * c3 + e2,
                               m30 * c0 + m31 * c1 + m32 * c2 + m33 * c3 + e3)
-        z += _apply(phi, np.array(starts).T)[:, :, None]
+        enter = _apply(phi, np.array(starts).T)  # Phi c for each block
 
-        # z[:, b, k] is the state after global step start+b*L+k+1 up to the
-        # factor Phi^k; the recorded steps are the multiples of dec
+        # z[:, b, k] + Phi c_b is the state after global step start+b*L+k+1 up
+        # to the factor Phi^k; the recorded steps are the multiples of dec
         skip = (-start - 1) % dec
         if skip >= n_c:
             continue
         out = {}
-        for (name, row), full in zip(rows.items(), formed):
-            g = full[: n_b * length].reshape(n_b, length)
-            np.multiply(rise[row, 0], z[0], out=g)
-            for i in range(1, 4):
-                np.multiply(rise[row, i], z[i], out=tmp)
-                g += tmp
-            out[name] = full[skip:n_c:dec]
+        formed = ring.pop(0)  # the buffer of the third chunk back
+        ring.append(formed)
+        if dec == 1:
+            z += enter[:, :, None]
+            for (name, row), full in zip(rows.items(), formed):
+                g = full[: n_b * length].reshape(n_b, length)
+                np.multiply(rise[row, 0], z[0], out=g)
+                for i in range(1, 4):
+                    np.multiply(rise[row, i], z[i], out=tmp)
+                    g += tmp
+                out[name] = full[:n_c]
+        else:
+            pos = np.arange(skip, n_c, dec)  # the recorded steps' columns of scan
+            b, k = np.divmod(pos, length)
+            zs = scan[:, pos]
+            zs += enter[:, b]
+            for (name, row), full in zip(rows.items(), formed):
+                g = full[: pos.size]
+                weights = rise[row][:, k]
+                np.multiply(weights[0], zs[0], out=g)
+                for i in range(1, 4):
+                    g += weights[i] * zs[i]
+                out[name] = g
         yield out
 
 

@@ -52,3 +52,17 @@ def test_write_report_returns_the_written_table(tmp_path):
     table = write_report(path, "title", rows, comments=("a = 1",), footnotes=("n",))
     assert table == render_table("title", rows, ("n",))
     assert path.read_text() == "# a = 1\n" + table
+
+
+def test_failed_write_leaves_no_temporary(tmp_path):
+    """A cell that cannot be formatted raises; neither the file nor its
+    temporary is left behind, and an existing file keeps its content."""
+    path = tmp_path / "x.csv"
+    with pytest.raises(TypeError):
+        write_csv(path, "a", ([None, 1.0],))
+    assert list(tmp_path.iterdir()) == []
+    path.write_text("kept\n")
+    with pytest.raises(TypeError):
+        write_csv(path, "a", ([None, 1.0],))
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_text() == "kept\n"

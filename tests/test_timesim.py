@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import re
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -406,6 +408,89 @@ def test_non_finite_sample_named_alike_when_streamed(reference, monkeypatch):
     assert bad * 3 > 2 * 4096
     before = run(3 * (bad - 1))
     assert np.isfinite(before.x1).all() and before.n_samples == bad
+
+
+def test_slow_sink_sees_its_chunk_unchanged(reference, monkeypatch):
+    """Sinks run on a worker thread while the engine forms the next chunks; a
+    chunk's arrays must not be rewritten while a sink still holds them."""
+    _, system, modes = reference
+    monkeypatch.setattr(timesim, "_CHUNK_STEPS", 4096)
+    n_steps = 6 * 4096 + 1234
+    for decimation in (1, 3, 5000):  # at 5000 some chunks record nothing
+        whole = chunk_test_run(system, modes, n_steps, decimation)
+        changed, kept = [], []
+
+        def slow(chunk):
+            copy = chunk.copy()
+            time.sleep(0.02)
+            changed.append(not np.array_equal(chunk, copy))
+            kept.append(copy)
+
+        chunk_test_run(system, modes, n_steps, decimation, {"x1": slow})
+        assert len(kept) == (8 if decimation < 5000 else 6) and not any(changed)
+        assert np.array_equal(np.concatenate(kept), whole.x1)
+
+
+def test_sink_error_stops_the_run(reference, monkeypatch):
+    """The sink's own exception reaches the caller, no chunk after it is
+    passed on, the engine stops and the worker thread is gone."""
+    _, system, modes = reference
+    monkeypatch.setattr(timesim, "_CHUNK_STEPS", 4096)
+    formed = []
+    scan = timesim._run_scan
+
+    def spy(*args):
+        for chunk in scan(*args):
+            formed.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(timesim, "_run_scan", spy)
+    error = RuntimeError("sink failed")
+    passed = []
+
+    def failing(chunk):
+        passed.append(chunk.size)
+        if len(passed) == 3:
+            time.sleep(0.05)  # the engine runs ahead meanwhile
+            raise error
+
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError) as caught:
+        chunk_test_run(system, modes, 20 * 4096, 1, {"x1": failing})
+    assert caught.value is error
+    assert len(passed) == 3
+    assert len(formed) <= 5  # at most the slot's chunk and one more were formed
+    assert threading.active_count() == threads
+
+
+def test_engine_side_errors_leave_no_thread(reference, monkeypatch):
+    """The engine's NumericalError, and an interrupt while the engine runs,
+    stop and join the sink worker."""
+    _, system, modes = reference
+    monkeypatch.setattr(timesim, "_CHUNK_STEPS", 4096)
+    unstable = dataclasses.replace(system, damping=-1000.0 * system.damping)
+    dt = default_timestep(modes)
+    plan = SimulationPlan(dt=dt, duration=60_000 * dt, record_decimation=3,
+                          initial_state=(1e-7, 0.0, 0.0, 0.0))
+    threads = threading.active_count()
+    for sinks in (None, streamed(["x1"])[1]):
+        with pytest.raises(NumericalError), np.errstate(all="ignore"):
+            simulate(unstable, Forcing(), plan, sinks=sinks)
+        assert threading.active_count() == threads
+
+    scan = timesim._run_scan
+
+    def interrupted(*args):
+        for index, chunk in enumerate(scan(*args)):
+            if index == 3:
+                raise KeyboardInterrupt
+            yield chunk
+
+    monkeypatch.setattr(timesim, "_run_scan", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        simulate(system, Forcing(), dataclasses.replace(plan, initial_state=(0.0,) * 4),
+                 sinks={"x1": lambda chunk: time.sleep(0.01)})
+    assert threading.active_count() == threads
 
 
 def test_record_bound_checked_before_the_run(reference, monkeypatch):
