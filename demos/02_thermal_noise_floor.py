@@ -4,6 +4,8 @@ Drives resonator 1 of the reference pair with the fluctuation-dissipation
 force (PSD 4 kB T c), estimates the displacement-noise spectrum with Welch
 averaging, and compares it against |h11|^2 * S_F at the two mode peaks.
 Also demonstrates the equipartition check on a single uncoupled resonator.
+Both runs stream the displacement into running estimates (a mean square, a
+Welch spectrum) through the engine's sink, so no record is held.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from crnoise import (
     Forcing,
     SimulationPlan,
     StochasticDrive,
+    Welch,
     band_mean_psd,
     build_system,
     default_timestep,
@@ -23,7 +26,6 @@ from crnoise import (
     simulate,
     thermal_force_psd,
     to_db,
-    welch_psd,
 )
 from crnoise.presets import reference_system, uncoupled_system
 
@@ -37,8 +39,19 @@ force_psd = thermal_force_psd(cfg.c1, env)
 print(f"single resonator, Q=100: thermal force PSD = {force_psd:.3e} N^2/Hz")
 
 plan = SimulationPlan(dt=default_timestep(modes), duration=20.0)
-series = simulate(system, Forcing(stochastic=StochasticDrive(force_psd, seed=7, target="1")), plan)
-x_sq = float(np.mean(series.x1[int(0.05 * series.n_samples):] ** 2))
+skip = int(0.05 * plan.n_samples)  # the start-up transient is left out
+squares = {"seen": 0, "sum": 0.0}
+
+
+def mean_square(chunk):
+    x = chunk["x1"][max(skip - squares["seen"], 0):]
+    squares["seen"] += chunk["x1"].size
+    squares["sum"] += float(np.dot(x, x))
+
+
+simulate(system, Forcing(stochastic=StochasticDrive(force_psd, seed=7, target="1")), plan,
+         mean_square, channels=("x1",))
+x_sq = squares["sum"] / (plan.n_samples - skip)
 print(f"  <x^2> simulated = {x_sq:.3e} m^2")
 print(f"  kB*T/k          = {BOLTZMANN * 300 / cfg.km1:.3e} m^2   (equipartition)")
 
@@ -51,8 +64,10 @@ dt = default_timestep(modes)
 segment = 1 << 17  # df ~ 0.95 Hz resolves the ~1 Hz-wide in-phase peak
 plan = SimulationPlan(dt=dt, duration=duration_for_segments(dt, segment, 120))
 print(f"\ncoupled pair: simulating {plan.duration:.1f} s of thermal drive on resonator 1")
-series = simulate(system, Forcing(stochastic=StochasticDrive(force_psd, seed=42, target="1")), plan)
-spectrum = welch_psd(series.x1, series.dt, segment_length=segment)
+welch = Welch(plan.n_samples, plan.record_dt, segment_length=segment)
+simulate(system, Forcing(stochastic=StochasticDrive(force_psd, seed=42, target="1")), plan,
+         lambda chunk: welch.add(chunk["x1"]), channels=("x1",))
+spectrum = welch.spectrum()
 print(f"  Welch: {spectrum.n_segments} segments, df = {spectrum.df:.3f} Hz")
 
 # the mode peaks are ~1-3 Hz wide at Q = 2547, so compare mean PSD over the

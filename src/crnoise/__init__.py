@@ -69,12 +69,12 @@ from .timesim import (
     HarmonicDrive,
     SimulationPlan,
     SteadyStateAmplitude,
+    SteadyStateProjection,
     StochasticDrive,
     TimeSeries,
     default_timestep,
     duration_for_segments,
     simulate,
-    steady_state_amplitude,
 )
 
 __version__ = "0.1.0"

@@ -37,7 +37,7 @@ from .noisebudget import (
     full_noise_budget,
     thermal_force_psd,
 )
-from .reports import Row, render_table, write_report, write_rows_csv, write_csv
+from .reports import Row, csv_writer, render_table, write_report, write_rows_csv, write_csv
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,15 +156,7 @@ def _x_psd_inputs(run: RunConfig) -> tuple[tuple[float, float], str]:
             "forcing.noise_psd: stochastic forcing required (set it to auto or > 0)"
         )
     system, modes, plan, forcing = _sim_inputs(run)
-    welch = _welch(run, plan)
-    timesim.simulate(system, forcing, plan, sinks={"x1": welch.add})
-    spectrum = welch.spectrum()
-    band = run.environment.bandwidth
-    psd = (
-        spectral.band_mean_psd(spectrum, modes.f1, band),
-        spectral.band_mean_psd(spectrum, modes.f2, band),
-    )
-    return psd, "simulated spectrum"
+    return tuple(_band_floors(run, system, modes, plan, forcing, ("x1",))), "simulated spectrum"
 
 
 def _budget_report(run: RunConfig) -> tuple[NoiseBudgetReport, str]:
@@ -237,47 +229,97 @@ def _sim_inputs(run: RunConfig):
     return system, modes, run.make_plan(modes), run.make_forcing(modes)
 
 
-def _run_sim(run: RunConfig):
-    """Simulate and collect the whole record (simulate and psd write all of it)."""
-    system, modes, plan, forcing = _sim_inputs(run)
-    return timesim.simulate(system, forcing, plan), modes, forcing
+def _simulate(system, forcing, plan, consumers=(), welch=None, channels=("x1", "x2")):
+    """Run the engine once, handing each chunk of the record to every consumer
+    in turn and each channel's samples to its accumulator in welch."""
+    def sink(chunk):
+        for consume in consumers:
+            consume(chunk)
+        for name, accumulator in (welch or {}).items():
+            accumulator.add(chunk[name])
+
+    return timesim.simulate(system, forcing, plan, sink, channels)
+
+
+def _planned(keys: str, build, *args):
+    """build(*args), with a ValueError it raises (a record too short) a config error on keys."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{keys}: {exc}") from None
 
 
 def _welch(run: RunConfig, plan: timesim.SimulationPlan) -> spectral.Welch:
     """A Welch accumulator for one channel of the planned record, with the
     configured analysis.segment_length and analysis.overlap."""
-    return spectral.Welch(plan.n_samples, plan.record_dt,
-                          run.get("analysis.segment_length"), run.get("analysis.overlap"))
+    return _planned("analysis.segment_length, sim.duration", spectral.Welch, plan.n_samples,
+                    plan.record_dt, run.get("analysis.segment_length"),
+                    run.get("analysis.overlap"))
+
+
+def _band_floors(run: RunConfig, system, modes, plan, forcing, channels) -> list[float]:
+    """Band-mean PSD of each channel at f1, then at f2, from one streamed run."""
+    welch = {name: _welch(run, plan) for name in channels}
+    _simulate(system, forcing, plan, welch=welch, channels=channels)
+    spectra = [w.spectrum() for w in welch.values()]
+    band = run.environment.bandwidth
+    return [spectral.band_mean_psd(s, f, band) for s in spectra for f in (modes.f1, modes.f2)]
+
+
+TIMESERIES_HEADER = "t_s,x1_m,x2_m"
+
+
+def _timeseries_sink(write, record_dt: float, squares: dict):
+    """A consumer writing t_s,x1_m,x2_m rows through a `csv_writer`'s write
+    and adding each channel's sum of squares into squares."""
+    first = 0
+
+    def add(chunk):
+        nonlocal first
+        x1, x2 = chunk["x1"], chunk["x2"]
+        write((np.arange(first, first + x1.size) * record_dt, x1, x2))
+        first += x1.size
+        for name in squares:
+            squares[name] += float(np.dot(chunk[name], chunk[name]))
+
+    return add
 
 
 def cmd_simulate(run: RunConfig, args) -> int:
-    series, modes, forcing = _run_sim(run)
+    system, modes, plan, forcing = _sim_inputs(run)
+    squares = {"x1": 0.0, "x2": 0.0}
+    consumers = []
+    if forcing.harmonic:
+        drive = forcing.harmonic[0]
+        steady = _planned("sim.duration, analysis.window_start_fraction",
+                          timesim.SteadyStateProjection, plan.n_samples, plan.record_dt,
+                          drive.frequency, run.get("analysis.window_start_fraction"))
+        consumers.append(steady.add)
     out = _out_dir(run)
-    timesim.write_timeseries_csv(series, out / "timeseries.csv", comments=_echo(run))
+    with csv_writer(out / "timeseries.csv", TIMESERIES_HEADER, _echo(run)) as write:
+        series = _simulate(system, forcing, plan,
+                           [_timeseries_sink(write, plan.record_dt, squares), *consumers])
     rows = [
         Row("samples", float(series.n_samples), "-", "recorded"),
         Row("dt", series.dt, "s", "after decimation"),
         Row("duration", run.get("sim.duration"), "s", "input"),
-        Row("x1_rms", float(np.sqrt(np.mean(series.x1**2))), "m", "time average"),
-        Row("x2_rms", float(np.sqrt(np.mean(series.x2**2))), "m", "time average"),
+        Row("x1_rms", math.sqrt(squares["x1"] / series.n_samples), "m", "time average"),
+        Row("x2_rms", math.sqrt(squares["x2"] / series.n_samples), "m", "time average"),
     ]
     if forcing.harmonic:
-        drive = forcing.harmonic[0]
-        steady = timesim.steady_state_amplitude(
-            series, drive.frequency, run.get("analysis.window_start_fraction")
-        )
+        result = steady.result()
         rows += [
             Row("drive_frequency", drive.frequency, "Hz", "input"),
-            Row("steady_amp_x1", steady.amp1, "m", "single-bin projection"),
-            Row("steady_amp_x2", steady.amp2, "m", "single-bin projection"),
-            Row("phase_diff", steady.phase_diff, "rad", "x2 - x1"),
+            Row("steady_amp_x1", result.amp1, "m", "single-bin projection"),
+            Row("steady_amp_x2", result.amp2, "m", "single-bin projection"),
+            Row("phase_diff", result.phase_diff, "rad", "x2 - x1"),
         ]
     _print(write_report(out / "simulate_summary.txt", "simulation summary", rows,
                         comments=_echo(run)))
     return 0
 
 
-def _band_rows(name: str, spectrum: spectral.Spectrum, samples, modes, band: float) -> list[Row]:
+def _band_rows(name: str, spectrum: spectral.Spectrum, mean_square, modes, band: float) -> list[Row]:
     rows = []
     for mode_idx, f_mode in ((1, modes.f1), (2, modes.f2)):
         power = spectral.band_power(spectrum, f_mode, band)
@@ -291,23 +333,25 @@ def _band_rows(name: str, spectrum: spectral.Spectrum, samples, modes, band: flo
             Row(f"{name}_band_db_power_f{mode_idx}", db_power, "dB/Hz", "10*log10(psd)"),
         ]
     rows.append(
-        Row(f"{name}_parseval_ratio", spectral.parseval_ratio(spectrum, samples), "-",
+        Row(f"{name}_parseval_ratio", spectral.parseval_ratio(spectrum, mean_square), "-",
             "integral / mean square")
     )
     return rows
 
 
 def cmd_psd(run: RunConfig, args) -> int:
-    series, modes, _ = _run_sim(run)
+    system, modes, plan, forcing = _sim_inputs(run)
+    welch = {name: _welch(run, plan) for name in ("x1", "x2")}
+    squares = {"x1": 0.0, "x2": 0.0}
     out = _out_dir(run)
-    timesim.write_timeseries_csv(series, out / "timeseries.csv", comments=_echo(run))
+    with csv_writer(out / "timeseries.csv", TIMESERIES_HEADER, _echo(run)) as write:
+        _simulate(system, forcing, plan, [_timeseries_sink(write, plan.record_dt, squares)], welch)
     band = run.environment.bandwidth
     rows = []
-    for name, samples in (("x1", series.x1), ("x2", series.x2)):
-        spectrum = spectral.welch_psd(samples, series.dt, run.get("analysis.segment_length"),
-                                      run.get("analysis.overlap"))
+    for name, accumulator in welch.items():
+        spectrum = accumulator.spectrum()
         spectral.write_spectrum_csv(spectrum, out / f"spectrum_{name}.csv", comments=_echo(run))
-        rows += _band_rows(name, spectrum, samples, modes, band)
+        rows += _band_rows(name, spectrum, squares[name] / plan.n_samples, modes, band)
     notes = (
         "db_paper applies 20*log10 to the m^2/Hz value (the published "
         "convention, labeled dB/Hz despite the squared unit); db_power is "
@@ -440,20 +484,14 @@ def _sweep_floors(run: RunConfig) -> list:
     one at a time."""
     seed = run.require_seed()
     force_psd = run.noise_psd() or thermal_force_psd(run.system.c1, run.environment)
-    band = run.environment.bandwidth
     floors = []
     for i, kc in enumerate(run.system.kc):
         system = sysmodel.build_system(dataclasses.replace(run.system, kc=kc))
         modes = sysmodel.mode_analysis(system)
         drive = timesim.StochasticDrive(force_psd=force_psd, seed=seed + i,
                                         target=run.get("forcing.noise_target"))
-        plan = run.make_plan(modes)
-        welch = {name: _welch(run, plan) for name in ("x1", "x2")}
-        timesim.simulate(system, timesim.Forcing(stochastic=drive), plan,
-                         sinks={name: w.add for name, w in welch.items()})
-        spectra = [w.spectrum() for w in welch.values()]
-        floors.append([spectral.band_mean_psd(spectrum, f, band)
-                       for spectrum in spectra for f in (modes.f1, modes.f2)])
+        floors.append(_band_floors(run, system, modes, run.make_plan(modes),
+                                   timesim.Forcing(stochastic=drive), ("x1", "x2")))
     return list(zip(*floors))
 
 

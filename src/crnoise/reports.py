@@ -79,31 +79,44 @@ def write_report(path, title: str, rows: list[Row],
 _BLOCK_ROWS = 1 << 12
 
 
-def write_csv(path, header: str, columns, comments: tuple[str, ...] = ()) -> None:
-    """Write equal-length columns as comma-separated rows under a header line.
+@contextmanager
+def csv_writer(path, header: str, comments: tuple[str, ...] = ()):
+    """Open a CSV whose rows arrive in blocks; yields write(columns).
 
-    Columns are numpy arrays, tuples or lists.  A str cell is written as is,
-    every other cell as %.12g.  Comment lines (prefixed '# ') go on top.
+    write appends equal-length columns (numpy arrays, tuples or lists) as
+    comma-separated rows: a str cell as is, every other cell as %.12g.
+    Comment lines (prefixed '# ') and the header go on top.  The file
+    appears under `path` when the block is left (see `atomic_open`).
     """
+    with atomic_open(path) as handle:
+        handle.write("".join(f"# {c}\n" for c in comments) + header + "\n")
+        yield lambda columns: _write_rows(handle, columns)
+
+
+def write_csv(path, header: str, columns, comments: tuple[str, ...] = ()) -> None:
+    """Write equal-length columns as rows under a header line (see `csv_writer`)."""
+    with csv_writer(path, header, comments) as write:
+        write(columns)
+
+
+def _write_rows(handle, columns) -> None:
     lengths = {len(column) for column in columns}
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
     n_rows = lengths.pop() if lengths else 0
     width = len(columns)
-    with atomic_open(path) as handle:
-        handle.write("".join(f"# {c}\n" for c in comments) + header + "\n")
-        for start in range(0, n_rows, _BLOCK_ROWS):
-            block = [column[start:start + _BLOCK_ROWS] for column in columns]
-            block = [b.tolist() if isinstance(b, np.ndarray) else b for b in block]
-            cells = tuple(itertools.chain.from_iterable(zip(*block)))
-            if any(issubclass(t, str) for t in set(map(type, cells))):
-                fields = ["%s" if isinstance(v, str) else "%.12g" for v in cells]
-                template = "".join(
-                    ",".join(fields[i:i + width]) + "\n" for i in range(0, len(fields), width)
-                )
-            else:
-                template = (",".join(["%.12g"] * width) + "\n") * len(block[0])
-            handle.write(template % cells)
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        block = [column[start:start + _BLOCK_ROWS] for column in columns]
+        block = [b.tolist() if isinstance(b, np.ndarray) else b for b in block]
+        cells = tuple(itertools.chain.from_iterable(zip(*block)))
+        if any(issubclass(t, str) for t in set(map(type, cells))):
+            fields = ["%s" if isinstance(v, str) else "%.12g" for v in cells]
+            template = "".join(
+                ",".join(fields[i:i + width]) + "\n" for i in range(0, len(fields), width)
+            )
+        else:
+            template = (",".join(["%.12g"] * width) + "\n") * len(block[0])
+        handle.write(template % cells)
 
 
 def write_rows_csv(path, rows: list[Row], comments: tuple[str, ...] = ()) -> None:

@@ -2,17 +2,16 @@
 
 Welch averaging with a periodic Hann window at 50% overlap is the workhorse
 here, computed with numpy's real FFT.  `Welch` accumulates the estimate over
-a record that arrives in chunks, such as the engine's streamed output: each
+a record that arrives in chunks, as the engine hands its record out: each
 segment is windowed and transformed once its samples are in, at most about
 2**20 samples (or one segment, if that is longer) at a time, and only the
-partial segment at the end of a chunk is carried.  Its working memory is
-thus bounded by the chunk and that block, not by the record length, and
-`welch_psd` is the same estimate of a record held whole.  Density scaling is
-used throughout, so integrating a spectrum over a band returns the
-mean-square content of that band.  The dB helper offers two
-conventions: 20*log10 of the PSD value ("paper_20log", the convention the
-reference design's published numbers follow) and the physically standard
-10*log10 ("power_10log").
+partial segment at the end of a chunk is carried, so its working memory does
+not grow with the record.  `welch_psd` is the same estimate of an array held
+whole.  Density scaling is used throughout, so integrating a spectrum over a
+band returns the mean-square content of that band; band arithmetic reads only
+the bins in the band.  The dB helper offers two conventions: 20*log10 of the
+PSD value ("paper_20log", the convention the reference design's published
+numbers follow) and the physically standard 10*log10 ("power_10log").
 """
 
 from __future__ import annotations
@@ -243,19 +242,23 @@ def band_power(spectrum: Spectrum, f_center: float, bandwidth: float) -> float:
     lo = max(lo, 0.0)
     hi = min(hi, spectrum.f_max)
 
-    grid = spectrum.frequencies
-    values = spectrum.values
-    i0 = int(np.searchsorted(grid, lo, side="right"))
-    i1 = int(np.searchsorted(grid, hi, side="left"))
-    xs = np.concatenate(([lo], grid[i0:i1], [hi]))
-    ys = np.concatenate(
-        (
-            [np.interp(lo, grid, values)],
-            values[i0:i1],
-            [np.interp(hi, grid, values)],
-        )
-    )
+    df, values = spectrum.df, spectrum.values
+    # the bins strictly inside the band, and the two pairs around its edges
+    i0, i1 = _grid_index(lo, df, strict=True), _grid_index(hi, df, strict=False)
+    edges = [np.interp(f, [(i - 1) * df, i * df], values[i - 1 : i + 1])
+             for f, i in ((lo, i0), (hi, i1))]
+    xs = np.concatenate(([lo], np.arange(i0, i1) * df, [hi]))
+    ys = np.concatenate(([edges[0]], values[i0:i1], [edges[1]]))
     return float(np.trapezoid(ys, xs))
+
+
+def _grid_index(f: float, df: float, strict: bool) -> int:
+    """The first k >= 0 with k * df > f (>= f unless strict), f >= 0: as k * df
+    rounds as np.arange(n) * df does, np.searchsorted(grid, f, "right" or "left")."""
+    k = max(math.floor(f / df) - 2, 0)  # k * df < f, or k = 0
+    while k * df < f or (strict and k * df == f):
+        k += 1
+    return k
 
 
 def band_mean_psd(spectrum: Spectrum, f_center: float, bandwidth: float) -> float:
@@ -283,14 +286,13 @@ def to_db(psd_value: float, convention: str = DB_PAPER) -> float:
     raise ValueError(f"unknown dB convention {convention!r}")
 
 
-def parseval_ratio(spectrum: Spectrum, samples: np.ndarray) -> float:
-    """(sum of PSD * df) / (mean square of input); 1.0 for a perfect estimate.
+def parseval_ratio(spectrum: Spectrum, mean_square: float) -> float:
+    """(sum of PSD * df) / (mean square of the input); 1.0 for a perfect estimate.
 
     The rectangle sum is the exact discrete Parseval convention (one-sided
     scaling already weights the interior bins).
     """
     total = float(np.sum(spectrum.values) * spectrum.df)
-    mean_square = float(np.mean(np.asarray(samples, dtype=float) ** 2))
     if mean_square == 0:
         return 1.0 if total == 0 else math.inf
     return total / mean_square

@@ -22,14 +22,13 @@ positions and velocities need no common scale, and one code path serves
 defective and critically damped Phi as well.
 
 The engine works through the run in chunks of 2^16 steps and hands out each
-chunk's recorded samples as soon as they are formed.  `simulate` either
-collects them into a TimeSeries or passes them to per-channel sinks, such as
-`spectral.Welch.add`; a streamed run forms only the channels it is asked for
-and holds no record, so its memory does not grow with the run's length.
-Either way the sinks run in order on one worker thread, which takes each
-chunk through a one-slot handoff while the engine forms the next one; numpy
-releases the GIL in the scan's array operations, the noise draws and the
-FFTs, so on two cores the engine and, say, a Welch estimate overlap.
+chunk's recorded samples as soon as they are formed.  `simulate` passes them
+to one sink as a {channel: samples} dict, forming only the channels it is
+asked for and holding no record, so its memory does not grow with the run's
+length.  The sink runs on a worker thread, which takes each chunk through a
+one-slot handoff while the engine forms the next one; numpy releases the GIL
+in the scan's array operations, the noise draws and the FFTs, so on two
+cores the engine and, say, a Welch estimate overlap.
 
 Deterministic harmonic drives are sampled at the true substep times (full
 4th-order accuracy).  Stochastic thermal force is zero-order-hold per step:
@@ -47,15 +46,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .reports import write_csv
 from .sysmodel import Modes, SystemMatrices, mode_analysis
 
 # steps per period of the fastest mode
 _DEFAULT_STEPS_PER_PERIOD = 50
 _MIN_STEPS_PER_PERIOD = 20
-# recorded samples a collected run may hold, in bytes; streamed channels are
-# passed on chunk by chunk and hold nothing
-_MAX_RECORD_BYTES = 1 << 32
 _CHUNK_STEPS = 1 << 16
 # longest block of the prefix scan, and the largest growth |a|^-L (or |a|^L)
 # of its weights over one block
@@ -119,7 +114,6 @@ class SimulationPlan:
     duration: float  # s
     record_decimation: int = 1
     initial_state: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)  # x1 v1 x2 v2
-    record_velocity: bool = False
 
     def __post_init__(self) -> None:
         if self.dt <= 0:
@@ -147,27 +141,16 @@ class SimulationPlan:
 
 @dataclass
 class TimeSeries:
-    """Recorded displacement (and optionally velocity) samples.
-
-    A run that streamed its channels to sinks holds no arrays (all None);
-    n_samples still counts the samples it recorded.
-    """
+    """What a run recorded, without the samples, which went to its sink; x1,
+    x2, v1 and v2 always read None, for code written when runs returned them."""
 
     dt: float  # s, after decimation
-    x1: np.ndarray | None  # m
-    x2: np.ndarray | None  # m
-    v1: np.ndarray | None = None  # m/s
-    v2: np.ndarray | None = None
+    n_samples: int  # recorded samples
     metadata: dict = field(default_factory=dict)
-    n_samples: int | None = None  # None: the length of x1
-
-    def __post_init__(self) -> None:
-        if self.n_samples is None:
-            self.n_samples = self.x1.size
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_samples) * self.dt
+    x1: None = None
+    x2: None = None
+    v1: None = None
+    v2: None = None
 
 
 def default_timestep(modes: Modes) -> float:
@@ -237,24 +220,21 @@ def simulate(
     system: SystemMatrices,
     forcing: Forcing,
     plan: SimulationPlan,
-    sinks: dict | None = None,
+    sink,
+    channels: tuple[str, ...] = ("x1", "x2"),
 ) -> TimeSeries:
-    """Integrate the coupled equations of motion and record the trajectory.
+    """Integrate the coupled equations of motion and pass the record to sink.
 
     The classical RK4 recursion is evaluated as a blocked prefix scan (see
     the module docstring) in fixed-size chunks of steps, recording every
-    plan.record_decimation-th state.  metadata["scan_block"] is the scan's
-    block length L.
-
-    Without sinks the recorded channels (x1 and x2, plus v1 and v2 when
-    plan.record_velocity) are collected into the returned series.  sinks
-    maps channel names ("x1", "x2", "v1", "v2") to callables: only those
-    channels are formed, each chunk of recorded samples is passed on, and
-    the returned series holds no arrays.  The sinks are called in order on
-    one worker thread while the engine forms the next chunk, and the array
-    a sink is given is valid only during the call.  An exception a sink
-    raises stops the run and is raised here; the worker thread has ended
-    whenever simulate returns or raises.
+    plan.record_decimation-th state.  Only the requested channels (of "x1",
+    "x2", "v1", "v2") are formed.  sink is called with a {channel: samples}
+    dict for each chunk of recorded samples, the initial state first; the
+    calls come in order on one worker thread while the engine forms the
+    next chunk, and the arrays are valid only during the call.  An exception
+    the sink raises stops the run and is raised here; the worker thread has
+    ended whenever simulate returns or raises.  The returned series counts
+    the recorded samples; metadata["scan_block"] is the scan's block length L.
     """
     modes = mode_analysis(system)
     if plan.dt > 1.0 / (_MIN_STEPS_PER_PERIOD * modes.f2):
@@ -265,20 +245,8 @@ def simulate(
     n_steps = plan.n_steps
     if n_steps < 1:
         raise ValueError("duration shorter than one time step")
-    record = {}
-    if sinks is None:
-        names = list(_STATE_ROWS)[: 4 if plan.record_velocity else 2]
-        held = plan.n_samples * len(names) * 8
-        if held > _MAX_RECORD_BYTES:
-            raise ValueError(
-                f"the run would hold {held / 1e9:.3g} GB of recorded samples, above "
-                f"{_MAX_RECORD_BYTES / 1e9:.3g} GB: shorten sim.duration or raise "
-                "sim.decimation"
-            )
-        record = {name: np.empty(plan.n_samples) for name in names}
-        sinks = {name: _collector(data) for name, data in record.items()}
-    elif not sinks or set(sinks) - set(_STATE_ROWS):
-        raise ValueError(f"sinks {sorted(sinks)}: name one or more of x1, x2, v1, v2")
+    if not channels or set(channels) - set(_STATE_ROWS):
+        raise ValueError(f"channels {sorted(channels)}: name one or more of x1, x2, v1, v2")
     for d in forcing.harmonic:
         q_max = max(modes.modal_q1, modes.modal_q2)
         if math.isfinite(q_max) and plan.duration * d.frequency < 5.0 * q_max:
@@ -293,9 +261,9 @@ def simulate(
     block = _scan_block_length(phi)
 
     x0 = np.asarray(plan.initial_state, dtype=float)
-    rows = {name: row for name, row in _STATE_ROWS.items() if name in sinks}
+    rows = {name: row for name, row in _STATE_ROWS.items() if name in channels}
     first = 0  # index of the chunk's first sample in the record
-    with _SinkThread(sinks) as handoff:
+    with _SinkThread(sink) as handoff:
         for chunk in _run_scan(phi, g0, gm, g1, x0, forcing, plan, rows, block):
             for name, data in chunk.items():
                 if not np.isfinite(data).all():
@@ -316,57 +284,46 @@ def simulate(
         "f2_hz": modes.f2,
         "scan_block": block,
     }
-    return TimeSeries(
-        dt=plan.record_dt,
-        x1=record.get("x1"),
-        x2=record.get("x2"),
-        v1=record.get("v1"),
-        v2=record.get("v2"),
-        metadata=metadata,
-        n_samples=first,
-    )
+    return TimeSeries(dt=plan.record_dt, n_samples=first, metadata=metadata)
 
 
 class _SinkThread:
-    """Calls the sinks on one worker thread, chunk after chunk, in order.
+    """Calls the sink on one worker thread, chunk after chunk, in order.
 
     `put` hands a {channel: samples} chunk over through a one-slot handoff
     and waits only while the chunk before it is still in the slot, so the
     worker is at most two chunks behind: the one it is passing on and the
-    one in the slot.  The first exception a sink raises stops the worker and
-    is raised again by the next `put`, or on leaving the `with` block.
-    Leaving the block joins the worker, once every chunk handed over has
-    been passed on, or, when an exception leaves it, once the sink call
-    under way returns.
+    one in the slot.  The first exception the sink raises is raised again by
+    the `put` under way or the next one, or on leaving the `with` block, and
+    the worker drops every chunk after it.  Leaving the block joins the
+    worker, once every chunk handed over has been passed on, or, when an
+    exception leaves it, once the sink call under way returns.
     """
 
-    def __init__(self, sinks: dict):
-        self._sinks = sinks
+    def __init__(self, sink):
+        self._sink = sink
         self._cond = threading.Condition()
-        self._slot = []  # the chunk handed over and not yet taken
-        self._closed = False  # no chunk follows the one in the slot
-        self._error = None  # what a sink raised
-        self._thread = threading.Thread(target=self._work, name="crnoise-sinks", daemon=True)
+        self._slot = []  # the chunk handed over and not yet taken; None ends the run
+        self._error = None  # what the sink raised
+        self._thread = threading.Thread(target=self._work, name="crnoise-sink", daemon=True)
 
     def __enter__(self):
         self._thread.start()
         return self
 
-    def put(self, chunk: dict) -> None:
+    def put(self, chunk: dict | None) -> None:
         with self._cond:
-            while self._slot and self._error is None:
-                self._cond.wait()
-            if self._error is not None:
-                raise self._error
+            self._cond.wait_for(lambda: not self._slot)
             self._slot.append(chunk)
             self._cond.notify()
+        if chunk is not None and self._error is not None:
+            raise self._error
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        with self._cond:
-            if exc_type is not None:
-                self._slot.clear()
-            self._closed = True
-            self._cond.notify()
+        if exc_type is not None:
+            with self._cond:
+                self._slot.clear()  # the chunk not yet taken is not passed on
+        self.put(None)
         self._thread.join()
         if exc_type is None and self._error is not None:
             raise self._error
@@ -374,32 +331,16 @@ class _SinkThread:
     def _work(self) -> None:
         while True:
             with self._cond:
-                while not (self._slot or self._closed):
-                    self._cond.wait()
-                if not self._slot:
-                    return
+                self._cond.wait_for(lambda: self._slot)
                 chunk = self._slot.pop()
                 self._cond.notify()
-            try:
-                for name, data in chunk.items():
-                    self._sinks[name](data)
-            except BaseException as exc:
-                with self._cond:
-                    self._error = exc
-                    self._cond.notify()
+            if chunk is None:
                 return
-
-
-def _collector(out: np.ndarray):
-    """A sink that copies consecutive chunks into out."""
-    filled = 0
-
-    def take(chunk: np.ndarray) -> None:
-        nonlocal filled
-        out[filled : filled + chunk.size] = chunk
-        filled += chunk.size
-
-    return take
+            if self._error is None:
+                try:
+                    self._sink(chunk)
+                except BaseException as exc:
+                    self._error = exc
 
 
 def _accumulate(z, weights, f, tmp):
@@ -547,48 +488,52 @@ class SteadyStateAmplitude:
     phase_diff: float  # rad, phase2 - phase1 wrapped to (-pi, pi]
 
 
-def steady_state_amplitude(
-    series: TimeSeries, frequency: float, start_fraction: float = 0.5
-) -> SteadyStateAmplitude:
-    """Amplitude and phase of both channels at one frequency.
-
-    Single-bin discrete Fourier projection over the analysis window (the
-    final 1 - start_fraction of the record), Hann weighted so that leakage
-    from tones more than a few window widths away is rejected.  The window
-    must contain at least 50 cycles of the projected frequency.
+class SteadyStateProjection:
+    """Amplitude and phase of x1 and x2 at one frequency, accumulated over a
+    record of n_samples samples that arrives in chunks.  Single-bin discrete
+    Fourier projection over the analysis window (the final 1 - start_fraction
+    of the record), Hann weighted so that leakage from tones more than a few
+    window widths away is rejected.  The window must contain at least 50
+    cycles of the projected frequency, which is checked when it is built.
     """
-    if frequency <= 0:
-        raise ValueError("frequency must be > 0")
-    if not 0.0 <= start_fraction < 1.0:
-        raise ValueError("start_fraction must lie in [0, 1)")
-    n = series.n_samples
-    start = int(start_fraction * n)
-    n_win = n - start
-    cycles = (n_win - 1) * series.dt * frequency
-    if cycles < 50.0:
-        raise ValueError(
-            f"window too short: {cycles:.1f} cycles at {frequency:g} Hz, need >= 50"
-        )
 
-    k = np.arange(n_win)
-    window = 0.5 * (1.0 - np.cos(2.0 * math.pi * k / n_win))
-    t = (start + k) * series.dt
-    basis = np.exp(-2j * math.pi * frequency * t)
-    norm = window.sum()
+    def __init__(self, n_samples: int, dt: float, frequency: float,
+                 start_fraction: float = 0.5):
+        if frequency <= 0:
+            raise ValueError("frequency must be > 0")
+        if not 0.0 <= start_fraction < 1.0:
+            raise ValueError("start_fraction must lie in [0, 1)")
+        self.n_samples, self.dt, self.frequency = n_samples, dt, frequency
+        self._start = int(start_fraction * n_samples)
+        self._n_win = n_samples - self._start
+        cycles = (self._n_win - 1) * dt * frequency
+        if cycles < 50.0:
+            raise ValueError(
+                f"window too short: {cycles:.1f} cycles at {frequency:g} Hz, need >= 50"
+            )
+        self._sums = [0j, 0j]  # window- and basis-weighted sums of x1 and x2
+        self._seen = 0  # samples received
 
-    def project(x: np.ndarray) -> tuple[float, float]:
-        mean = np.sum(window * basis * x[start:]) / norm
-        # x = A sin(w t + p)  =>  projection = (A/2) exp(i (p - pi/2))
-        return 2.0 * abs(mean), float(np.angle(mean) + 0.5 * math.pi)
+    def add(self, chunk: dict) -> None:
+        """Take the record's next samples of x1 and x2."""
+        first = self._seen
+        self._seen += chunk["x1"].size
+        k = np.arange(max(first, self._start), self._seen) - self._start  # index in the window
+        if k.size:
+            window = 0.5 * (1.0 - np.cos(2.0 * math.pi * k / self._n_win))
+            t = (self._start + k) * self.dt
+            weights = window * np.exp(-2j * math.pi * self.frequency * t)
+            self._sums = [total + np.sum(weights * chunk[name][-k.size:])
+                          for total, name in zip(self._sums, ("x1", "x2"))]
 
-    amp1, phase1 = project(series.x1)
-    amp2, phase2 = project(series.x2)
-    diff = (phase2 - phase1 + math.pi) % (2.0 * math.pi) - math.pi
-    return SteadyStateAmplitude(
-        amp1=amp1, amp2=amp2, phase1=phase1, phase2=phase2, phase_diff=diff
-    )
-
-
-def write_timeseries_csv(series: TimeSeries, path, comments: tuple[str, ...] = ()) -> None:
-    """Write t_s,x1_m,x2_m rows; comment lines (prefixed '# ') go on top."""
-    write_csv(path, "t_s,x1_m,x2_m", (series.times, series.x1, series.x2), comments)
+    def result(self) -> SteadyStateAmplitude:
+        if self._seen != self.n_samples:
+            raise ValueError(f"projection took {self._seen} samples, expected {self.n_samples}")
+        # x = A sin(w t + p)  =>  projection = (A/2) exp(i (p - pi/2)); the
+        # periodic Hann window sums to n_win / 2
+        means = [total / (0.5 * self._n_win) for total in self._sums]
+        amp1, amp2 = (2.0 * abs(mean) for mean in means)
+        phase1, phase2 = (float(np.angle(mean) + 0.5 * math.pi) for mean in means)
+        diff = (phase2 - phase1 + math.pi) % (2.0 * math.pi) - math.pi
+        return SteadyStateAmplitude(amp1=amp1, amp2=amp2, phase1=phase1, phase2=phase2,
+                                    phase_diff=diff)

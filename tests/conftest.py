@@ -3,8 +3,11 @@
 The oracles here deliberately avoid the library's own code paths: modal
 quantities come from scipy's generalized eigensolver on the raw matrices,
 receptance cross-checks use a dense complex solve, and the RK4 reference is
-the textbook four-stage step written out by hand.
+the textbook four-stage step written out by hand.  `collect` joins the
+chunks a run hands its sink, for tests that check a record whole.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,11 +15,26 @@ import scipy.linalg
 
 from crnoise import presets
 from crnoise.sysmodel import SystemConfig
+from crnoise.timesim import simulate
 
 
 @pytest.fixture
 def reference_config() -> SystemConfig:
     return presets.reference_system()
+
+
+def collect(system, forcing, plan, channels=("x1", "x2")):
+    """Run the engine and join the chunks its sink is handed: a namespace
+    with one array per channel plus the run's dt, n_samples and metadata."""
+    chunks = {name: [] for name in channels}
+
+    def keep(chunk):
+        for name, data in chunk.items():
+            chunks[name].append(data.copy())
+
+    series = simulate(system, forcing, plan, keep, channels)
+    return SimpleNamespace(dt=series.dt, n_samples=series.n_samples, metadata=series.metadata,
+                           **{name: np.concatenate(parts) for name, parts in chunks.items()})
 
 
 def oracle_modes(mass: np.ndarray, stiffness: np.ndarray):

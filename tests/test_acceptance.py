@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 import numpy as np
-from conftest import oracle_stiffness_shifts
+from conftest import collect, oracle_stiffness_shifts
 
 from crnoise import presets, spectral
 from crnoise.noisebudget import (
@@ -41,9 +41,9 @@ from crnoise.timesim import (
     HarmonicDrive,
     SimulationPlan,
     StochasticDrive,
+    SteadyStateProjection,
     default_timestep,
     simulate,
-    steady_state_amplitude,
 )
 
 ENV = Environment(temperature=300.0, bandwidth=10.0)
@@ -162,8 +162,8 @@ def test_criterion_08a_equipartition():
     modes = mode_analysis(system)
     psd = thermal_force_psd(cfg.c1, ENV)
     plan = SimulationPlan(dt=default_timestep(modes), duration=30.0)
-    series = simulate(
-        system, Forcing(stochastic=StochasticDrive(psd, seed=123, target="1")), plan
+    series = collect(
+        system, Forcing(stochastic=StochasticDrive(psd, seed=123, target="1")), plan, ("x1",)
     )
     skip = int(0.05 * series.n_samples)
     x_sq = float(np.mean(series.x1[skip:] ** 2))
@@ -181,7 +181,8 @@ def _q500_system():
 
 @functools.lru_cache(maxsize=None)
 def _q500_thermal_spectrum():
-    """Thermal run of the Q=500 pair and its x1 Welch spectrum, computed once.
+    """Thermal run of the Q=500 pair, streamed into its x1 Welch spectrum and
+    mean square, computed once.
 
     Criteria 08b and 08d both check this spectrum, whichever runs first.
     """
@@ -194,11 +195,16 @@ def _q500_thermal_spectrum():
     duration = (segment * (1 + (n_segments - 1) * 0.5) + 1) * dt
     psd_force = thermal_force_psd(cfg.c1, ENV)
     plan = SimulationPlan(dt=dt, duration=duration)
-    series = simulate(
-        system, Forcing(stochastic=StochasticDrive(psd_force, seed=2718, target="1")), plan
-    )
-    spectrum = spectral.welch_psd(series.x1, dt, segment_length=segment)
-    return system, modes, psd_force, spectrum, series.x1
+    welch = spectral.Welch(plan.n_samples, dt, segment_length=segment)
+    square_sum = []
+
+    def sink(chunk):
+        welch.add(chunk["x1"])
+        square_sum.append(float(np.dot(chunk["x1"], chunk["x1"])))
+
+    simulate(system, Forcing(stochastic=StochasticDrive(psd_force, seed=2718, target="1")),
+             plan, sink, ("x1",))
+    return system, modes, psd_force, welch.spectrum(), sum(square_sum) / plan.n_samples
 
 
 def test_criterion_08b_simulated_psd_vs_analytic():
@@ -245,12 +251,13 @@ def test_criterion_08c_steady_state_amplitude():
     modes = mode_analysis(system)
     amplitude = 1e-6
     plan = SimulationPlan(dt=default_timestep(modes), duration=3.5)
+    projection = SteadyStateProjection(plan.n_samples, plan.record_dt, modes.f1,
+                                       start_fraction=0.6)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        series = simulate(
-            system, Forcing(harmonic=(HarmonicDrive(1, amplitude, modes.f1),)), plan
-        )
-    steady = steady_state_amplitude(series, modes.f1, start_fraction=0.6)
+        simulate(system, Forcing(harmonic=(HarmonicDrive(1, amplitude, modes.f1),)), plan,
+                 projection.add)
+    steady = projection.result()
     h = frequency_response(system, [modes.f1]).h[0]
     _check(failures, "x1 amplitude vs |h11|*F", steady.amp1, abs(h[0, 0]) * amplitude, 0.01)
     _check(failures, "x2 amplitude vs |h21|*F", steady.amp2, abs(h[1, 0]) * amplitude, 0.01)
@@ -259,27 +266,27 @@ def test_criterion_08c_steady_state_amplitude():
 
 def test_criterion_08d_parseval_on_emitted_spectra():
     failures = []
-    *_, q500_spectrum, q500_x1 = _q500_thermal_spectrum()
-    collected = [("thermal Q=500 x1", q500_spectrum, q500_x1)]
+    *_, q500_spectrum, q500_mean_square = _q500_thermal_spectrum()
+    collected = [("thermal Q=500 x1", q500_spectrum, q500_mean_square)]
 
     cfg = presets.uncoupled_system(q=100.0)
     system = build_system(cfg)
     modes = mode_analysis(system)
     plan = SimulationPlan(dt=default_timestep(modes), duration=2.0)
-    series = simulate(
+    series = collect(
         system,
         Forcing(stochastic=StochasticDrive(thermal_force_psd(cfg.c1, ENV), seed=5, target="1")),
         plan,
     )
     for name, samples in (("thermal x1", series.x1), ("silent x2", series.x2)):
-        collected.append((name, spectral.welch_psd(samples, series.dt), samples))
+        collected.append((name, spectral.welch_psd(samples, series.dt), np.mean(samples**2)))
 
     t = np.arange(200_000) * 1e-5
     tone = 2.5e-7 * np.sin(2 * np.pi * 1234.0 * t)
-    collected.append(("pure tone", spectral.welch_psd(tone, 1e-5), tone))
+    collected.append(("pure tone", spectral.welch_psd(tone, 1e-5), np.mean(tone**2)))
 
-    for name, spectrum, samples in collected:
-        ratio = spectral.parseval_ratio(spectrum, samples)
+    for name, spectrum, mean_square in collected:
+        ratio = spectral.parseval_ratio(spectrum, mean_square)
         if abs(ratio - 1.0) > 0.05:
             failures.append(f"{name}: Parseval ratio {ratio:.4f}")
     _report(8, f"(d) Parseval within 5% on {len(collected)} emitted spectra", failures)

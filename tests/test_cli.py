@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from crnoise import cli, config
+from crnoise import cli, config, timesim
 from crnoise.cli import SWEEP_SOURCES, main
 from crnoise.config import SCHEMA, build_run_config, parse_config_text
 from crnoise.errors import ConfigError
@@ -513,30 +513,94 @@ def test_sweep_simulate_floor_seeded(tmp_path):
 
 
 def test_simulated_budget_memory_flat_in_duration(tmp_path):
-    """The simulated budget route streams the engine into Welch: its traced
-    peak at 20 s is within 10% of that at 2 s (a held record is ~40 MB at
-    20 s).  A first run takes the one-time allocations."""
+    """Every command that simulates streams the engine's record: the
+    simulated budget route into Welch, psd and simulate into their sums and
+    timeseries.csv as well.  Each one's traced peak at 20 s is within 10% of
+    that at 2 s (a held record is ~40 MB at 20 s undecimated, ~4 MB at
+    decimation 10).  A first run takes the one-time allocations."""
     import contextlib
     import io
     import tracemalloc
 
-    def peak(duration: float) -> int:
-        cfg = tmp_path / f"budget_{duration}.cfg"
-        cfg.write_text("budget.x_psd_source = simulated\nforcing.noise_psd = auto\n"
-                       "forcing.noise_target = both\nanalysis.segment_length = 4096\n"
-                       f"sim.duration = {duration}\n")
+    noise = "forcing.noise_psd = auto\nanalysis.segment_length = 4096\n"
+    runs = {
+        "budget": noise + "budget.x_psd_source = simulated\nforcing.noise_target = both\n",
+        "psd": noise + "sim.decimation = 10\n",
+        "simulate": noise + "sim.decimation = 10\nforcing.harmonic_amplitude = 1e-6\n"
+                            "forcing.harmonic_frequency = mode1\n",
+    }
+
+    def peak(command: str, duration: float) -> int:
+        cfg = tmp_path / f"{command}_{duration}.cfg"
+        cfg.write_text(runs[command] + f"sim.duration = {duration}\n")
         tracemalloc.start()
         try:
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert run_cli("budget", "--config", str(cfg), "--seed", "3",
+            with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert run_cli(command, "--config", str(cfg), "--seed", "3",
                                "--out", str(tmp_path / "out")) == 0
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    peak(2.0)
-    short, long = peak(2.0), peak(20.0)
-    assert long <= 1.1 * short, (short, long)
+    for command in runs:
+        peak(command, 2.0)
+        short, long = peak(command, 2.0), peak(command, 20.0)
+        assert long <= 1.1 * short, (command, short, long)
+
+
+def test_too_short_record_fails_before_writing(tmp_path, capsys):
+    """A Welch segment longer than the record, or a steady-state window of
+    fewer than 50 drive cycles, is a config error naming the keys, raised
+    before any output is written."""
+    harmonic = "forcing.harmonic_amplitude = 1e-6\nforcing.harmonic_frequency = mode1\n"
+    cases = [
+        ("psd", "sim.duration = 0.05\nanalysis.segment_length = 65536\n",
+         ("analysis.segment_length", "sim.duration")),
+        ("psd", "sim.duration = 0.0002\n", ("analysis.segment_length", "sim.duration")),
+        ("simulate", harmonic + "sim.duration = 0.01\n",
+         ("sim.duration", "analysis.window_start_fraction")),
+    ]
+    for i, (command, text, keys) in enumerate(cases):
+        cfg = tmp_path / f"case{i}.cfg"
+        cfg.write_text(text)
+        out = tmp_path / f"out{i}"
+        out.mkdir()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cr-noise-lab: config error: "), err
+        assert all(key in err for key in keys), err
+        assert list(out.iterdir()) == []
+
+
+def test_outputs_independent_of_chunk_length(tmp_path, monkeypatch):
+    """Every file psd and simulate write is byte-identical whether the engine
+    hands out chunks of the default length or of 4096 steps."""
+    runs = {
+        "psd": NOISE_CFG,
+        "simulate": "forcing.noise_psd = auto\nsim.duration = 1.0\nsim.decimation = 7\n"
+                    "forcing.harmonic_amplitude = 1e-6\nforcing.harmonic_frequency = mode1\n",
+    }
+    for command, text in runs.items():
+        (tmp_path / f"{command}.cfg").write_text(text)
+    dirs = {}
+    default_steps = timesim._CHUNK_STEPS
+    for chunk_steps in (default_steps, 4096):
+        monkeypatch.setattr(timesim, "_CHUNK_STEPS", chunk_steps)
+        for command in runs:
+            out = dirs[command, chunk_steps] = tmp_path / f"{command}_{chunk_steps}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert run_cli(command, "--config", str(tmp_path / f"{command}.cfg"),
+                               "--seed", "9", "--out", str(out)) == 0
+    for command in runs:
+        default, small = dirs[command, default_steps], dirs[command, 4096]
+        names = sorted(p.name for p in default.iterdir())
+        assert names == sorted(p.name for p in small.iterdir()) and "timeseries.csv" in names
+        for name in names:
+            assert (default / name).read_bytes() == (small / name).read_bytes(), (command, name)
 
 
 # --- determinism and round-trip -----------------------------------------------------

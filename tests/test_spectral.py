@@ -168,7 +168,7 @@ def test_parseval_random_inputs():
         else:
             x = rng.standard_normal(n) + sine(1.0, 100.0, 1e-3, n) + rng.uniform(-1, 1)
         spectrum = welch_psd(x, 1e-3)
-        assert parseval_ratio(spectrum, x) == pytest.approx(1.0, abs=0.05)
+        assert parseval_ratio(spectrum, np.mean(x**2)) == pytest.approx(1.0, abs=0.05)
 
 
 # --- band_power -----------------------------------------------------------------
@@ -203,6 +203,48 @@ def test_band_power_additive():
     left = band_power(spectrum, 485.0, 30.0)
     right = band_power(spectrum, 515.0, 30.0)
     assert left + right == pytest.approx(total, rel=1e-12)
+
+
+def searchsorted_band_power(spectrum, f_center, bandwidth):
+    """band_power as it was written on the whole grid: the reference."""
+    lo = max(f_center - 0.5 * bandwidth, 0.0)
+    hi = min(f_center + 0.5 * bandwidth, spectrum.f_max)
+    grid, values = spectrum.frequencies, spectrum.values
+    i0 = int(np.searchsorted(grid, lo, side="right"))
+    i1 = int(np.searchsorted(grid, hi, side="left"))
+    xs = np.concatenate(([lo], grid[i0:i1], [hi]))
+    ys = np.concatenate(
+        ([np.interp(lo, grid, values)], values[i0:i1], [np.interp(hi, grid, values)])
+    )
+    return float(np.trapezoid(ys, xs))
+
+
+def test_band_power_equals_whole_grid_search():
+    """Bins found from df alone give the whole-grid result bit for bit, on
+    Welch-like grids, with band edges at, beside and between bins and
+    clamped to either end."""
+    from crnoise.spectral import Spectrum
+
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        segment = int(rng.choice([16, 100, 333, 4096, 1 << 17]))
+        df = 1.0 / (segment * (1.0 / rng.uniform(1e3, 2e5)))
+        n = segment // 2 + 1
+        values = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-30, 0)
+        spectrum = Spectrum(df=df, values=values, window="hann", segment_length=segment,
+                            overlap=0.5, n_segments=1)
+        f_max = spectrum.f_max
+        bandwidth = float(rng.choice([rng.uniform(0.1, 3.0) * df, rng.uniform(0, 0.3) * f_max,
+                                      int(rng.integers(1, 6)) * df]))
+        center = float(rng.choice([rng.uniform(0.0, f_max),
+                                   int(rng.integers(0, n)) * df + 0.5 * bandwidth,
+                                   int(rng.integers(0, n)) * df - 0.5 * bandwidth,
+                                   np.nextafter(int(rng.integers(0, n)) * df, np.inf),
+                                   0.0, f_max]))
+        if bandwidth == 0 or center + 0.5 * bandwidth <= 0 or center - 0.5 * bandwidth >= f_max:
+            continue
+        assert band_power(spectrum, center, bandwidth) == \
+            searchsorted_band_power(spectrum, center, bandwidth), (segment, df, center, bandwidth)
 
 
 def test_band_outside_grid_rejected():

@@ -9,30 +9,36 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import textbook_rk4_step
+from conftest import collect, textbook_rk4_step
 
-from crnoise import presets, spectral, timesim
+from crnoise import cli, presets, spectral, timesim
 from crnoise.errors import NumericalError
-from crnoise.reports import _BLOCK_ROWS
+from crnoise.reports import _BLOCK_ROWS, csv_writer
 from crnoise.sysmodel import build_system, frequency_response, mode_analysis
 from crnoise.timesim import (
     Forcing,
     HarmonicDrive,
     SimulationPlan,
+    SteadyStateProjection,
     StochasticDrive,
-    TimeSeries,
     default_timestep,
     simulate,
     _noise_streams,
-    steady_state_amplitude,
-    write_timeseries_csv,
 )
 
 
-def quiet_simulate(*args, **kwargs):
+CHANNELS = ("x1", "x2", "v1", "v2")
+
+
+def quiet(run, *args, **kwargs):
+    """run(*args, **kwargs) with the settling-guideline warning silenced."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return simulate(*args, **kwargs)
+        return run(*args, **kwargs)
+
+
+def quiet_collect(*args, **kwargs):
+    return quiet(collect, *args, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -214,9 +220,9 @@ def test_engine_matches_hand_stepped_rk4(reference, fraction, coupled):
     modes = mode_analysis(system)
     dt = default_timestep(modes)
     plan = SimulationPlan(dt=dt, duration=3000 * dt, record_decimation=2,
-                          initial_state=(1e-7, 0.0, -3e-8, 2e-4), record_velocity=True)
+                          initial_state=(1e-7, 0.0, -3e-8, 2e-4))
     forcing = oracle_test_forcing(modes)
-    series = quiet_simulate(system, forcing, plan)
+    series = quiet_collect(system, forcing, plan, CHANNELS)
     oracle = _hand_stepped_rk4(system, forcing, plan)[:: plan.record_decimation]
     for name, col in (("x1", 0), ("v1", 1), ("x2", 2), ("v2", 3)):
         got, want = getattr(series, name), oracle[:, col]
@@ -242,9 +248,9 @@ def test_engine_matches_exact_step_loop(reference, fraction, coupled, monkeypatc
     dt = default_timestep(modes)
     monkeypatch.setattr(timesim, "_CHUNK_STEPS", 8192)
     plan = SimulationPlan(dt=dt, duration=(3 * 4096 + 1234) * dt,
-                          initial_state=(1e-7, 0.0, -3e-8, 2e-4), record_velocity=True)
+                          initial_state=(1e-7, 0.0, -3e-8, 2e-4))
     forcing = oracle_test_forcing(modes)
-    series = quiet_simulate(system, forcing, plan)
+    series = quiet_collect(system, forcing, plan, CHANNELS)
     oracle = _exact_step_loop(system, forcing, plan)
     for name, col in (("x1", 0), ("v1", 1), ("x2", 2), ("v2", 3)):
         got, want = getattr(series, name), oracle[:, col]
@@ -263,7 +269,8 @@ def test_engine_matches_exact_step_loop(reference, fraction, coupled, monkeypatc
 def test_zero_forcing_zero_output(reference):
     _, system, modes = reference
     plan = SimulationPlan(dt=default_timestep(modes), duration=0.01)
-    series = simulate(system, Forcing(), plan)
+    series = collect(system, Forcing(), plan)
+    assert series.x1.size == plan.n_samples
     assert np.all(series.x1 == 0.0)
     assert np.all(series.x2 == 0.0)
 
@@ -272,15 +279,15 @@ def test_dt_bound_enforced(reference):
     _, system, modes = reference
     plan = SimulationPlan(dt=1.0 / (10 * modes.f2), duration=0.01)
     with pytest.raises(ValueError, match="dt"):
-        simulate(system, Forcing(), plan)
+        collect(system, Forcing(), plan)
 
 
 def test_determinism_same_seed(reference):
     _, system, modes = reference
     plan = SimulationPlan(dt=default_timestep(modes), duration=0.05)
     forcing = Forcing(stochastic=StochasticDrive(force_psd=5.1e-23, seed=99, target="1"))
-    a = simulate(system, forcing, plan)
-    b = simulate(system, forcing, plan)
+    a = collect(system, forcing, plan)
+    b = collect(system, forcing, plan)
     assert np.array_equal(a.x1, b.x1)
     assert np.array_equal(a.x2, b.x2)
 
@@ -294,7 +301,7 @@ def test_concurrent_runs_match_serial(reference):
 
     def run(seed):
         forcing = Forcing(stochastic=StochasticDrive(5.1e-23, seed=seed, target="1"))
-        return simulate(system, forcing, plan)
+        return collect(system, forcing, plan)
 
     serial = [run(seed) for seed in (1, 2, 3, 4)]
     with ThreadPoolExecutor(max_workers=4) as pool:
@@ -304,19 +311,19 @@ def test_concurrent_runs_match_serial(reference):
         assert np.array_equal(a.x2, b.x2)
 
 
-def chunk_test_run(system, modes, n_steps, decimation=1, sinks=None):
-    """Thermal and harmonic drive together, every channel recorded (or streamed)."""
+def chunk_test_run(system, modes, n_steps, decimation=1, sink=None, channels=None):
+    """Thermal and harmonic drive together, every channel (or those named)
+    collected, or handed to sink."""
     dt = default_timestep(modes)
     forcing = Forcing(
         harmonic=(HarmonicDrive(1, 1e-6, modes.f1, 0.3),),
         stochastic=StochasticDrive(force_psd=5.1e-23, seed=4, target="both"),
     )
-    plan = SimulationPlan(dt=dt, duration=n_steps * dt, record_decimation=decimation,
-                          record_velocity=True)
-    return quiet_simulate(system, forcing, plan, sinks=sinks)
-
-
-CHANNELS = ("x1", "x2", "v1", "v2")
+    plan = SimulationPlan(dt=dt, duration=n_steps * dt, record_decimation=decimation)
+    channels = CHANNELS if channels is None else channels
+    if sink is None:
+        return quiet_collect(system, forcing, plan, channels)
+    return quiet(simulate, system, forcing, plan, sink, channels)
 
 
 def test_decimation_subsamples(reference, monkeypatch):
@@ -343,26 +350,33 @@ def test_trajectory_independent_of_chunk_size(reference, monkeypatch):
             assert np.array_equal(getattr(cut, name), getattr(whole, name))
 
 
-def streamed(names):
-    """Sinks that keep a copy of every chunk they are passed."""
-    chunks = {name: [] for name in names}
-    return chunks, {name: (lambda c, keep=chunks[name]: keep.append(c.copy())) for name in names}
+def streamed():
+    """A sink that keeps a copy of every chunk it is passed, and the chunks."""
+    chunks = []
+    return chunks, lambda chunk: chunks.append({k: v.copy() for k, v in chunk.items()})
 
 
 def test_streamed_chunks_match_record(reference, monkeypatch):
-    """Chunks passed to sinks, joined, are the collected record, bit for bit."""
+    """The sink gets the record's chunks in order, the initial state first:
+    joined, they are a one-chunk run's record, bit for bit.  The returned
+    series counts the samples and holds none."""
     _, system, modes = reference
-    monkeypatch.setattr(timesim, "_CHUNK_STEPS", 4096)
     n_steps = 3 * 4096 + 1234
     for decimation in (1, 5, 7, 5000):
-        whole = chunk_test_run(system, modes, n_steps, decimation)
-        chunks, sinks = streamed(CHANNELS)
-        series = chunk_test_run(system, modes, n_steps, decimation, sinks)
-        assert series.n_samples == whole.n_samples
+        monkeypatch.undo()
+        whole = chunk_test_run(system, modes, n_steps, decimation)  # one chunk
+        monkeypatch.setattr(timesim, "_CHUNK_STEPS", 4096)
+        chunks, sink = streamed()
+        series = chunk_test_run(system, modes, n_steps, decimation, sink)
+        assert series.n_samples == whole.n_samples == 1 + n_steps // decimation
+        assert series.dt == pytest.approx(decimation * default_timestep(modes))
         assert all(getattr(series, name) is None for name in CHANNELS)
+        assert len(chunks) == min(5, 1 + n_steps // decimation)
+        assert all(list(chunk) == list(CHANNELS) for chunk in chunks)
+        assert chunks[0]["x1"].size == 1
         for name in CHANNELS:
-            assert len(chunks[name]) == min(5, 1 + n_steps // decimation)
-            assert np.array_equal(np.concatenate(chunks[name]), getattr(whole, name))
+            joined = np.concatenate([chunk[name] for chunk in chunks])
+            assert np.array_equal(joined, getattr(whole, name))
 
 
 def test_streamed_run_forms_only_requested_channels(reference, monkeypatch):
@@ -376,34 +390,37 @@ def test_streamed_run_forms_only_requested_channels(reference, monkeypatch):
             yield chunk
 
     monkeypatch.setattr(timesim, "_run_scan", spy)
-    chunks, sinks = streamed(["x2"])
-    series = chunk_test_run(system, modes, 5000, 3, sinks)
+    chunks, sink = streamed()
+    series = chunk_test_run(system, modes, 5000, 3, sink, channels=("x2",))
     assert formed == {"x2"}
-    assert sum(c.size for c in chunks["x2"]) == series.n_samples == 5000 // 3 + 1
-    with pytest.raises(ValueError, match="x1, x2, v1, v2"):
-        chunk_test_run(system, modes, 100, 1, {"x3": print})
+    assert all(list(chunk) == ["x2"] for chunk in chunks)
+    assert sum(c["x2"].size for c in chunks) == series.n_samples == 5000 // 3 + 1
+    for channels in (("x3",), ("x1", "x3"), ()):
+        with pytest.raises(ValueError, match="x1, x2, v1, v2"):
+            chunk_test_run(system, modes, 100, 1, print, channels)
 
 
 def test_non_finite_sample_named_alike_when_streamed(reference, monkeypatch):
-    """A growing (negatively damped) pair overflows in its third chunk; both
-    paths name the same record sample, and the record before it is finite."""
+    """A growing (negatively damped) pair overflows in its third chunk; runs
+    that form different channels name the same record sample, and the record
+    before it is finite."""
     _, system, modes = reference
     monkeypatch.setattr(timesim, "_CHUNK_STEPS", 4096)
     unstable = dataclasses.replace(system, damping=-1000.0 * system.damping)
     dt = default_timestep(modes)
 
-    def run(n_steps, sinks=None):
+    def run(n_steps, channels=("x1", "x2")):
         plan = SimulationPlan(dt=dt, duration=n_steps * dt, record_decimation=3,
                               initial_state=(1e-7, 0.0, 0.0, 0.0))
         with np.errstate(all="ignore"):
-            return simulate(unstable, Forcing(), plan, sinks=sinks)
+            return collect(unstable, Forcing(), plan, channels)
 
     messages = []
-    for sinks in (None, streamed(["x2", "x1"])[1]):
+    for channels in (("x1", "x2"), ("x2", "x1"), CHANNELS):
         with pytest.raises(NumericalError, match="non-finite x1") as caught:
-            run(60_000, sinks)
+            run(60_000, channels)
         messages.append(str(caught.value))
-    assert messages[0] == messages[1]
+    assert len(set(messages)) == 1
     bad = int(re.search(r"sample (\d+)", messages[0]).group(1))
     assert bad * 3 > 2 * 4096
     before = run(3 * (bad - 1))
@@ -421,12 +438,12 @@ def test_slow_sink_sees_its_chunk_unchanged(reference, monkeypatch):
         changed, kept = [], []
 
         def slow(chunk):
-            copy = chunk.copy()
+            copy = chunk["x1"].copy()
             time.sleep(0.02)
-            changed.append(not np.array_equal(chunk, copy))
+            changed.append(not np.array_equal(chunk["x1"], copy))
             kept.append(copy)
 
-        chunk_test_run(system, modes, n_steps, decimation, {"x1": slow})
+        chunk_test_run(system, modes, n_steps, decimation, slow, ("x1",))
         assert len(kept) == (8 if decimation < 5000 else 6) and not any(changed)
         assert np.array_equal(np.concatenate(kept), whole.x1)
 
@@ -449,14 +466,14 @@ def test_sink_error_stops_the_run(reference, monkeypatch):
     passed = []
 
     def failing(chunk):
-        passed.append(chunk.size)
+        passed.append(chunk["x1"].size)
         if len(passed) == 3:
             time.sleep(0.05)  # the engine runs ahead meanwhile
             raise error
 
     threads = threading.active_count()
     with pytest.raises(RuntimeError) as caught:
-        chunk_test_run(system, modes, 20 * 4096, 1, {"x1": failing})
+        chunk_test_run(system, modes, 20 * 4096, 1, failing, ("x1",))
     assert caught.value is error
     assert len(passed) == 3
     assert len(formed) <= 5  # at most the slot's chunk and one more were formed
@@ -465,7 +482,8 @@ def test_sink_error_stops_the_run(reference, monkeypatch):
 
 def test_engine_side_errors_leave_no_thread(reference, monkeypatch):
     """The engine's NumericalError, and an interrupt while the engine runs,
-    stop and join the sink worker."""
+    stop and join the sink worker; the chunk waiting in the slot when the
+    interrupt comes is not passed on."""
     _, system, modes = reference
     monkeypatch.setattr(timesim, "_CHUNK_STEPS", 4096)
     unstable = dataclasses.replace(system, damping=-1000.0 * system.damping)
@@ -473,9 +491,9 @@ def test_engine_side_errors_leave_no_thread(reference, monkeypatch):
     plan = SimulationPlan(dt=dt, duration=60_000 * dt, record_decimation=3,
                           initial_state=(1e-7, 0.0, 0.0, 0.0))
     threads = threading.active_count()
-    for sinks in (None, streamed(["x1"])[1]):
+    for channels in (("x1",), CHANNELS):
         with pytest.raises(NumericalError), np.errstate(all="ignore"):
-            simulate(unstable, Forcing(), plan, sinks=sinks)
+            simulate(unstable, Forcing(), plan, streamed()[1], channels)
         assert threading.active_count() == threads
 
     scan = timesim._run_scan
@@ -486,35 +504,24 @@ def test_engine_side_errors_leave_no_thread(reference, monkeypatch):
                 raise KeyboardInterrupt
             yield chunk
 
+    def slow(chunk):
+        time.sleep(0.05)
+        passed.append(chunk)
+
     monkeypatch.setattr(timesim, "_run_scan", interrupted)
+    passed = []
     with pytest.raises(KeyboardInterrupt):
-        simulate(system, Forcing(), dataclasses.replace(plan, initial_state=(0.0,) * 4),
-                 sinks={"x1": lambda chunk: time.sleep(0.01)})
+        simulate(system, Forcing(), dataclasses.replace(plan, initial_state=(0.0,) * 4), slow)
     assert threading.active_count() == threads
+    assert len(passed) == 2  # chunk 1 was under way and chunk 2 in the slot
 
 
-def test_record_bound_checked_before_the_run(reference, monkeypatch):
-    """What a collected run would hold (samples x channels x 8 B) is bounded;
-    streamed channels hold nothing and are not."""
-    _, system, modes = reference
-    dt = default_timestep(modes)
-    plan = SimulationPlan(dt=dt, duration=1000 * dt, record_decimation=4)
-    held = (1000 // 4 + 1) * 2 * 8
-    monkeypatch.setattr(timesim, "_MAX_RECORD_BYTES", held)
-    assert simulate(system, Forcing(), plan).n_samples == 251
-
-    def no_run(*args):
-        raise AssertionError("the engine ran")
-
-    monkeypatch.setattr(timesim, "_run_scan", no_run)
-    with pytest.raises(ValueError, match="sim.duration.*sim.decimation"):
-        simulate(system, Forcing(), dataclasses.replace(plan, record_velocity=True))
-    monkeypatch.setattr(timesim, "_MAX_RECORD_BYTES", held - 1)
-    with pytest.raises(ValueError, match="sim.duration.*sim.decimation"):
-        simulate(system, Forcing(), plan)
-    monkeypatch.undo()  # the engine runs again
-    monkeypatch.setattr(timesim, "_MAX_RECORD_BYTES", 0)
-    assert simulate(system, Forcing(), plan, sinks={"x1": len, "x2": len}).n_samples == 251
+def settled(system, forcing, plan, start_fraction=0.5):
+    """The steady-state projection of a run, at its first drive's frequency."""
+    steady = SteadyStateProjection(plan.n_samples, plan.record_dt,
+                                   forcing.harmonic[0].frequency, start_fraction)
+    quiet(simulate, system, forcing, plan, steady.add)
+    return steady.result()
 
 
 def test_steady_state_matches_receptance(reference):
@@ -522,8 +529,7 @@ def test_steady_state_matches_receptance(reference):
     amplitude = 1e-6
     plan = SimulationPlan(dt=default_timestep(modes), duration=3.5)
     forcing = Forcing(harmonic=(HarmonicDrive(1, amplitude, modes.f1),))
-    series = quiet_simulate(system, forcing, plan)
-    steady = steady_state_amplitude(series, modes.f1, start_fraction=0.6)
+    steady = settled(system, forcing, plan, start_fraction=0.6)
     h = frequency_response(system, [modes.f1]).h[0]
     assert steady.amp1 == pytest.approx(abs(h[0, 0]) * amplitude, rel=0.01)
     assert steady.amp2 == pytest.approx(abs(h[0, 1]) * amplitude, rel=0.01)
@@ -535,20 +541,16 @@ def test_drive_sized_for_published_displacement(reference):
     h11 = abs(frequency_response(system, [modes.f1]).h[0, 0, 0])
     amplitude = 0.419e-6 / h11
     plan = SimulationPlan(dt=default_timestep(modes), duration=3.5)
-    series = quiet_simulate(
-        system, Forcing(harmonic=(HarmonicDrive(1, amplitude, modes.f1),)), plan
-    )
-    steady = steady_state_amplitude(series, modes.f1, start_fraction=0.6)
+    steady = settled(system, Forcing(harmonic=(HarmonicDrive(1, amplitude, modes.f1),)), plan,
+                     start_fraction=0.6)
     assert steady.amp1 == pytest.approx(0.419e-6, rel=0.01)
 
 
 def test_linearity(reference):
     _, system, modes = reference
     plan = SimulationPlan(dt=default_timestep(modes), duration=2.5)
-    low = quiet_simulate(system, Forcing(harmonic=(HarmonicDrive(1, 1e-6, modes.f1),)), plan)
-    high = quiet_simulate(system, Forcing(harmonic=(HarmonicDrive(1, 2e-6, modes.f1),)), plan)
-    a_low = steady_state_amplitude(low, modes.f1).amp1
-    a_high = steady_state_amplitude(high, modes.f1).amp1
+    a_low = settled(system, Forcing(harmonic=(HarmonicDrive(1, 1e-6, modes.f1),)), plan).amp1
+    a_high = settled(system, Forcing(harmonic=(HarmonicDrive(1, 2e-6, modes.f1),)), plan).amp1
     assert a_high / a_low == pytest.approx(2.0, rel=1e-3)
 
 
@@ -558,9 +560,9 @@ def test_superposition_same_seed(reference):
     plan = SimulationPlan(dt=dt, duration=4000 * dt)
     noise = StochasticDrive(force_psd=5.1e-23, seed=21, target="1")
     harmonic = (HarmonicDrive(1, 1e-6, modes.f1),)
-    both = quiet_simulate(system, Forcing(harmonic=harmonic, stochastic=noise), plan)
-    only_noise = quiet_simulate(system, Forcing(stochastic=noise), plan)
-    only_harm = quiet_simulate(system, Forcing(harmonic=harmonic), plan)
+    both = quiet_collect(system, Forcing(harmonic=harmonic, stochastic=noise), plan)
+    only_noise = quiet_collect(system, Forcing(stochastic=noise), plan)
+    only_harm = quiet_collect(system, Forcing(harmonic=harmonic), plan)
     residual = both.x1 - only_noise.x1 - only_harm.x1
     assert np.max(np.abs(residual)) <= 1e-10 * np.max(np.abs(both.x1))
 
@@ -573,10 +575,8 @@ def test_halving_dt_converged_steady_state():
     for divisor in (50.0, 100.0):
         dt = 1.0 / (divisor * modes.f2)
         plan = SimulationPlan(dt=dt, duration=3.0)
-        series = quiet_simulate(
-            system, Forcing(harmonic=(HarmonicDrive(1, 1e-6, f0),)), plan
-        )
-        amps.append(steady_state_amplitude(series, f0, start_fraction=0.7).amp1)
+        forcing = Forcing(harmonic=(HarmonicDrive(1, 1e-6, f0),))
+        amps.append(settled(system, forcing, plan, start_fraction=0.7).amp1)
     assert abs(amps[0] - amps[1]) / amps[1] < 1e-4
 
 
@@ -587,14 +587,15 @@ def test_free_decay_envelope():
     dt = default_timestep(modes)
     plan = SimulationPlan(dt=dt, duration=80 * q / f0 / math.pi,
                           initial_state=(1e-6, 0.0, 0.0, 0.0))
-    series = simulate(system, Forcing(), plan)
+    series = collect(system, Forcing(), plan)
+    times = np.arange(series.n_samples) * series.dt
 
     def window_amplitude(center_cycle: float) -> float:
         # short 5-cycle Hann projection around the requested cycle count
         half = int(2.5 / (f0 * series.dt))
         mid = int(center_cycle / (f0 * series.dt))
         sl = slice(mid - half, mid + half)
-        t = series.times[sl]
+        t = times[sl]
         w = 0.5 * (1 - np.cos(2 * np.pi * np.arange(t.size) / t.size))
         proj = np.sum(w * series.x1[sl] * np.exp(-2j * np.pi * f0 * t)) / w.sum()
         return 2 * abs(proj)
@@ -612,7 +613,7 @@ def test_equipartition_value():
     cfg, system, modes = single_resonator(q=100.0)
     psd = thermal_force_psd(cfg.c1, Environment())
     plan = SimulationPlan(dt=default_timestep(modes), duration=12.0)
-    series = simulate(system, Forcing(stochastic=StochasticDrive(psd, seed=314, target="1")), plan)
+    series = collect(system, Forcing(stochastic=StochasticDrive(psd, seed=314, target="1")), plan)
     skip = int(0.1 * series.n_samples)
     x_sq = float(np.mean(series.x1[skip:] ** 2))
     assert x_sq == pytest.approx(BOLTZMANN * 300.0 / cfg.km1, rel=0.10)
@@ -620,15 +621,23 @@ def test_equipartition_value():
 
 # --- steady-state projection -----------------------------------------------------
 
-def synthetic_series(dt, n, make):
+def project(x1, x2, dt, frequency, start_fraction, chunk=7777):
+    """SteadyStateProjection of two arrays, fed in chunks of `chunk` samples."""
+    steady = SteadyStateProjection(x1.size, dt, frequency, start_fraction)
+    for i in range(0, x1.size, chunk):
+        steady.add({"x1": x1[i:i + chunk], "x2": x2[i:i + chunk]})
+    return steady.result()
+
+
+def synthetic(dt, n, make, start_fraction=0.0):
+    """Projection of x1 = make(t) (x2 silent) at the frequency make was given."""
     t = np.arange(n) * dt
-    return TimeSeries(dt=dt, x1=make(t), x2=np.zeros(n))
+    return lambda f: project(make(t), np.zeros(n), dt, f, start_fraction)
 
 
 def test_projection_pure_sine():
     dt, f, amp, phase = 1e-5, 997.0, 3.2e-7, 0.7
-    series = synthetic_series(dt, 40000, lambda t: amp * np.sin(2 * np.pi * f * t + phase))
-    steady = steady_state_amplitude(series, f, start_fraction=0.0)
+    steady = synthetic(dt, 40000, lambda t: amp * np.sin(2 * np.pi * f * t + phase))(f)
     assert steady.amp1 == pytest.approx(amp, rel=1e-3)
     assert steady.phase1 == pytest.approx(phase, abs=1e-3)
 
@@ -638,38 +647,62 @@ def test_projection_rejects_far_tone():
     n = 40000
     window = n * dt  # 0.4 s; 5/T = 12.5 Hz
     f2 = f + 5.0 / window
-    series = synthetic_series(
+    steady = synthetic(
         dt, n,
         lambda t: 1e-6 * np.sin(2 * np.pi * f * t) + 1e-6 * np.sin(2 * np.pi * f2 * t + 0.3),
-    )
-    steady = steady_state_amplitude(series, f, start_fraction=0.0)
+    )(f)
     assert steady.amp1 == pytest.approx(1e-6, rel=0.01)
 
 
 def test_projection_window_too_short():
-    series = synthetic_series(1e-5, 1000, lambda t: np.sin(2 * np.pi * 100 * t))
+    """Checked when the projection is built, before any sample arrives."""
     with pytest.raises(ValueError, match="window too short"):
-        steady_state_amplitude(series, 100.0, start_fraction=0.5)
+        SteadyStateProjection(1000, 1e-5, 100.0, start_fraction=0.5)
+    steady = SteadyStateProjection(1000, 1e-5, 12000.0, start_fraction=0.5)
+    steady.add({"x1": np.zeros(999), "x2": np.zeros(999)})
+    with pytest.raises(ValueError, match="999 samples, expected 1000"):
+        steady.result()
 
 
 def test_phase_difference_sign():
     dt, f = 1e-5, 500.0
     t = np.arange(50000) * dt
-    series = TimeSeries(
-        dt=dt,
-        x1=np.sin(2 * np.pi * f * t),
-        x2=np.sin(2 * np.pi * f * t + 0.25),
-    )
-    steady = steady_state_amplitude(series, f, start_fraction=0.0)
+    steady = project(np.sin(2 * np.pi * f * t), np.sin(2 * np.pi * f * t + 0.25), dt, f, 0.0)
     assert steady.phase_diff == pytest.approx(0.25, abs=1e-3)
+
+
+def test_projection_independent_of_chunking():
+    """Chunked, the projection is the whole-record Hann projection over the
+    final 1 - start_fraction of the samples, to rounding."""
+    rng = np.random.default_rng(8)
+    dt, f, n, start_fraction = 1e-5, 1234.5, 30011, 0.37
+    x1, x2 = rng.standard_normal((2, n))
+    start = int(start_fraction * n)
+    k = np.arange(n - start)
+    window = 0.5 * (1.0 - np.cos(2.0 * np.pi * k / k.size))
+    basis = np.exp(-2j * np.pi * f * (start + k) * dt)
+    want = [np.sum(window * basis * x[start:]) / window.sum() for x in (x1, x2)]
+    for chunk in (1, 999, start, n):
+        steady = project(x1, x2, dt, f, start_fraction, chunk)
+        assert steady.amp1 == pytest.approx(2 * abs(want[0]), rel=1e-12)
+        assert steady.amp2 == pytest.approx(2 * abs(want[1]), rel=1e-12)
+        assert steady.phase1 == pytest.approx(np.angle(want[0]) + np.pi / 2, abs=1e-12)
 
 
 # --- CSV export -------------------------------------------------------------------
 
+def write_timeseries(path, x1, x2, dt, comments, chunk):
+    """The CLI's timeseries.csv writer, fed x1 and x2 in chunks."""
+    with csv_writer(path, cli.TIMESERIES_HEADER, comments) as write:
+        add = cli._timeseries_sink(write, dt, {})
+        for i in range(0, x1.size, chunk):
+            add({"x1": x1[i:i + chunk], "x2": x2[i:i + chunk]})
+
+
 def test_timeseries_csv_format(tmp_path):
-    series = TimeSeries(dt=0.5, x1=np.array([0.0, 1e-9]), x2=np.array([2e-9, -1e-9]))
     path = tmp_path / "ts.csv"
-    write_timeseries_csv(series, path, comments=("alpha = 1",))
+    write_timeseries(path, np.array([0.0, 1e-9]), np.array([2e-9, -1e-9]), 0.5,
+                     ("alpha = 1",), chunk=1)
     lines = path.read_text().splitlines()
     assert lines[0] == "# alpha = 1"
     assert lines[1] == "t_s,x1_m,x2_m"
@@ -679,17 +712,20 @@ def test_timeseries_csv_format(tmp_path):
 
 
 def test_timeseries_csv_matches_savetxt(tmp_path):
-    """Byte-equal to np.savetxt(fmt="%.12g") over several formatting blocks."""
+    """Byte-equal to np.savetxt(fmt="%.12g") of the times np.arange(n) * dt,
+    over several formatting blocks, whatever chunks the samples come in."""
     rng = np.random.default_rng(3)
     n = 3 * _BLOCK_ROWS + 11
     x1 = rng.standard_normal(n) * 1e-9
     x1[:4] = (0.0, -0.0, 1.0, 1e-300)
-    series = TimeSeries(dt=1.0 / 123456.7, x1=x1, x2=rng.standard_normal(n) * 3e-11)
-    path = tmp_path / "ts.csv"
-    write_timeseries_csv(series, path, comments=("alpha = 1", "beta = 2"))
+    x2 = rng.standard_normal(n) * 3e-11
+    dt = 1.0 / 123456.7
     reference = tmp_path / "reference.csv"
     with open(reference, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("# alpha = 1\n# beta = 2\nt_s,x1_m,x2_m\n")
-        np.savetxt(handle, np.column_stack((series.times, series.x1, series.x2)),
+        np.savetxt(handle, np.column_stack((np.arange(n) * dt, x1, x2)),
                    fmt="%.12g", delimiter=",")
-    assert path.read_bytes() == reference.read_bytes()
+    for chunk in (n, _BLOCK_ROWS + 1, 1000):
+        path = tmp_path / f"ts_{chunk}.csv"
+        write_timeseries(path, x1, x2, dt, ("alpha = 1", "beta = 2"), chunk)
+        assert path.read_bytes() == reference.read_bytes()
