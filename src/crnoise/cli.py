@@ -138,7 +138,9 @@ def cmd_modes(run: RunConfig, args) -> int:
 
 # --- budget ------------------------------------------------------------------
 
-def _x_psd_inputs(run: RunConfig) -> tuple[tuple[float, float], str]:
+def _x_psd_inputs(run: RunConfig, modes) -> tuple[tuple[float, float], str]:
+    """The displacement-noise PSD at each mode, and its label; modes are the
+    run's solved modes."""
     source = run.get("budget.x_psd_source")
     if source == "paper":
         return (
@@ -147,7 +149,7 @@ def _x_psd_inputs(run: RunConfig) -> tuple[tuple[float, float], str]:
         )
     if source == "analytic":
         psd = analytic_displacement_psd(
-            run.system, run.environment, run.get("forcing.noise_target")
+            run.system, run.environment, run.get("forcing.noise_target"), modes
         )
         return psd, "|h|^2 * S_F"
     # simulated
@@ -155,14 +157,16 @@ def _x_psd_inputs(run: RunConfig) -> tuple[tuple[float, float], str]:
         raise ConfigError(
             "forcing.noise_psd: stochastic forcing required (set it to auto or > 0)"
         )
-    system, modes, plan, forcing = _sim_inputs(run)
+    system, modes, plan, forcing = _sim_inputs(run, modes)
     return tuple(_band_floors(run, system, modes, plan, forcing, ("x1",))), "simulated spectrum"
 
 
 def _budget_report(run: RunConfig) -> tuple[NoiseBudgetReport, str]:
-    x_psd, label = _x_psd_inputs(run)
+    """The noise budget, with the run's eigenproblem solved once for every stage."""
+    modes = sysmodel.mode_analysis(sysmodel.build_system(run.system))
+    x_psd, label = _x_psd_inputs(run, modes)
     report = full_noise_budget(
-        run.system, run.environment, run.transducer, run.readout, x_psd
+        run.system, run.environment, run.transducer, run.readout, x_psd, modes
     )
     return report, label
 
@@ -223,9 +227,11 @@ def cmd_budget(run: RunConfig, args) -> int:
 
 # --- simulate / psd ----------------------------------------------------------
 
-def _sim_inputs(run: RunConfig):
+def _sim_inputs(run: RunConfig, modes=None):
+    """(system, modes, plan, forcing) of a run; modes are solved when not given."""
     system = sysmodel.build_system(run.system)
-    modes = sysmodel.mode_analysis(system)
+    if modes is None:
+        modes = sysmodel.mode_analysis(system)
     return system, modes, run.make_plan(modes), run.make_forcing(modes)
 
 

@@ -151,18 +151,21 @@ def thermal_budget(
     env: Environment,
     transducer: TransducerConfig,
     x_psd_per_mode: tuple[float, float],
+    modes: sysmodel.Modes | None = None,
 ) -> ThermalBudget:
     """Run the thermal pipeline from per-mode displacement-noise PSD inputs.
 
     x_psd_per_mode is the displacement-noise PSD of the readout resonator at
     each mode [m^2/Hz]; it may come from the analytic receptance, from a
     simulated spectrum, or from published values.  The force pipeline uses
-    the resonator-1 damping (the noise-injection convention).
+    the resonator-1 damping (the noise-injection convention).  modes are the
+    config's solved modes, solved here when not given.
     """
     if np.any(np.less(x_psd_per_mode, 0)):
         raise ValueError("displacement-noise PSD must be >= 0")
     check_transduction_consistency(transducer, config.c1)
-    modes = sysmodel.mode_analysis(sysmodel.build_system(config))
+    if modes is None:
+        modes = sysmodel.mode_analysis(sysmodel.build_system(config))
     band = env.bandwidth
 
     f_psd = thermal_force_psd(config.c1, env)
@@ -184,15 +187,18 @@ def thermal_budget(
 
 
 def analytic_displacement_psd(
-    config: SystemConfig, env: Environment, noise_target: str = "1"
+    config: SystemConfig, env: Environment, noise_target: str = "1",
+    modes: sysmodel.Modes | None = None,
 ) -> tuple[float, float]:
     """Displacement-noise PSD of resonator 1 at each mode from |h|^2 S_F.
 
     noise_target selects where the thermal force acts ("1", "2" or "both";
-    independent forces add in power).
+    independent forces add in power).  modes are the config's solved modes,
+    solved here when not given.
     """
     system = sysmodel.build_system(config)
-    modes = sysmodel.mode_analysis(system)
+    if modes is None:
+        modes = sysmodel.mode_analysis(system)
     h = sysmodel.frequency_response(system, np.stack([modes.f1, modes.f2], axis=-1)).h
     # |h| by hypot, which rounds as abs() of a complex scalar does; np.abs of
     # a complex array can differ in the last bit
@@ -279,13 +285,15 @@ def full_noise_budget(
     transducer: TransducerConfig,
     readout: ReadoutConfig,
     x_psd_per_mode: tuple[float, float],
+    modes: sysmodel.Modes | None = None,
 ) -> NoiseBudgetReport:
     """Assemble the complete noise budget.
 
     r_x comes from the transducer when given explicitly, otherwise from the
-    c / eta^2 identity through the derived quality factor.
+    c / eta^2 identity through the derived quality factor.  modes are passed
+    on to `thermal_budget`.
     """
-    thermal = thermal_budget(config, env, transducer, x_psd_per_mode)
+    thermal = thermal_budget(config, env, transducer, x_psd_per_mode, modes)
     if transducer.r_x is not None:
         r_x = transducer.r_x
     else:

@@ -84,7 +84,8 @@ def csv_writer(path, header: str, comments: tuple[str, ...] = ()):
     """Open a CSV whose rows arrive in blocks; yields write(columns).
 
     write appends equal-length columns (numpy arrays, tuples or lists) as
-    comma-separated rows: a str cell as is, every other cell as %.12g.
+    comma-separated rows: a str cell as is, every other cell as %.12g.  A
+    numpy column is formatted by its dtype, a Python sequence cell by cell.
     Comment lines (prefixed '# ') and the header go on top.  The file
     appears under `path` when the block is left (see `atomic_open`).
     """
@@ -99,24 +100,30 @@ def write_csv(path, header: str, columns, comments: tuple[str, ...] = ()) -> Non
         write(columns)
 
 
+def _cell_formats(column):
+    """The format of a column's cells: one for a numpy column, from its dtype
+    (%s for strings, %.12g otherwise); one per cell for a Python sequence or
+    an object array, whose cells may mix strings and numbers."""
+    if isinstance(column, np.ndarray) and column.dtype.kind != "O":
+        return "%s" if column.dtype.kind == "U" else "%.12g"
+    return ["%s" if isinstance(v, str) else "%.12g" for v in column]
+
+
 def _write_rows(handle, columns) -> None:
     lengths = {len(column) for column in columns}
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
     n_rows = lengths.pop() if lengths else 0
-    width = len(columns)
     for start in range(0, n_rows, _BLOCK_ROWS):
         block = [column[start:start + _BLOCK_ROWS] for column in columns]
-        block = [b.tolist() if isinstance(b, np.ndarray) else b for b in block]
-        cells = tuple(itertools.chain.from_iterable(zip(*block)))
-        if any(issubclass(t, str) for t in set(map(type, cells))):
-            fields = ["%s" if isinstance(v, str) else "%.12g" for v in cells]
-            template = "".join(
-                ",".join(fields[i:i + width]) + "\n" for i in range(0, len(fields), width)
-            )
+        formats = [_cell_formats(b) for b in block]
+        if all(isinstance(f, str) for f in formats):
+            template = (",".join(formats) + "\n") * len(block[0])
         else:
-            template = (",".join(["%.12g"] * width) + "\n") * len(block[0])
-        handle.write(template % cells)
+            per_row = zip(*(itertools.repeat(f) if isinstance(f, str) else f for f in formats))
+            template = "".join(",".join(row) + "\n" for row in per_row)
+        block = [b.tolist() if isinstance(b, np.ndarray) else b for b in block]
+        handle.write(template % tuple(itertools.chain.from_iterable(zip(*block))))
 
 
 def write_rows_csv(path, rows: list[Row], comments: tuple[str, ...] = ()) -> None:

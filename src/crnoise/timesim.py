@@ -30,8 +30,16 @@ one-slot handoff while the engine forms the next one; numpy releases the GIL
 in the scan's array operations, the noise draws and the FFTs, so on two
 cores the engine and, say, a Welch estimate overlap.
 
-Deterministic harmonic drives are sampled at the true substep times (full
-4th-order accuracy).  Stochastic thermal force is zero-order-hold per step:
+Deterministic harmonic drives enter at the true substep times (full
+4th-order accuracy), in closed form.  The input of step s_b + j of a drive
+a.sin(w t + phase) is Im(p_b e^{i w j dt} Gc), with Gc = G0 + Gm e^{i w dt/2}
++ G1 e^{i w dt} and p_b = a e^{i (w s_b dt + phase)}, so the drive's partial
+sums over a block are Im(p_b H[:, k]) for one table H[:, k] = sum_{j<=k}
+Phi^-j Gc e^{i w j dt}, built once per drive.  The engine forms them only
+where it needs a state: at block ends, and at the recorded steps.  Each
+block's phase w s_b dt + phase is reduced mod 2 pi in 60-digit decimal
+arithmetic before it is rounded, so the drive keeps its phase to ~1e-16 rad
+over any run length.  Stochastic thermal force is zero-order-hold per step:
 i.i.d. Gaussian samples with variance force_psd / (2 dt), so the one-sided
 power spectral density of the sample stream equals force_psd.
 """
@@ -56,6 +64,8 @@ _CHUNK_STEPS = 1 << 16
 # of its weights over one block
 _SCAN_BLOCK = 1 << 12
 _SCAN_GROWTH = 1e3
+# 2 pi to 64 digits, the modulus of a harmonic drive's exact phase reduction
+_TWO_PI = "6.283185307179586476925286766559005768394338798750211641949889184615"
 # recorded channels, in the order they are formed and checked, and their state rows
 _STATE_ROWS = {"x1": 0, "x2": 2, "v1": 1, "v2": 3}
 
@@ -365,6 +375,55 @@ def _scan_block_length(phi) -> int:
     return length
 
 
+def _phasors(omega, dt, phase, steps):
+    """e^{i (omega dt s + phase)} for each integer s in steps.
+
+    omega dt s + phase is formed from the floats as they are and reduced mod
+    2 pi in 60-digit decimal arithmetic, then rounded once: a phase formed
+    in binary at s ~ 1e6 is off by ~1e-11 rad, and one such error per scan
+    block drifts coherently through the run.
+    """
+    import decimal  # imported only by runs with a harmonic drive
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        rate = decimal.Decimal(omega) * decimal.Decimal(dt)
+        start, period = decimal.Decimal(phase), decimal.Decimal(_TWO_PI)
+        angles = [float((rate * s + start) % period) for s in steps]
+    return np.exp(1j * np.array(angles))
+
+
+def _harmonic_table(omega, target, g0, gm, g1, fall, dt):
+    """(Re H, Im H), each (4, L), of the partial-sum table H[:, k] = sum_{j<=k}
+    Phi^-j Gc e^{i omega j dt} of a drive at angular frequency omega on
+    resonator target, Gc its column of G0 + Gm e^{i omega dt/2} + G1
+    e^{i omega dt} (see the module docstring)."""
+    length = len(fall)
+    # e^{i w j dt}, j = 64 a + c, as e^{i w 64 a dt} e^{i w c dt}: 2 sqrt(L)
+    # exactly reduced phases
+    fine = min(length, 64)
+    turns = np.outer(_phasors(omega, dt, 0.0, range(0, length, fine)),
+                     _phasors(omega, dt, 0.0, range(fine))).ravel()
+    half, whole = _phasors(omega, 0.5 * dt, 0.0, (1, 2))
+    gc = (g0 + gm * half + g1 * whole)[:, target - 1]
+    table = np.cumsum((fall @ gc) * turns[:, None], axis=0).T
+    return table.real.copy(), table.imag.copy()
+
+
+def _add_harmonic(z, drives, b, k, fresh):
+    """z[i] += Re p[b] Im H[i, k] + Im p[b] Re H[i, k] for each state component
+    i, summed over the drives: their partial sums at steps k of blocks b.
+    fresh sets z to the sum instead.  Every caller uses these operations, so
+    a sum rounds alike wherever it is formed."""
+    for n, (re, im, table_re, table_im) in enumerate(drives):
+        for i in range(4):
+            term = re[b] * table_im[i, k] + im[b] * table_re[i, k]
+            if fresh and n == 0:
+                z[i] = term
+            else:
+                z[i] += term
+
+
 def _run_scan(phi, g0, gm, g1, x0, forcing, plan, rows, length):
     """Evaluate the RK4 recursion x[n+1] = Phi x[n] + w[n] as a blocked prefix scan.
 
@@ -375,6 +434,13 @@ def _run_scan(phi, g0, gm, g1, x0, forcing, plan, rows, length):
     count from step 0 and chunks hold whole blocks, so the trajectory does
     not depend on the chunk length; undecimated channels are formed at every
     step at once, decimated ones at the recorded steps only.
+
+    The noise inputs are weighted and summed step by step (one cumulative
+    sum per chunk).  A harmonic drive's partial sums come from its table H
+    and one phasor p_b per block (module docstring), added to the noise sums
+    at the block ends and wherever states are formed: every step when
+    undecimated, the recorded steps otherwise.  A run with harmonic drives
+    and no noise forms no per-step sum at all.
     """
     yield {name: x0[row : row + 1] for name, row in rows.items()}
 
@@ -390,18 +456,21 @@ def _run_scan(phi, g0, gm, g1, x0, forcing, plan, rows, length):
     rise_last, fall = rise[-1], np.array(fall)
     ((m00, m01, m02, m03), (m10, m11, m12, m13),
      (m20, m21, m22, m23), (m30, m31, m32, m33)) = (rise_last @ phi).tolist()  # Phi^L
-    # rise[i, m, k] = (Phi^k)_im, and w[i, r, k] = (Phi^-k G)_ir is the weight
-    # of input r at step k of a block; each is a contiguous row over k.  Only
-    # the weights the forcing uses are built.
+    # rise[i, m, k] = (Phi^k)_im, and w_zoh[i, r, k] = (Phi^-k (G0 + Gm + G1))_ir
+    # is the weight of noise input r at step k of a block; each is a
+    # contiguous row over k
     rise = np.moveaxis(np.array(rise), 0, -1).copy()
-    if forcing.harmonic:
-        w0, wm, w1 = (np.moveaxis(fall @ g, 0, -1).copy() for g in (g0, gm, g1))
+    dt = plan.dt
+    omegas = [2.0 * math.pi * d.frequency for d in forcing.harmonic]
+    tables = [_harmonic_table(omega, d.target, g0, gm, g1, fall, dt)
+              for omega, d in zip(omegas, forcing.harmonic)]
     if forcing.stochastic is not None:
         w_zoh = np.moveaxis(fall @ (g0 + gm + g1), 0, -1).copy()
     del fall
 
     n_steps, dec = plan.n_steps, plan.record_decimation
-    streams, sigma = _noise_streams(forcing.stochastic, plan.dt)
+    streams, sigma = _noise_streams(forcing.stochastic, dt)
+    fresh = bool(tables) and not streams  # harmonic partial sums only
 
     # buffers reused by every chunk: the scan, one input row and a product.
     # A chunk's last block is padded to length L; the padded steps are never
@@ -411,7 +480,6 @@ def _run_scan(phi, g0, gm, g1, x0, forcing, plan, rows, length):
     scan = np.empty((4, size))
     row_buf, tmp_buf = np.empty((2, size))
     ring = [np.empty((len(rows), -(-size // dec))) for _ in range(3)]
-    dt = plan.dt
     c0, c1, c2, c3 = x0.tolist()  # the state the next block is entered with
     for start in range(0, n_steps, chunk):
         n_c = min(chunk, n_steps - start)
@@ -421,25 +489,33 @@ def _run_scan(phi, g0, gm, g1, x0, forcing, plan, rows, length):
         f = flat.reshape(n_b, length)
         tmp = tmp_buf[: n_b * length].reshape(n_b, length)
 
-        z[...] = 0.0
-        for d in forcing.harmonic:
-            for weights, offset in ((w0, 0.0), (wm, 0.5 * dt), (w1, dt)):
-                t = np.arange(start, start + flat.size) * dt + offset
-                flat[:] = d.amplitude * np.sin(2.0 * math.pi * d.frequency * t + d.phase)
-                _accumulate(z, weights[:, d.target - 1], f, tmp)
-        for row, rng in streams:
-            rng.standard_normal(out=flat[:n_c])
-            flat[:n_c] *= sigma
-            flat[n_c:] = 0.0
-            _accumulate(z, w_zoh[:, row], f, tmp)
+        if not fresh:
+            z[...] = 0.0
+            for row, rng in streams:
+                rng.standard_normal(out=flat[:n_c])
+                flat[:n_c] *= sigma
+                flat[n_c:] = 0.0
+                _accumulate(z, w_zoh[:, row], f, tmp)
+            np.cumsum(z, axis=2, out=z)
+        # each drive's phasor p_b at the first step of each block
+        drives = []
+        for d, omega, (table_re, table_im) in zip(forcing.harmonic, omegas, tables):
+            p = d.amplitude * _phasors(omega, dt, d.phase,
+                                       range(start, start + n_b * length, length))
+            drives.append((p.real, p.imag, table_re, table_im))
+        if dec == 1:
+            _add_harmonic(z, drives, (slice(None), None), slice(None), fresh)
+            ends = z[:, :, -1]
+        else:
+            ends = np.empty((4, n_b)) if fresh else z[:, :, -1].copy()
+            _add_harmonic(ends, drives, slice(None), -1, fresh)
 
         # a block entered with state c is left with Phi^L c + Phi^(L-1) e, e its
         # last partial sum.  Only that chain runs block by block (on floats,
         # Phi^L written out: a strongly damped pair has blocks of a few steps);
         # the rest is elementwise, so it rounds alike for every chunk length.
-        np.cumsum(z, axis=2, out=z)
         starts = []
-        for e0, e1, e2, e3 in _apply(rise_last, z[:, :, -1]).T.tolist():
+        for e0, e1, e2, e3 in _apply(rise_last, ends).T.tolist():
             starts.append((c0, c1, c2, c3))
             c0, c1, c2, c3 = (m00 * c0 + m01 * c1 + m02 * c2 + m03 * c3 + e0,
                               m10 * c0 + m11 * c1 + m12 * c2 + m13 * c3 + e1,
@@ -467,7 +543,8 @@ def _run_scan(phi, g0, gm, g1, x0, forcing, plan, rows, length):
         else:
             pos = np.arange(skip, n_c, dec)  # the recorded steps' columns of scan
             b, k = np.divmod(pos, length)
-            zs = scan[:, pos]
+            zs = np.empty((4, pos.size)) if fresh else scan[:, pos]
+            _add_harmonic(zs, drives, b, k, fresh)
             zs += enter[:, b]
             for (name, row), full in zip(rows.items(), formed):
                 g = full[: pos.size]

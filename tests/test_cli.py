@@ -658,6 +658,34 @@ print(json.dumps(sorted(m for m, module in sys.modules.items()
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
+def test_only_harmonic_runs_import_decimal(tmp_path):
+    """The exact phase reduction of a harmonic drive is the only user of
+    `decimal`: importing the CLI, a noise-only psd and a simulated budget
+    leave it unloaded, so start-up and their memory do not pay for it."""
+    (tmp_path / "noise.cfg").write_text(NOISE_CFG)
+    (tmp_path / "simulated.cfg").write_text("budget.x_psd_source = simulated\n" + NOISE_CFG)
+    (tmp_path / "harmonic.cfg").write_text("forcing.harmonic_amplitude = 1e-6\n"
+                                           "sim.duration = 0.05\n")
+    runs = [
+        ["psd", "--config", str(tmp_path / "noise.cfg"), "--seed", "5"],
+        ["budget", "--config", str(tmp_path / "simulated.cfg"), "--seed", "5"],
+        ["simulate", "--config", str(tmp_path / "harmonic.cfg")],
+    ]
+    script = f"""
+import json, sys, warnings
+warnings.simplefilter("ignore")
+from crnoise.cli import main
+loaded = ["decimal" in sys.modules]
+for i, argv in enumerate({runs!r}):
+    assert main(argv + ["--out", {str(tmp_path)!r} + f"/out{{i}}"]) == 0, argv
+    loaded.append("decimal" in sys.modules)
+print(json.dumps(loaded))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, True]
+
+
 def test_echoed_config_round_trip(tmp_path):
     """Re-running from the echoed metadata block reproduces the bytes."""
     first = tmp_path / "first"

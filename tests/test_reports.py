@@ -35,6 +35,22 @@ def test_write_csv_matches_per_cell_reference(tmp_path):
     assert not list(tmp_path.glob("*.part"))
 
 
+def test_numpy_and_sequence_columns_write_alike(tmp_path):
+    """A numpy column is formatted by its dtype, a Python sequence cell by
+    cell: both give the per-cell bytes, for mixed and homogeneous columns."""
+    n = _BLOCK_ROWS + 3
+    floats = np.sin(np.arange(n)) * 10.0 ** (np.arange(n) % 30 - 15)
+    ints = np.arange(n) - n // 2
+    labels = np.array(["in_phase", "out_of_phase", "degenerate"])[np.arange(n) % 3]
+    for name, columns in (("mixed", (floats, labels, ints)), ("homogeneous", (floats, ints))):
+        as_lists = tuple(column.tolist() for column in columns)
+        write_csv(tmp_path / f"{name}_numpy.csv", "h", columns)
+        write_csv(tmp_path / f"{name}_lists.csv", "h", as_lists)
+        got = (tmp_path / f"{name}_numpy.csv").read_bytes()
+        assert got == (tmp_path / f"{name}_lists.csv").read_bytes(), name
+        assert got.decode() == per_cell_reference("h", as_lists, ()), name
+
+
 def test_write_csv_without_rows_writes_header(tmp_path):
     path = tmp_path / "empty.csv"
     write_csv(path, "x,y", (np.array([]), []), ("c = 1",))

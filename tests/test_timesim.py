@@ -132,9 +132,10 @@ def _oracle_forces(forcing, plan):
     n_steps = int(round(plan.duration / plan.dt))
     noise = np.zeros((2, n_steps))
     drive = forcing.stochastic
-    sigma = math.sqrt(drive.force_psd / (2 * plan.dt))
-    for row, seed in ((0, drive.seed), (1, drive.seed ^ 1)):
-        noise[row] = np.random.default_rng(seed).standard_normal(n_steps) * sigma
+    if drive is not None:
+        sigma = math.sqrt(drive.force_psd / (2 * plan.dt))
+        for row, seed in ((0, drive.seed), (1, drive.seed ^ 1)):
+            noise[row] = np.random.default_rng(seed).standard_normal(n_steps) * sigma
 
     def harmonic(t):
         force = np.zeros(2)
@@ -192,11 +193,11 @@ def _exact_step_loop(system, forcing, plan):
     return np.array(states)
 
 
-def oracle_test_forcing(modes):
-    """Two harmonic drives, one per resonator, and noise on both."""
+def oracle_test_forcing(modes, noise=True):
+    """Two harmonic drives, one per resonator, and noise on both (or none)."""
     return Forcing(
         harmonic=(HarmonicDrive(1, 1e-6, modes.f1), HarmonicDrive(2, 4e-7, 2100.0, 0.2)),
-        stochastic=StochasticDrive(force_psd=5e-23, seed=12, target="both"),
+        stochastic=StochasticDrive(force_psd=5e-23, seed=12, target="both") if noise else None,
     )
 
 
@@ -231,16 +232,17 @@ def test_engine_matches_hand_stepped_rk4(reference, fraction, coupled):
 
 
 @pytest.mark.parametrize(
-    "fraction, coupled",
-    [(None, True), (0.999, True), (1.0, False)],
-    ids=["reference", "near_critical", "critical_uncoupled"],
+    "fraction, coupled, noise",
+    [(None, True, True), (0.999, True, True), (1.0, False, True), (None, True, False)],
+    ids=["reference", "near_critical", "critical_uncoupled", "reference_harmonic_only"],
 )
-def test_engine_matches_exact_step_loop(reference, fraction, coupled, monkeypatch):
+def test_engine_matches_exact_step_loop(reference, fraction, coupled, noise, monkeypatch):
     """The scan against the recursion it evaluates, over several scan blocks
     and chunks, to 1e-13 of full scale (~1e-14 is typical; without the
     Newton step on Phi^-1 the reference pair reaches 5.6e-13).  Its block
     length L is the longest power of two <= 4096 over which no eigenvalue of
-    Phi grows or decays by more than 1e3."""
+    Phi grows or decays by more than 1e3.  Without noise the two drives'
+    partial sums are the only inputs."""
     from crnoise.timesim import _rk4_update_matrices, _state_matrices
 
     system = reference[1] if fraction is None else damped_reference(fraction, coupled)
@@ -249,7 +251,7 @@ def test_engine_matches_exact_step_loop(reference, fraction, coupled, monkeypatc
     monkeypatch.setattr(timesim, "_CHUNK_STEPS", 8192)
     plan = SimulationPlan(dt=dt, duration=(3 * 4096 + 1234) * dt,
                           initial_state=(1e-7, 0.0, -3e-8, 2e-4))
-    forcing = oracle_test_forcing(modes)
+    forcing = oracle_test_forcing(modes, noise)
     series = quiet_collect(system, forcing, plan, CHANNELS)
     oracle = _exact_step_loop(system, forcing, plan)
     for name, col in (("x1", 0), ("v1", 1), ("x2", 2), ("v2", 3)):
@@ -262,6 +264,108 @@ def test_engine_matches_exact_step_loop(reference, fraction, coupled, monkeypatc
     length = series.metadata["scan_block"]
     assert 4096 % length == 0 and rate * length <= math.log(1e3)
     assert length == 4096 or rate * 2 * length > math.log(1e3)
+
+
+def _decimal_pi(decimal):
+    """pi to the current decimal precision (the series of the decimal module's docs)."""
+    decimal.getcontext().prec += 2
+    lasts, t, s, n, na, d, da = 0, decimal.Decimal(3), 3, 1, 0, 0, 24
+    while s != lasts:
+        lasts = s
+        n, na = n + na, na + 8
+        d, da = d + da, da + 32
+        t = (t * n) / d
+        s += t
+    decimal.getcontext().prec -= 2
+    return +s
+
+
+def _decimal_expi(decimal, x):
+    """(cos x, sin x) of a small Decimal x by its Taylor series."""
+    cos, sin, term, n = decimal.Decimal(1), x, x, 1
+    while True:
+        term = term * x / (n + 1)
+        n += 1
+        if abs(term) < decimal.Decimal(10) ** -(decimal.getcontext().prec + 5):
+            return +cos, +sin
+        if n % 4 == 2:
+            cos -= term
+        elif n % 4 == 3:
+            sin -= term
+        elif n % 4 == 0:
+            cos += term
+        else:
+            sin += term
+
+
+def _exact_harmonic_steady_state(system, drive, plan):
+    """The RK4 recursion's exact steady state under one harmonic drive, at
+    every recorded step: x[n] = Im(X e^{i w n dt}) with X = a e^{i phase}
+    (e^{i w dt} I - Phi)^-1 (G0 + Gm e^{i w dt/2} + G1 e^{i w dt}) e_target
+    and w the float 2 pi f the drive is defined with.  X, solved as a real
+    8x8 system, and every phase w n dt + phase, reduced mod 2 pi, are
+    evaluated in 50-digit decimal arithmetic.  Returns (states, initial
+    state), states (n_samples, 4) in the order x1, v1, x2, v2."""
+    import decimal
+
+    from crnoise.timesim import _rk4_update_matrices, _state_matrices
+
+    D = decimal.Decimal
+    phi, g0, gm, g1 = _rk4_update_matrices(*_state_matrices(system), plan.dt)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        theta = D(2.0 * math.pi * drive.frequency) * D(plan.dt)
+        c1, s1 = _decimal_expi(decimal, theta)
+        ch, sh = _decimal_expi(decimal, theta / 2)
+        col = drive.target - 1
+        b_re = [D(g0[i, col]) + D(gm[i, col]) * ch + D(g1[i, col]) * c1 for i in range(4)]
+        b_im = [D(gm[i, col]) * sh + D(g1[i, col]) * s1 for i in range(4)]
+        # (z I - Phi)(Xr + i Xi) = b with z = c1 + i s1, as a real 8x8 system
+        m = [[D(0)] * 8 + [rhs] for rhs in b_re + b_im]
+        for i in range(4):
+            for j in range(4):
+                m[i][j] = m[i + 4][j + 4] = (c1 if i == j else 0) - D(phi[i, j])
+            m[i][i + 4], m[i + 4][i] = -s1, s1
+        for p in range(8):  # Gaussian elimination with partial pivoting
+            q = max(range(p, 8), key=lambda r: abs(m[r][p]))
+            m[p], m[q] = m[q], m[p]
+            for r in range(p + 1, 8):
+                factor = m[r][p] / m[p][p]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[p])]
+        x = [D(0)] * 8
+        for p in reversed(range(8)):
+            x[p] = (m[p][8] - sum(m[p][j] * x[j] for j in range(p + 1, 8))) / m[p][p]
+        x_re = np.array([float(v) for v in x[:4]])
+        x_im = np.array([float(v) for v in x[4:]])
+        two_pi, start = 2 * _decimal_pi(decimal), D(drive.phase)
+        phases = np.array([float((theta * n + start) % two_pi)
+                           for n in range(0, plan.n_steps + 1, plan.record_decimation)])
+    # Im(X e^{i psi}) with X rounded to doubles: ~1e-16 of |X| per sample
+    states = drive.amplitude * (np.outer(np.sin(phases), x_re) + np.outer(np.cos(phases), x_im))
+    return states, tuple(states[0])
+
+
+@pytest.mark.parametrize(
+    "frequency, target, bounds",
+    [("mode1", 1, {"x1": 1e-12, "x2": 1e-12}), (2100.0, 2, {"x1": 1e-10, "x2": 1e-12})],
+    ids=["resonant", "off_resonant"],
+)
+def test_harmonic_drive_holds_exact_steady_state(reference, frequency, target, bounds):
+    """A 20 s run at decimation 25 started on the recursion's exact steady
+    state stays on it at every recorded sample, to the bound of full scale
+    (~1e-13 is typical, 1.2e-11 for the small off-resonant x1; an engine
+    that forms its phases in binary drifts 1.7e-11 to 9.9e-10 away)."""
+    _, system, modes = reference
+    drive = HarmonicDrive(target, 1e-6, modes.f1 if frequency == "mode1" else frequency, 0.7)
+    plan = SimulationPlan(dt=default_timestep(modes), duration=20.0, record_decimation=25)
+    want, start = _exact_harmonic_steady_state(system, drive, plan)
+    series = quiet_collect(system, Forcing(harmonic=(drive,)),
+                           dataclasses.replace(plan, initial_state=start))
+    for name, col in (("x1", 0), ("x2", 2)):
+        got = getattr(series, name)
+        assert got.shape == want[:, col].shape
+        error = np.max(np.abs(got - want[:, col])) / np.max(np.abs(want[:, col]))
+        assert error <= bounds[name], (name, error)
 
 
 # --- simulate ---------------------------------------------------------------------
