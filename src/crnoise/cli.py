@@ -14,7 +14,7 @@ value` configuration block, so re-running from that block reproduces the file
 byte for byte (stochastic runs require a seed; there is no silent
 nondeterminism).  Exit codes: 0 success, 1 invalid configuration (the
 offending key is named), 2 numerical failure, 3 an output could not be
-written.
+written, 130 interrupted (Ctrl-C; no partial output file is left).
 """
 
 from __future__ import annotations
@@ -567,6 +567,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cr-noise-lab: cannot write output: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("cr-noise-lab: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

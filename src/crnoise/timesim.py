@@ -22,13 +22,13 @@ positions and velocities need no common scale, and one code path serves
 defective and critically damped Phi as well.
 
 The engine works through the run in chunks of 2^16 steps and hands out each
-chunk's recorded samples as soon as they are formed.  `simulate` passes them
-to one sink as a {channel: samples} dict, forming only the channels it is
-asked for and holding no record, so its memory does not grow with the run's
-length.  The sink runs on a worker thread, which takes each chunk through a
-one-slot handoff while the engine forms the next one; numpy releases the GIL
-in the scan's array operations, the noise draws and the FFTs, so on two
-cores the engine and, say, a Welch estimate overlap.
+chunk's recorded samples as soon as they are formed, in arrays of their own.
+`simulate` passes them to one sink as a {channel: samples} dict, forming
+only the channels it is asked for and holding no record, so its memory does
+not grow with the run's length.  The sink runs on a worker thread, which
+takes each chunk from a queue of one while the engine forms the next one;
+numpy releases the GIL in the scan's array operations, the noise draws and
+the FFTs, so on two cores the engine and, say, a Welch estimate overlap.
 
 Deterministic harmonic drives enter at the true substep times (full
 4th-order accuracy), in closed form.  The input of step s_b + j of a drive
@@ -241,10 +241,11 @@ def simulate(
     "x2", "v1", "v2") are formed.  sink is called with a {channel: samples}
     dict for each chunk of recorded samples, the initial state first; the
     calls come in order on one worker thread while the engine forms the
-    next chunk, and the arrays are valid only during the call.  An exception
-    the sink raises stops the run and is raised here; the worker thread has
-    ended whenever simulate returns or raises.  The returned series counts
-    the recorded samples; metadata["scan_block"] is the scan's block length L.
+    next chunk, and the sink may keep the arrays, which the engine never
+    touches again.  An exception the sink raises stops the run and is
+    raised here; the worker thread has ended whenever simulate returns or
+    raises.  The returned series counts the recorded samples (plan.n_samples);
+    metadata["scan_block"] is the scan's block length L.
     """
     modes = mode_analysis(system)
     if plan.dt > 1.0 / (_MIN_STEPS_PER_PERIOD * modes.f2):
@@ -272,8 +273,10 @@ def simulate(
 
     x0 = np.asarray(plan.initial_state, dtype=float)
     rows = {name: row for name, row in _STATE_ROWS.items() if name in channels}
-    first = 0  # index of the chunk's first sample in the record
-    with _SinkThread(sink) as handoff:
+
+    def checked():
+        """The scan's chunks, each checked for non-finite samples on this thread."""
+        first = 0  # index of the chunk's first sample in the record
         for chunk in _run_scan(phi, g0, gm, g1, x0, forcing, plan, rows, block):
             for name, data in chunk.items():
                 if not np.isfinite(data).all():
@@ -282,8 +285,10 @@ def simulate(
                         f"non-finite {name} at t = "
                         f"{bad * plan.dt * plan.record_decimation:g} s (sample {bad})"
                     )
-            handoff.put(chunk)
             first += data.size
+            yield chunk
+
+    _drain(sink, checked())
 
     seed = forcing.stochastic.seed if forcing.stochastic is not None else None
     metadata = {
@@ -294,63 +299,47 @@ def simulate(
         "f2_hz": modes.f2,
         "scan_block": block,
     }
-    return TimeSeries(dt=plan.record_dt, n_samples=first, metadata=metadata)
+    return TimeSeries(dt=plan.record_dt, n_samples=plan.n_samples, metadata=metadata)
 
 
-class _SinkThread:
-    """Calls the sink on one worker thread, chunk after chunk, in order.
+def _drain(sink, chunks) -> None:
+    """Pass each of chunks to sink on a worker thread, in order, while this
+    thread forms the next one.
 
-    `put` hands a {channel: samples} chunk over through a one-slot handoff
-    and waits only while the chunk before it is still in the slot, so the
-    worker is at most two chunks behind: the one it is passing on and the
-    one in the slot.  The first exception the sink raises is raised again by
-    the `put` under way or the next one, or on leaving the `with` block, and
-    the worker drops every chunk after it.  Leaving the block joins the
-    worker, once every chunk handed over has been passed on, or, when an
-    exception leaves it, once the sink call under way returns.
+    A queue of one chunk lies between the two threads; it bounds only memory,
+    for the worker never sees an array the engine still writes.  The first
+    exception the sink raises is raised here, and no later chunk is passed
+    on; one raised while forming the chunks drops the chunk still queued.
+    The worker has ended whenever this returns or raises.
     """
+    import queue  # ~1.5 ms, paid by simulating runs only
 
-    def __init__(self, sink):
-        self._sink = sink
-        self._cond = threading.Condition()
-        self._slot = []  # the chunk handed over and not yet taken; None ends the run
-        self._error = None  # what the sink raised
-        self._thread = threading.Thread(target=self._work, name="crnoise-sink", daemon=True)
+    todo = queue.Queue(maxsize=1)
+    stop = []  # the first exception on either thread; no chunk is passed on after it
 
-    def __enter__(self):
-        self._thread.start()
-        return self
-
-    def put(self, chunk: dict | None) -> None:
-        with self._cond:
-            self._cond.wait_for(lambda: not self._slot)
-            self._slot.append(chunk)
-            self._cond.notify()
-        if chunk is not None and self._error is not None:
-            raise self._error
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None:
-            with self._cond:
-                self._slot.clear()  # the chunk not yet taken is not passed on
-        self.put(None)
-        self._thread.join()
-        if exc_type is None and self._error is not None:
-            raise self._error
-
-    def _work(self) -> None:
-        while True:
-            with self._cond:
-                self._cond.wait_for(lambda: self._slot)
-                chunk = self._slot.pop()
-                self._cond.notify()
-            if chunk is None:
-                return
-            if self._error is None:
+    def work():
+        for chunk in iter(todo.get, None):
+            if not stop:
                 try:
-                    self._sink(chunk)
+                    sink(chunk)
                 except BaseException as exc:
-                    self._error = exc
+                    stop.append(exc)
+
+    worker = threading.Thread(target=work, name="crnoise-sink", daemon=True)
+    worker.start()
+    try:
+        for chunk in chunks:
+            todo.put(chunk)
+            if stop:
+                raise stop[0]
+    except BaseException as exc:
+        stop.append(exc)
+        raise
+    finally:
+        todo.put(None)
+        worker.join()
+    if stop:
+        raise stop[0]
 
 
 def _accumulate(z, weights, f, tmp):
@@ -428,12 +417,11 @@ def _run_scan(phi, g0, gm, g1, x0, forcing, plan, rows, length):
     """Evaluate the RK4 recursion x[n+1] = Phi x[n] + w[n] as a blocked prefix scan.
 
     A generator: yields {channel: recorded samples} for the channels in rows
-    (name -> state row), first the initial state, then chunk by chunk.  The
-    chunks' arrays rotate through a ring of three buffers, so a chunk stays
-    valid until the caller has asked for two more.  Blocks of `length` steps
-    count from step 0 and chunks hold whole blocks, so the trajectory does
-    not depend on the chunk length; undecimated channels are formed at every
-    step at once, decimated ones at the recorded steps only.
+    (name -> state row), first the initial state, then chunk by chunk, each
+    in arrays of its own that the scan never writes again.  Blocks of
+    `length` steps count from step 0 and chunks hold whole blocks, so the
+    trajectory does not depend on the chunk length; undecimated channels are
+    formed at every step at once, decimated ones at the recorded steps only.
 
     The noise inputs are weighted and summed step by step (one cumulative
     sum per chunk).  A harmonic drive's partial sums come from its table H
@@ -479,7 +467,6 @@ def _run_scan(phi, g0, gm, g1, x0, forcing, plan, rows, length):
     size = min(chunk, -(-n_steps // length) * length)
     scan = np.empty((4, size))
     row_buf, tmp_buf = np.empty((2, size))
-    ring = [np.empty((len(rows), -(-size // dec))) for _ in range(3)]
     c0, c1, c2, c3 = x0.tolist()  # the state the next block is entered with
     for start in range(0, n_steps, chunk):
         n_c = min(chunk, n_steps - start)
@@ -489,6 +476,7 @@ def _run_scan(phi, g0, gm, g1, x0, forcing, plan, rows, length):
         f = flat.reshape(n_b, length)
         tmp = tmp_buf[: n_b * length].reshape(n_b, length)
 
+        # fork kept: doing this without noise too slows a 20 s decimated harmonic run 0.571->0.614 s
         if not fresh:
             z[...] = 0.0
             for row, rng in streams:
@@ -529,25 +517,22 @@ def _run_scan(phi, g0, gm, g1, x0, forcing, plan, rows, length):
         if skip >= n_c:
             continue
         out = {}
-        formed = ring.pop(0)  # the buffer of the third chunk back
-        ring.append(formed)
+        # fork kept: the gather is bit-equal but slows the 40 s thermal scan 0.52->1.02 s
         if dec == 1:
             z += enter[:, :, None]
-            for (name, row), full in zip(rows.items(), formed):
-                g = full[: n_b * length].reshape(n_b, length)
+            for (name, row), g in zip(rows.items(), np.empty((len(rows), n_b, length))):
                 np.multiply(rise[row, 0], z[0], out=g)
                 for i in range(1, 4):
                     np.multiply(rise[row, i], z[i], out=tmp)
                     g += tmp
-                out[name] = full[:n_c]
+                out[name] = g.reshape(-1)[:n_c]
         else:
             pos = np.arange(skip, n_c, dec)  # the recorded steps' columns of scan
             b, k = np.divmod(pos, length)
             zs = np.empty((4, pos.size)) if fresh else scan[:, pos]
             _add_harmonic(zs, drives, b, k, fresh)
             zs += enter[:, b]
-            for (name, row), full in zip(rows.items(), formed):
-                g = full[: pos.size]
+            for (name, row), g in zip(rows.items(), np.empty((len(rows), pos.size))):
                 weights = rise[row][:, k]
                 np.multiply(weights[0], zs[0], out=g)
                 for i in range(1, 4):

@@ -30,7 +30,7 @@ def collect(system, forcing, plan, channels=("x1", "x2")):
 
     def keep(chunk):
         for name, data in chunk.items():
-            chunks[name].append(data.copy())
+            chunks[name].append(data)
 
     series = simulate(system, forcing, plan, keep, channels)
     return SimpleNamespace(dt=series.dt, n_samples=series.n_samples, metadata=series.metadata,

@@ -369,6 +369,35 @@ def test_unwritable_output_exit_code(tmp_path, capsys):
     assert "cr-noise-lab: cannot write output:" in capsys.readouterr().err
 
 
+def test_interrupt_exit_code(tmp_path):
+    """Ctrl-C during a run exits 130 with a named message and leaves no
+    partial timeseries.csv.  Run in a child process, so that an interrupt
+    the CLI does not catch cannot end the test session."""
+    cfg = tmp_path / "noise.cfg"
+    cfg.write_text(NOISE_CFG)
+    out = tmp_path / "out"
+    script = f"""
+import sys, warnings
+from crnoise import cli, timesim
+warnings.simplefilter("ignore")
+timesim._CHUNK_STEPS = 4096
+scan = timesim._run_scan
+
+def interrupted(*args):
+    for index, chunk in enumerate(scan(*args)):
+        if index == 3:
+            raise KeyboardInterrupt
+        yield chunk
+
+timesim._run_scan = interrupted
+sys.exit(cli.main(["psd", "--config", {str(cfg)!r}, "--seed", "5", "--out", {str(out)!r}]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 130, proc.stderr
+    assert proc.stderr.strip().endswith("cr-noise-lab: interrupted")
+    assert not (out / "timeseries.csv").exists() and not list(out.glob("*.part"))
+
+
 def test_uncoupled_demo_preset_loads(tmp_path, capsys):
     assert run_cli("modes", "--config", "uncoupled-demo", "--out", str(tmp_path)) == 0
     out = capsys.readouterr().out
@@ -661,7 +690,8 @@ print(json.dumps(sorted(m for m, module in sys.modules.items()
 def test_only_harmonic_runs_import_decimal(tmp_path):
     """The exact phase reduction of a harmonic drive is the only user of
     `decimal`: importing the CLI, a noise-only psd and a simulated budget
-    leave it unloaded, so start-up and their memory do not pay for it."""
+    leave it unloaded, so start-up and their memory do not pay for it.
+    Importing the CLI leaves out `queue` too, which only simulating runs use."""
     (tmp_path / "noise.cfg").write_text(NOISE_CFG)
     (tmp_path / "simulated.cfg").write_text("budget.x_psd_source = simulated\n" + NOISE_CFG)
     (tmp_path / "harmonic.cfg").write_text("forcing.harmonic_amplitude = 1e-6\n"
@@ -675,7 +705,7 @@ def test_only_harmonic_runs_import_decimal(tmp_path):
 import json, sys, warnings
 warnings.simplefilter("ignore")
 from crnoise.cli import main
-loaded = ["decimal" in sys.modules]
+loaded = ["queue" in sys.modules, "decimal" in sys.modules]
 for i, argv in enumerate({runs!r}):
     assert main(argv + ["--out", {str(tmp_path)!r} + f"/out{{i}}"]) == 0, argv
     loaded.append("decimal" in sys.modules)
@@ -683,7 +713,7 @@ print(json.dumps(loaded))
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, True]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, False, True]
 
 
 def test_echoed_config_round_trip(tmp_path):

@@ -552,6 +552,23 @@ def test_slow_sink_sees_its_chunk_unchanged(reference, monkeypatch):
         assert np.array_equal(np.concatenate(kept), whole.x1)
 
 
+def test_sink_may_keep_its_arrays(reference, monkeypatch):
+    """Each chunk comes in arrays the engine never writes again, so a sink
+    may keep them as they are: joined, they are a one-chunk run's record."""
+    _, system, modes = reference
+    n_steps = 6 * 4096 + 1234
+    for decimation in (1, 3, 5000):  # at 5000 some chunks record nothing
+        monkeypatch.undo()
+        whole = chunk_test_run(system, modes, n_steps, decimation)  # one chunk
+        monkeypatch.setattr(timesim, "_CHUNK_STEPS", 4096)
+        kept = []
+        chunk_test_run(system, modes, n_steps, decimation, kept.append)
+        assert len(kept) == (8 if decimation < 5000 else 6)
+        for name in CHANNELS:
+            joined = np.concatenate([chunk[name] for chunk in kept])
+            assert np.array_equal(joined, getattr(whole, name)), (decimation, name)
+
+
 def test_sink_error_stops_the_run(reference, monkeypatch):
     """The sink's own exception reaches the caller, no chunk after it is
     passed on, the engine stops and the worker thread is gone."""
