@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's own code paths: modal
 quantities come from scipy's generalized eigensolver on the raw matrices,
 receptance cross-checks use a dense complex solve, and the RK4 reference is
 the textbook four-stage step written out by hand.  `collect` joins the
-chunks a run hands its sink, for tests that check a record whole.
+chunks a run hands its sink, for tests that check a record whole.  The CSV
+reference formats cell by cell with Python's '%' operator.
 """
 
 from types import SimpleNamespace
@@ -35,6 +36,23 @@ def collect(system, forcing, plan, channels=("x1", "x2")):
     series = simulate(system, forcing, plan, keep, channels)
     return SimpleNamespace(dt=series.dt, n_samples=series.n_samples, metadata=series.metadata,
                            **{name: np.concatenate(parts) for name, parts in chunks.items()})
+
+
+def per_cell_rows(columns) -> str:
+    """The rows write_csv must produce, cell by cell: a str as is, else %.12g."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    return "".join(",".join(v if isinstance(v, str) else "%.12g" % v for v in row) + "\n"
+                   for row in zip(*columns))
+
+
+def per_cell_reference(header, columns, comments) -> str:
+    """The whole file write_csv must produce (see `per_cell_rows`)."""
+    return "".join(f"# {c}\n" for c in comments) + header + "\n" + per_cell_rows(columns)
+
+
+def per_cell_write_rows(handle, columns) -> None:
+    """Stand-in for reports._write_rows that writes `per_cell_rows`."""
+    handle.write(per_cell_rows(columns))
 
 
 def oracle_modes(mass: np.ndarray, stiffness: np.ndarray):

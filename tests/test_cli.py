@@ -691,7 +691,9 @@ def test_only_harmonic_runs_import_decimal(tmp_path):
     """The exact phase reduction of a harmonic drive is the only user of
     `decimal`: importing the CLI, a noise-only psd and a simulated budget
     leave it unloaded, so start-up and their memory do not pay for it.
-    Importing the CLI leaves out `queue` too, which only simulating runs use."""
+    Importing the CLI leaves out `queue` too, which only simulating runs use,
+    and builds none of the CSV formatter's tables: they are built on the
+    first write, which loads no module the CLI has not already loaded."""
     (tmp_path / "noise.cfg").write_text(NOISE_CFG)
     (tmp_path / "simulated.cfg").write_text("budget.x_psd_source = simulated\n" + NOISE_CFG)
     (tmp_path / "harmonic.cfg").write_text("forcing.harmonic_amplitude = 1e-6\n"
@@ -705,7 +707,13 @@ def test_only_harmonic_runs_import_decimal(tmp_path):
 import json, sys, warnings
 warnings.simplefilter("ignore")
 from crnoise.cli import main
-loaded = ["queue" in sys.modules, "decimal" in sys.modules]
+from crnoise import reports
+loaded = ["queue" in sys.modules, "decimal" in sys.modules,
+          reports._float_tables.cache_info().currsize]
+before = set(sys.modules)
+reports.write_csv({str(tmp_path / "first.csv")!r}, "x,label", ([0.5, -2.0], ["a", "b"]))
+reports.write_csv({str(tmp_path / "second.csv")!r}, "x", (reports.np.arange(3.0),))
+loaded += [sorted(set(sys.modules) - before), reports._float_tables.cache_info().currsize]
 for i, argv in enumerate({runs!r}):
     assert main(argv + ["--out", {str(tmp_path)!r} + f"/out{{i}}"]) == 0, argv
     loaded.append("decimal" in sys.modules)
@@ -713,7 +721,8 @@ print(json.dumps(loaded))
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, False, True]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, 0, [], 1,
+                                                        False, False, True]
 
 
 def test_echoed_config_round_trip(tmp_path):

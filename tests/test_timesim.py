@@ -13,7 +13,7 @@ from conftest import collect, textbook_rk4_step
 
 from crnoise import cli, presets, spectral, timesim
 from crnoise.errors import NumericalError
-from crnoise.reports import _BLOCK_ROWS, csv_writer
+from crnoise.reports import _BLOCK_CELLS, csv_writer
 from crnoise.sysmodel import build_system, frequency_response, mode_analysis
 from crnoise.timesim import (
     Forcing,
@@ -836,7 +836,8 @@ def test_timeseries_csv_matches_savetxt(tmp_path):
     """Byte-equal to np.savetxt(fmt="%.12g") of the times np.arange(n) * dt,
     over several formatting blocks, whatever chunks the samples come in."""
     rng = np.random.default_rng(3)
-    n = 3 * _BLOCK_ROWS + 11
+    block_rows = _BLOCK_CELLS // 3
+    n = 3 * block_rows + 11
     x1 = rng.standard_normal(n) * 1e-9
     x1[:4] = (0.0, -0.0, 1.0, 1e-300)
     x2 = rng.standard_normal(n) * 3e-11
@@ -846,7 +847,7 @@ def test_timeseries_csv_matches_savetxt(tmp_path):
         handle.write("# alpha = 1\n# beta = 2\nt_s,x1_m,x2_m\n")
         np.savetxt(handle, np.column_stack((np.arange(n) * dt, x1, x2)),
                    fmt="%.12g", delimiter=",")
-    for chunk in (n, _BLOCK_ROWS + 1, 1000):
+    for chunk in (n, block_rows + 1, 1000):
         path = tmp_path / f"ts_{chunk}.csv"
         write_timeseries(path, x1, x2, dt, ("alpha = 1", "beta = 2"), chunk)
         assert path.read_bytes() == reference.read_bytes()
