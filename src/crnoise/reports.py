@@ -150,20 +150,22 @@ def _text_cells(cells, sep: bytes) -> np.ndarray:
     return np.array(encoded, f"S{width}").view(np.uint64).reshape(len(encoded), width // 8)
 
 
-# %.12g in numpy.  A finite x != 0 is written from the 12-digit mantissa
-# m = rint(y), y = |x| 10^(11-e), and its decimal exponent e.  The top 12
-# bits b of x (sign and binary exponent) index a table of +-10^(11-E), E the
-# decimal exponent of 2^(exponent of x), correctly rounded from its decimal
-# string, so x times it is y >= 0 for one of e = E, E+1; where it reaches
-# 1e12 it is divided by 10 once more and e = E+1.  Each of those (at most
-# three) roundings is within 2^-53 of the value, so y is within 3.4e-4 of
-# |x| 10^(11-e) for y < 1e12.  Where 1e11 <= y < 1e12 - 1 and
-# |y - m| < 0.5 - 4e-3, m is therefore the correctly rounded 12-digit
-# mantissa of x, as Python's dtoa finds it, and no exact tie can occur; any
-# other cell is formatted by Python.  The digits of m come from a 4-digit
-# table in three groups; each is written as digit, '.' pairs, and a mask
-# chosen by e's notation and by how many digits remain once trailing zeros
-# are dropped keeps the digits and at most one '.'.
+# '%.12g' in numpy.  Python writes a double x from its 12 significant
+# digits, correctly rounded (Gay's dtoa): the integer m = round(|x| 10^(11-e))
+# in [1e11, 1e12), e the decimal exponent.  Here:
+# - the top 12 bits of x (sign and binary exponent B) index a table of
+#   +-10^(11-E), E = floor(B log10 2), each entry correctly rounded from its
+#   decimal string; x times it is y >= 0, and e is E or E + 1;
+# - where y >= 1e12, y is divided by 10 once more and e = E + 1;
+# - y carries at most three roundings of 2^-53 each (table entry, product,
+#   quotient), so below 1e12 it is within 3.4e-4 of |x| 10^(11-e);
+# - where 1e11 <= y < 1e12 - 1 and |y - rint(y)| < 0.5 - 4e-3, rint(y) is
+#   therefore m, and |x| 10^(11-e) is no tie.  The margin is over ten times
+#   that error.
+# Every other cell is written by Python's '%'.  The digits of m come from a
+# 4-digit table, as digit, '.' pairs.  A mask, chosen by e's notation and by
+# how many digits are left once trailing zeros are dropped, keeps the digits
+# and at most one '.'.
 
 _TIE_MARGIN = 4e-3
 # bytes of a numeric cell: sign and '0.000' prefix, the twelve digit, '.'
@@ -221,7 +223,7 @@ def _format_in_python(words, values, slow, seps) -> None:
 
 @functools.cache
 def _float_tables():
-    """The kernel's tables, built on first use (0.35 MB, ~1 ms):
+    """The kernel's tables, built on first use (0.35 MB, 2-3 ms):
     scale[b], for b the top 12 bits of a double (see above);
     prefix[i], suffix[i], key_base[i] for i = 2 b + (y was divided by 10):
     the sign and '0.000' prefix word, the exponent suffix word and 13 times
