@@ -297,7 +297,7 @@ def cmd_simulate(run: RunConfig, args) -> int:
     consumers = []
     if forcing.harmonic:
         drive = forcing.harmonic[0]
-        steady = _planned("sim.duration, analysis.window_start_fraction",
+        steady = _planned("sim.duration, sim.decimation, analysis.window_start_fraction",
                           timesim.SteadyStateProjection, plan.n_samples, plan.record_dt,
                           drive.frequency, run.get("analysis.window_start_fraction"))
         consumers.append(steady.add)

@@ -161,7 +161,7 @@ def _parse_value(key: str, spec: KeySpec, raw: str):
             parts = [p.strip() for p in raw.split(",") if p.strip()]
             if not parts:
                 raise ValueError
-            return tuple(float(p) for p in parts)
+            value = tuple(float(p) for p in parts)
         else:  # str
             return raw
     except ValueError:
@@ -170,6 +170,10 @@ def _parse_value(key: str, spec: KeySpec, raw: str):
         raise ConfigError(
             f"{key}: cannot parse {raw!r} as {expected}{allowed}"
         ) from None
+    if spec.kind == "float_list":
+        if not all(map(math.isfinite, value)):
+            raise ConfigError(f"{key}: values must be finite, got {raw!r}")
+        return value
     if not math.isfinite(value):
         raise ConfigError(f"{key}: value must be finite, got {raw!r}")
     if spec.minimum is not None:

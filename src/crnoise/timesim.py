@@ -399,18 +399,14 @@ def _harmonic_table(omega, target, g0, gm, g1, fall, dt):
     return table.real.copy(), table.imag.copy()
 
 
-def _add_harmonic(z, drives, b, k, fresh):
+def _add_harmonic(z, drives, b, k):
     """z[i] += Re p[b] Im H[i, k] + Im p[b] Re H[i, k] for each state component
     i, summed over the drives: their partial sums at steps k of blocks b.
-    fresh sets z to the sum instead.  Every caller uses these operations, so
-    a sum rounds alike wherever it is formed."""
-    for n, (re, im, table_re, table_im) in enumerate(drives):
+    Every caller uses these operations, so a sum rounds alike wherever it is
+    formed."""
+    for re, im, table_re, table_im in drives:
         for i in range(4):
-            term = re[b] * table_im[i, k] + im[b] * table_re[i, k]
-            if fresh and n == 0:
-                z[i] = term
-            else:
-                z[i] += term
+            z[i] += re[b] * table_im[i, k] + im[b] * table_re[i, k]
 
 
 def _run_scan(phi, g0, gm, g1, x0, forcing, plan, rows, length):
@@ -420,15 +416,15 @@ def _run_scan(phi, g0, gm, g1, x0, forcing, plan, rows, length):
     (name -> state row), first the initial state, then chunk by chunk, each
     in arrays of its own that the scan never writes again.  Blocks of
     `length` steps count from step 0 and chunks hold whole blocks, so the
-    trajectory does not depend on the chunk length; undecimated channels are
-    formed at every step at once, decimated ones at the recorded steps only.
+    trajectory does not depend on the chunk length.
 
     The noise inputs are weighted and summed step by step (one cumulative
-    sum per chunk).  A harmonic drive's partial sums come from its table H
-    and one phasor p_b per block (module docstring), added to the noise sums
-    at the block ends and wherever states are formed: every step when
-    undecimated, the recorded steps otherwise.  A run with harmonic drives
-    and no noise forms no per-step sum at all.
+    sum per chunk; a run without noise keeps the zeroed sums).  A harmonic
+    drive's partial sums come from its table H and one phasor p_b per block
+    (module docstring), added to the noise sums at the block ends and at the
+    recorded steps.  One block forms the recorded states from the sums at
+    blocks b and steps k: every step as a view of the scan, with (b, k)
+    broadcasting over it, or the recorded steps gathered.
     """
     yield {name: x0[row : row + 1] for name, row in rows.items()}
 
@@ -458,7 +454,6 @@ def _run_scan(phi, g0, gm, g1, x0, forcing, plan, rows, length):
 
     n_steps, dec = plan.n_steps, plan.record_decimation
     streams, sigma = _noise_streams(forcing.stochastic, dt)
-    fresh = bool(tables) and not streams  # harmonic partial sums only
 
     # buffers reused by every chunk: the scan, one input row and a product.
     # A chunk's last block is padded to length L; the padded steps are never
@@ -472,13 +467,11 @@ def _run_scan(phi, g0, gm, g1, x0, forcing, plan, rows, length):
         n_c = min(chunk, n_steps - start)
         n_b = -(-n_c // length)
         z = scan[:, : n_b * length].reshape(4, n_b, length)
-        flat = row_buf[: n_b * length]
-        f = flat.reshape(n_b, length)
-        tmp = tmp_buf[: n_b * length].reshape(n_b, length)
-
-        # fork kept: doing this without noise too slows a 20 s decimated harmonic run 0.571->0.614 s
-        if not fresh:
-            z[...] = 0.0
+        z[...] = 0.0
+        if streams:
+            flat = row_buf[: n_b * length]
+            f = flat.reshape(n_b, length)
+            tmp = tmp_buf[: n_b * length].reshape(n_b, length)
             for row, rng in streams:
                 rng.standard_normal(out=flat[:n_c])
                 flat[:n_c] *= sigma
@@ -491,12 +484,8 @@ def _run_scan(phi, g0, gm, g1, x0, forcing, plan, rows, length):
             p = d.amplitude * _phasors(omega, dt, d.phase,
                                        range(start, start + n_b * length, length))
             drives.append((p.real, p.imag, table_re, table_im))
-        if dec == 1:
-            _add_harmonic(z, drives, (slice(None), None), slice(None), fresh)
-            ends = z[:, :, -1]
-        else:
-            ends = np.empty((4, n_b)) if fresh else z[:, :, -1].copy()
-            _add_harmonic(ends, drives, slice(None), -1, fresh)
+        ends = z[:, :, -1].copy()
+        _add_harmonic(ends, drives, slice(None), -1)
 
         # a block entered with state c is left with Phi^L c + Phi^(L-1) e, e its
         # last partial sum.  Only that chain runs block by block (on floats,
@@ -516,28 +505,22 @@ def _run_scan(phi, g0, gm, g1, x0, forcing, plan, rows, length):
         skip = (-start - 1) % dec
         if skip >= n_c:
             continue
-        out = {}
-        # fork kept: the gather is bit-equal but slows the 40 s thermal scan 0.52->1.02 s
-        if dec == 1:
-            z += enter[:, :, None]
-            for (name, row), g in zip(rows.items(), np.empty((len(rows), n_b, length))):
-                np.multiply(rise[row, 0], z[0], out=g)
-                for i in range(1, 4):
-                    np.multiply(rise[row, i], z[i], out=tmp)
-                    g += tmp
-                out[name] = g.reshape(-1)[:n_c]
+        if dec == 1:  # every step: views and broadcasts, no gather
+            b, k, zs = np.arange(n_b)[:, None], slice(None), z
         else:
-            pos = np.arange(skip, n_c, dec)  # the recorded steps' columns of scan
-            b, k = np.divmod(pos, length)
-            zs = np.empty((4, pos.size)) if fresh else scan[:, pos]
-            _add_harmonic(zs, drives, b, k, fresh)
-            zs += enter[:, b]
-            for (name, row), g in zip(rows.items(), np.empty((len(rows), pos.size))):
-                weights = rise[row][:, k]
-                np.multiply(weights[0], zs[0], out=g)
-                for i in range(1, 4):
-                    g += weights[i] * zs[i]
-                out[name] = g
+            b, k = np.divmod(np.arange(skip, n_c, dec), length)
+            zs = z[:, b, k]
+        _add_harmonic(zs, drives, b, k)
+        zs += enter[:, b]
+        tmp = tmp_buf[: zs[0].size].reshape(zs[0].shape)
+        out = {}
+        for (name, row), g in zip(rows.items(), np.empty((len(rows), *zs[0].shape))):
+            weights = rise[row][:, k]
+            np.multiply(weights[0], zs[0], out=g)
+            for i in range(1, 4):
+                np.multiply(weights[i], zs[i], out=tmp)
+                g += tmp
+            out[name] = g.reshape(-1)[:n_c]  # drops the padded steps, if every step is formed
         yield out
 
 
@@ -556,7 +539,9 @@ class SteadyStateProjection:
     Fourier projection over the analysis window (the final 1 - start_fraction
     of the record), Hann weighted so that leakage from tones more than a few
     window widths away is rejected.  The window must contain at least 50
-    cycles of the projected frequency, which is checked when it is built.
+    cycles of the projected frequency, and the frequency's alias image (at
+    m/dt - frequency) must lie at least 8 window widths from it, where the
+    Hann leakage is below 1e-3; both are checked when it is built.
     """
 
     def __init__(self, n_samples: int, dt: float, frequency: float,
@@ -572,6 +557,13 @@ class SteadyStateProjection:
         if cycles < 50.0:
             raise ValueError(
                 f"window too short: {cycles:.1f} cycles at {frequency:g} Hz, need >= 50"
+            )
+        turns = 2.0 * frequency * dt  # 2 f / fs: the image at m fs - f is f at m = turns
+        widths = abs(turns - round(turns)) * self._n_win
+        if widths < 8.0:
+            raise ValueError(
+                f"the alias image of {frequency:g} Hz at {round(turns) / dt - frequency:g} Hz "
+                f"lies {widths:.1f} window widths from it, need >= 8"
             )
         self._sums = [0j, 0j]  # window- and basis-weighted sums of x1 and x2
         self._seen = 0  # samples received

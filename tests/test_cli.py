@@ -74,6 +74,9 @@ def test_bad_value_named():
         build_run_config({"system.kc": "abc"})
     with pytest.raises(ConfigError, match="sweep.kc_values"):
         build_run_config({"sweep.kc_values": "x, y"})
+    for kc in ("nan,-393.5", "-inf", "-393.5, inf"):  # else a nan row, or an unnamed error
+        with pytest.raises(ConfigError, match="sweep.kc_values"):
+            build_run_config({"sweep.kc_values": kc})
 
 
 def test_comments_and_inline_comments():
@@ -251,6 +254,33 @@ def test_simulate_harmonic_summary(tmp_path):
         assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path)) == 0
     text = (tmp_path / "simulate_summary.txt").read_text()
     assert "steady_amp_x1" in text
+
+
+def test_simulate_alias_image_on_drive_named(tmp_path, capsys):
+    """At decimation 25 the record's Nyquist frequency is f2 (auto dt is
+    1/(50 f2)), so a mode-2 drive's alias image falls on the drive: the run
+    is refused before it starts.  At decimation 30 the image lies clear, and
+    the projection reads what it reads on the full record."""
+    summaries = {}
+    for decimation in (1, 25, 30):
+        cfg = tmp_path / f"dec{decimation}.cfg"
+        cfg.write_text("forcing.harmonic_amplitude = 1e-6\n"
+                       "forcing.harmonic_frequency = mode2\n"
+                       f"sim.duration = 1.0\nsim.decimation = {decimation}\n")
+        out = tmp_path / f"dec{decimation}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = run_cli("simulate", "--config", str(cfg), "--out", str(out))
+        if decimation == 25:
+            assert code == 1
+            assert "sim.decimation" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert code == 0
+            summaries[decimation] = table_rows(out / "simulate_summary.txt")
+    for quantity in ("steady_amp_x1", "steady_amp_x2", "phase_diff"):
+        assert float(summaries[30][quantity][0]) == pytest.approx(
+            float(summaries[1][quantity][0]), rel=1e-4)
 
 
 NOISE_CFG = "forcing.noise_psd = auto\nsim.duration = 0.3\n"

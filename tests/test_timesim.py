@@ -430,14 +430,29 @@ def chunk_test_run(system, modes, n_steps, decimation=1, sink=None, channels=Non
     return quiet(simulate, system, forcing, plan, sink, channels)
 
 
-def test_decimation_subsamples(reference, monkeypatch):
-    """Across chunks of 4096 steps, which none of these decimations divides."""
+@pytest.mark.parametrize("harmonic, noise", [(True, False), (False, True), (False, False),
+                                             (True, True)],
+                         ids=["harmonic", "noise", "none", "both"])
+def test_decimation_subsamples(reference, monkeypatch, harmonic, noise):
+    """Across chunks of 4096 steps, which none of these decimations divides,
+    under each mix of forcings, from a displaced start so that every run moves."""
     _, system, modes = reference
     monkeypatch.setattr(timesim, "_CHUNK_STEPS", 4096)
     n_steps = 3 * 4096 + 1234
-    full = chunk_test_run(system, modes, n_steps)
+    dt = default_timestep(modes)
+    forcing = Forcing(
+        harmonic=(HarmonicDrive(1, 1e-6, modes.f1, 0.3),) if harmonic else (),
+        stochastic=StochasticDrive(force_psd=5.1e-23, seed=4, target="both") if noise else None,
+    )
+
+    def run(decimation):
+        plan = SimulationPlan(dt=dt, duration=n_steps * dt, record_decimation=decimation,
+                              initial_state=(1e-9, 0.0, -2e-9, 1e-5))
+        return quiet_collect(system, forcing, plan, CHANNELS)
+
+    full = run(1)
     for decimation in (5, 7, 5000):
-        deci = chunk_test_run(system, modes, n_steps, decimation)
+        deci = run(decimation)
         assert deci.dt == pytest.approx(decimation * full.dt)
         for name in CHANNELS:
             assert np.array_equal(getattr(deci, name), getattr(full, name)[::decimation])
