@@ -5,78 +5,57 @@ of motion under harmonic and thermal drive, estimates power spectral
 densities, budgets the thermomechanical and transimpedance-readout noise, and
 converts the noise floor into output resolution and a minimum detectable
 stiffness perturbation.
+
+The public names below load their module on first use (PEP 562), so a
+command imports only the modules it runs: `modes` never builds the engine.
 """
 
-from .errors import ConfigError, NumericalError
-from .noisebudget import (
-    BOLTZMANN,
-    ElectronicBudget,
-    Environment,
-    NoiseBudgetReport,
-    ReadoutConfig,
-    ThermalBudget,
-    TransducerConfig,
-    analytic_displacement_psd,
-    electronic_budget,
-    full_noise_budget,
-    motional_resistance,
-    thermal_budget,
-    thermal_force_psd,
-    total_system_noise,
-)
-from .resolution import (
-    MinDetectableStiffness,
-    ReadoutVoltages,
-    ResolutionReport,
-    SnrGate,
-    amplitude_resolution,
-    ar_resolution,
-    ar_sensitivity,
-    compute_readout_voltages,
-    min_detectable_stiffness,
-    motional_current,
-    output_voltage,
-    resolution_report,
-    snr_gate,
-)
-from .spectral import (
-    DB_PAPER,
-    DB_POWER,
-    Spectrum,
-    Welch,
-    band_mean_psd,
-    band_power,
-    parseval_ratio,
-    to_db,
-    welch_psd,
-)
-from .sysmodel import (
-    DerivedQuantities,
-    FrequencyResponse,
-    Modes,
-    SensitivityReport,
-    SystemConfig,
-    SystemMatrices,
-    build_system,
-    derive_quantities,
-    frequency_response,
-    mode_analysis,
-    sensitivity_mass,
-    sensitivity_stiffness,
-)
-from .timesim import (
-    Forcing,
-    HarmonicDrive,
-    SimulationPlan,
-    SteadyStateAmplitude,
-    SteadyStateProjection,
-    StochasticDrive,
-    TimeSeries,
-    default_timestep,
-    duration_for_segments,
-    simulate,
-)
+from importlib import import_module
+
+_EXPORTS = {
+    "errors": ("ConfigError", "NumericalError"),
+    "noisebudget": (
+        "BOLTZMANN", "ElectronicBudget", "Environment", "NoiseBudgetReport", "ReadoutConfig",
+        "ThermalBudget", "TransducerConfig", "analytic_displacement_psd", "electronic_budget",
+        "full_noise_budget", "motional_resistance", "thermal_budget", "thermal_force_psd",
+        "total_system_noise",
+    ),
+    "resolution": (
+        "MinDetectableStiffness", "ReadoutVoltages", "ResolutionReport", "SnrGate",
+        "amplitude_resolution", "ar_resolution", "ar_sensitivity", "compute_readout_voltages",
+        "min_detectable_stiffness", "motional_current", "output_voltage", "resolution_report",
+        "snr_gate",
+    ),
+    "spectral": (
+        "DB_PAPER", "DB_POWER", "Spectrum", "Welch", "band_mean_psd", "band_power",
+        "parseval_ratio", "to_db", "welch_psd",
+    ),
+    "sysmodel": (
+        "DerivedQuantities", "FrequencyResponse", "Modes", "SensitivityReport", "SystemConfig",
+        "SystemMatrices", "build_system", "derive_quantities", "frequency_response",
+        "mode_analysis", "sensitivity_mass", "sensitivity_stiffness",
+    ),
+    "timesim": (
+        "Forcing", "HarmonicDrive", "SimulationPlan", "SteadyStateAmplitude",
+        "SteadyStateProjection", "StochasticDrive", "TimeSeries", "default_timestep",
+        "duration_for_segments", "simulate",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

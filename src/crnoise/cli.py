@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import math
 import re
 import sys
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import presets, resolution as reslib, spectral, sysmodel, timesim
+from . import presets, resolution as reslib, sysmodel
 from .config import RunConfig, build_run_config, load_config_file, parse_config_text, schema_help
 from .errors import ConfigError, NumericalError
 from .noisebudget import (
@@ -105,6 +106,14 @@ def _print(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _load_engine() -> None:
+    """Import the engine modules, which only a command that runs the engine
+    loads; it does so first, before it builds or solves anything.  Loaded
+    after the modes are solved, they raised the peak RSS of a 40 s thermal
+    budget by about 1 MB."""
+    from . import spectral, timesim
+
+
 # --- modes -----------------------------------------------------------------
 
 def _modes_rows(run: RunConfig):
@@ -163,6 +172,8 @@ def _x_psd_inputs(run: RunConfig, modes) -> tuple[tuple[float, float], str]:
 
 def _budget_report(run: RunConfig) -> tuple[NoiseBudgetReport, str]:
     """The noise budget, with the run's eigenproblem solved once for every stage."""
+    if run.get("budget.x_psd_source") == "simulated":
+        _load_engine()
     modes = sysmodel.mode_analysis(sysmodel.build_system(run.system))
     x_psd, label = _x_psd_inputs(run, modes)
     report = full_noise_budget(
@@ -232,12 +243,14 @@ def _sim_inputs(run: RunConfig, modes=None):
     system = sysmodel.build_system(run.system)
     if modes is None:
         modes = sysmodel.mode_analysis(system)
-    return system, modes, run.make_plan(modes), run.make_forcing(modes)
+    return system, modes, _plan(run, modes), run.make_forcing(modes)
 
 
 def _simulate(system, forcing, plan, consumers=(), welch=None, channels=("x1", "x2")):
     """Run the engine once, handing each chunk of the record to every consumer
     in turn and each channel's samples to its accumulator in welch."""
+    from . import timesim
+
     def sink(chunk):
         for consume in consumers:
             consume(chunk)
@@ -248,23 +261,37 @@ def _simulate(system, forcing, plan, consumers=(), welch=None, channels=("x1", "
 
 
 def _planned(keys: str, build, *args):
-    """build(*args), with a ValueError it raises (a record too short) a config error on keys."""
+    """build(*args), with a ValueError it raises (a step too coarse, a record too
+    short) a config error on keys."""
     try:
         return build(*args)
     except ValueError as exc:
         raise ConfigError(f"{keys}: {exc}") from None
 
 
+# the keys that set the recorded samples: their step, their number and their spacing
+_RECORD_KEYS = "sim.dt, sim.duration, sim.decimation"
+
+
+def _plan(run: RunConfig, modes):
+    """The run's simulation plan, checked against its modes."""
+    return _planned("sim.dt, sim.duration", run.make_plan, modes)
+
+
 def _welch(run: RunConfig, plan: timesim.SimulationPlan) -> spectral.Welch:
     """A Welch accumulator for one channel of the planned record, with the
     configured analysis.segment_length and analysis.overlap."""
-    return _planned("analysis.segment_length, sim.duration", spectral.Welch, plan.n_samples,
+    from . import spectral
+
+    return _planned(f"analysis.segment_length, {_RECORD_KEYS}", spectral.Welch, plan.n_samples,
                     plan.record_dt, run.get("analysis.segment_length"),
                     run.get("analysis.overlap"))
 
 
 def _band_floors(run: RunConfig, system, modes, plan, forcing, channels) -> list[float]:
     """Band-mean PSD of each channel at f1, then at f2, from one streamed run."""
+    from . import spectral
+
     welch = {name: _welch(run, plan) for name in channels}
     _simulate(system, forcing, plan, welch=welch, channels=channels)
     spectra = [w.spectrum() for w in welch.values()]
@@ -292,12 +319,15 @@ def _timeseries_sink(write, record_dt: float, squares: dict):
 
 
 def cmd_simulate(run: RunConfig, args) -> int:
+    from . import timesim  # first: see _load_engine
+
     system, modes, plan, forcing = _sim_inputs(run)
     squares = {"x1": 0.0, "x2": 0.0}
     consumers = []
     if forcing.harmonic:
         drive = forcing.harmonic[0]
-        steady = _planned("sim.duration, sim.decimation, analysis.window_start_fraction",
+        steady = _planned(f"forcing.harmonic_frequency, {_RECORD_KEYS}, "
+                          "analysis.window_start_fraction",
                           timesim.SteadyStateProjection, plan.n_samples, plan.record_dt,
                           drive.frequency, run.get("analysis.window_start_fraction"))
         consumers.append(steady.add)
@@ -326,6 +356,8 @@ def cmd_simulate(run: RunConfig, args) -> int:
 
 
 def _band_rows(name: str, spectrum: spectral.Spectrum, mean_square, modes, band: float) -> list[Row]:
+    from . import spectral
+
     rows = []
     for mode_idx, f_mode in ((1, modes.f1), (2, modes.f2)):
         power = spectral.band_power(spectrum, f_mode, band)
@@ -346,6 +378,9 @@ def _band_rows(name: str, spectrum: spectral.Spectrum, mean_square, modes, band:
 
 
 def cmd_psd(run: RunConfig, args) -> int:
+    _load_engine()
+    from . import spectral
+
     system, modes, plan, forcing = _sim_inputs(run)
     welch = {name: _welch(run, plan) for name in ("x1", "x2")}
     squares = {"x1": 0.0, "x2": 0.0}
@@ -488,6 +523,8 @@ SWEEP_SOURCES = {
 def _sweep_floors(run: RunConfig) -> list:
     """Simulated floor columns, one streamed run per design: the engine takes
     one at a time."""
+    from . import timesim
+
     seed = run.require_seed()
     force_psd = run.noise_psd() or thermal_force_psd(run.system.c1, run.environment)
     floors = []
@@ -496,12 +533,14 @@ def _sweep_floors(run: RunConfig) -> list:
         modes = sysmodel.mode_analysis(system)
         drive = timesim.StochasticDrive(force_psd=force_psd, seed=seed + i,
                                         target=run.get("forcing.noise_target"))
-        floors.append(_band_floors(run, system, modes, run.make_plan(modes),
+        floors.append(_band_floors(run, system, modes, _plan(run, modes),
                                    timesim.Forcing(stochastic=drive), ("x1", "x2")))
     return list(zip(*floors))
 
 
 def cmd_sweep(run: RunConfig, args) -> int:
+    if run.get("sweep.simulate_floor"):
+        _load_engine()
     kc = np.array(run.get("sweep.kc_values"))
     base = build_run_config(run.entries | SWEEP_SOURCES)
     base = dataclasses.replace(base, system=dataclasses.replace(base.system, kc=kc))
@@ -550,6 +589,12 @@ def _attach_kc_value(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # The process entry: no collection, those at exit included, walks
+        # the objects import made again.  Freezing them leaks nothing (a full
+        # collection after `import crnoise.cli` finds none unreachable), and
+        # every output file is closed by its `with` before main returns.
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(_attach_kc_value(sys.argv[1:] if argv is None else list(argv)))
     try:

@@ -19,13 +19,6 @@ from pathlib import Path
 from .errors import ConfigError
 from .noisebudget import Environment, ReadoutConfig, TransducerConfig, thermal_force_psd
 from .sysmodel import SystemConfig
-from .timesim import (
-    Forcing,
-    HarmonicDrive,
-    SimulationPlan,
-    StochasticDrive,
-    default_timestep,
-)
 
 
 @dataclass(frozen=True)
@@ -240,16 +233,23 @@ class RunConfig:
             return thermal_force_psd(self.system.c1, self.environment)
         return value
 
-    def make_plan(self, modes) -> SimulationPlan:
+    def make_plan(self, modes):
+        # the engine is imported here, so that only a run that needs it loads it
+        from .timesim import SimulationPlan, default_timestep
+
         dt = self.values["sim.dt"]
-        return SimulationPlan(
+        plan = SimulationPlan(
             dt=default_timestep(modes) if dt is None else dt,
             duration=self.values["sim.duration"],
             record_decimation=self.values["sim.decimation"],
         )
+        plan.check(modes)
+        return plan
 
-    def make_forcing(self, modes) -> Forcing:
-        harmonic: tuple[HarmonicDrive, ...] = ()
+    def make_forcing(self, modes):
+        from .timesim import Forcing, HarmonicDrive, StochasticDrive
+
+        harmonic = ()
         amplitude = self.values["forcing.harmonic_amplitude"]
         if amplitude > 0:
             frequency = self.values["forcing.harmonic_frequency"]

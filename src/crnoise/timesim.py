@@ -148,6 +148,18 @@ class SimulationPlan:
     def record_dt(self) -> float:
         return self.dt * self.record_decimation
 
+    def check(self, modes: Modes) -> None:
+        """Raise ValueError unless the step resolves the faster mode and the
+        run takes at least one step."""
+        dt_max = 1.0 / (_MIN_STEPS_PER_PERIOD * modes.f2)
+        if self.dt > dt_max:
+            raise ValueError(
+                f"dt = {self.dt:g} s too large: must be <= 1/({_MIN_STEPS_PER_PERIOD}*f2) "
+                f"= {dt_max:g} s"
+            )
+        if self.n_steps < 1:
+            raise ValueError("duration shorter than one time step")
+
 
 @dataclass
 class TimeSeries:
@@ -248,14 +260,7 @@ def simulate(
     metadata["scan_block"] is the scan's block length L.
     """
     modes = mode_analysis(system)
-    if plan.dt > 1.0 / (_MIN_STEPS_PER_PERIOD * modes.f2):
-        raise ValueError(
-            f"dt = {plan.dt:g} s too large: must be <= 1/({_MIN_STEPS_PER_PERIOD}*f2) "
-            f"= {1.0 / (_MIN_STEPS_PER_PERIOD * modes.f2):g} s"
-        )
-    n_steps = plan.n_steps
-    if n_steps < 1:
-        raise ValueError("duration shorter than one time step")
+    plan.check(modes)
     if not channels or set(channels) - set(_STATE_ROWS):
         raise ValueError(f"channels {sorted(channels)}: name one or more of x1, x2, v1, v2")
     for d in forcing.harmonic:

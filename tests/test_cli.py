@@ -609,16 +609,26 @@ def test_simulated_budget_memory_flat_in_duration(tmp_path):
 
 
 def test_too_short_record_fails_before_writing(tmp_path, capsys):
-    """A Welch segment longer than the record, or a steady-state window of
-    fewer than 50 drive cycles, is a config error naming the keys, raised
-    before any output is written."""
+    """A Welch segment longer than the record, a steady-state window of fewer
+    than 50 drive cycles or with the drive's alias image on it, a step too
+    coarse for the modes and a run shorter than one step are each a config
+    error naming the keys that set the record, raised before any output is
+    written."""
     harmonic = "forcing.harmonic_amplitude = 1e-6\nforcing.harmonic_frequency = mode1\n"
     cases = [
         ("psd", "sim.duration = 0.05\nanalysis.segment_length = 65536\n",
-         ("analysis.segment_length", "sim.duration")),
-        ("psd", "sim.duration = 0.0002\n", ("analysis.segment_length", "sim.duration")),
+         ("analysis.segment_length", "sim.duration", "sim.dt", "sim.decimation")),
+        ("psd", "sim.duration = 0.0002\n", ("analysis.segment_length", "sim.duration", "sim.dt")),
         ("simulate", harmonic + "sim.duration = 0.01\n",
-         ("sim.duration", "analysis.window_start_fraction")),
+         ("sim.duration", "sim.dt", "analysis.window_start_fraction",
+          "forcing.harmonic_frequency")),
+        ("simulate", "sim.dt = 1\n", ("sim.dt",)),
+        ("psd", NOISE_CFG + "sim.dt = 1\nsim.seed = 1\n", ("sim.dt",)),
+        ("simulate", "sim.duration = 1e-9\n", ("sim.duration", "sim.dt")),
+        # just below the Nyquist frequency of the automatic step, 1/(50 f2)
+        ("simulate", "forcing.harmonic_amplitude = 1e-6\n"
+                     "forcing.harmonic_frequency = 62065.9\n",
+         ("forcing.harmonic_frequency", "sim.dt", "sim.decimation")),
     ]
     for i, (command, text, keys) in enumerate(cases):
         cfg = tmp_path / f"case{i}.cfg"
@@ -753,6 +763,89 @@ print(json.dumps(loaded))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, 0, [], 1,
                                                         False, False, True]
+
+
+def test_only_engine_runs_import_the_engine(tmp_path):
+    """Importing the CLI leaves `timesim` and `spectral` unloaded, and so do
+    `modes`, `resolution`, a budget from the published PSD and a sweep that
+    does not simulate its floors; a simulated budget loads both."""
+    (tmp_path / "simulated.cfg").write_text("budget.x_psd_source = simulated\n" + NOISE_CFG)
+    runs = [
+        ["modes", "--config", "paper-reference"],
+        ["resolution", "--config", "paper-reference"],
+        ["budget", "--config", "paper-reference"],
+        ["sweep", "--config", "paper-reference"],
+        ["budget", "--config", str(tmp_path / "simulated.cfg"), "--seed", "5"],
+    ]
+    script = f"""
+import json, sys, warnings
+warnings.simplefilter("ignore")
+from crnoise.cli import main
+def engine():
+    return [m in sys.modules for m in ("crnoise.timesim", "crnoise.spectral")]
+loaded = [engine()]
+for i, argv in enumerate({runs!r}):
+    assert main(argv + ["--out", {str(tmp_path)!r} + f"/out{{i}}"]) == 0, argv
+    loaded.append(engine())
+print(json.dumps(loaded))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[False, False]] * 5 + [[True, True]]
+
+
+def test_package_names_resolve_to_their_modules():
+    """`import crnoise` loads no submodule; each name in `__all__` then loads
+    its module and is the same object as there (a class or function is the
+    one its defining module holds), `dir` lists every name, and an unknown
+    name is an AttributeError."""
+    script = """
+import importlib, json, sys
+import crnoise
+loaded = sorted(m for m in sys.modules if m.startswith("crnoise."))
+names = {}
+for name in crnoise.__all__:
+    value = getattr(crnoise, name)
+    homes = ["crnoise." + m for m in ("errors", "noisebudget", "resolution", "spectral",
+                                      "sysmodel", "timesim")
+             if getattr(importlib.import_module("crnoise." + m), name, None) is value]
+    names[name] = [getattr(value, "__module__", homes[0]), homes]
+try:
+    crnoise.no_such_name
+    missing = False
+except AttributeError:
+    missing = True
+print(json.dumps([loaded, names, sorted(set(crnoise.__all__) - set(dir(crnoise))), missing,
+                  crnoise.__version__]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded, names, undir, missing, version = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == []
+    assert len(names) >= 60 and all(module in homes for module, homes in names.values()), names
+    assert names["simulate"][0] == "crnoise.timesim" and names["Welch"][0] == "crnoise.spectral"
+    assert undir == [] and missing and version == "0.1.0"
+
+
+def test_heap_frozen_only_at_process_entry(tmp_path):
+    """main() as the process entry freezes the import-time heap, so the
+    collections at exit skip it; main([...]) in process leaves collection
+    as it was."""
+    script = f"""
+import gc, json, sys
+from crnoise.cli import main
+argv = ["modes", "--config", "paper-reference", "--out", {str(tmp_path)!r}]
+assert main(argv) == 0
+counts = [gc.get_freeze_count()]
+sys.argv = ["cr-noise-lab", *argv]
+assert main() == 0
+counts.append(gc.get_freeze_count())
+print(json.dumps(counts))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    in_process, entry = json.loads(proc.stdout.splitlines()[-1])
+    assert in_process == 0 and entry > 0
 
 
 def test_echoed_config_round_trip(tmp_path):
