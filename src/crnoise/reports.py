@@ -87,11 +87,11 @@ def csv_writer(path, header: str, comments: tuple[str, ...] = ()):
     comma-separated rows.  Every cell is written exactly as Python writes
     it: a str cell as is, every other cell as '%.12g' % cell.  A numpy
     column of floats, ints or bools is formatted in numpy, by the bytes of
-    its values as doubles; its zeros and the cells the kernel cannot prove
-    it rounds as Python does (nan, +-inf, subnormals and other magnitudes
-    below ~1e-297, and ties or near-ties at the 13th significant digit) go
-    through Python's '%' one by one.  Any other column (a Python sequence,
-    strings, objects) is formatted cell by cell.  A str cell holding NUL
+    its values as doubles, zeros and +-inf included; the cells the kernel
+    cannot prove it rounds as Python does (nan, subnormals and other
+    magnitudes below ~1e-297, and ties or near-ties at the 13th significant
+    digit) go through Python's '%' one by one.  Any other column (a Python
+    sequence, strings, objects) is formatted cell by cell.  A str cell holding NUL
     raises ValueError, and a cell '%.12g' cannot format raises TypeError.
     Comment lines (prefixed '# ') and the header go on top.  The file
     appears under `path` when the block is left (see `atomic_open`).
@@ -162,10 +162,12 @@ def _text_cells(cells, sep: bytes) -> np.ndarray:
 # - where 1e11 <= y < 1e12 - 1 and |y - rint(y)| < 0.5 - 4e-3, rint(y) is
 #   therefore m, and |x| 10^(11-e) is no tie.  The margin is over ten times
 #   that error.
-# Every other cell is written by Python's '%'.  The digits of m come from a
-# 4-digit table, as digit, '.' pairs.  A mask, chosen by e's notation and by
-# how many digits are left once trailing zeros are dropped, keeps the digits
-# and at most one '.'.
+# Zeros and +-inf, the doubles with x * 0.5 == x, are written from their
+# table entries alone: a zero scales to m = 0, and +-inf has a prefix word
+# of its own and no digits or exponent.  Every other cell is written by
+# Python's '%'.  The digits of m come from a 4-digit table, as digit, '.'
+# pairs.  A mask, chosen by e's notation and by how many digits are left
+# once trailing zeros are dropped, keeps the digits and at most one '.'.
 
 _TIE_MARGIN = 4e-3
 # bytes of a numeric cell: sign and '0.000' prefix, the twelve digit, '.'
@@ -189,7 +191,8 @@ def _format_doubles(values: np.ndarray, seps: list[bytes]) -> np.ndarray:
         m = np.rint(y)
         fast = np.abs(y - m) < 0.5 - _TIE_MARGIN
         fast &= y < 1e12 - 1
-        fast &= (y >= 1e11) | (values == 0)
+        fast &= y >= 1e11
+        fast |= values * 0.5 == values
         # the mantissa's three 4-digit groups, most significant first
         low = m.astype(np.int64)
         high = low // 100_000_000
@@ -226,9 +229,9 @@ def _float_tables():
     """The kernel's tables, built on first use (0.35 MB, 2-3 ms):
     scale[b], for b the top 12 bits of a double (see above);
     prefix[i], suffix[i], key_base[i] for i = 2 b + (y was divided by 10):
-    the sign and '0.000' prefix word, the exponent suffix word and 13 times
-    the notation class of e (0: scientific, 1-4: fixed, e = -4..-1, 5-16:
-    fixed, e = 0..11, 17: scientific);
+    the sign and '0.000' (or 'inf') prefix word, the exponent suffix word
+    and 13 times the notation class of e (0: scientific, 1-4: fixed, e =
+    -4..-1, 5-16: fixed, e = 0..11, 17: scientific, 18: +-inf, no digits);
     digits[g]: the 4-digit group g as digit, '.' pairs;
     last[j][g]: one past the last nonzero digit of the group at position j
     of the mantissa (0 where it is all zeros; 1 for a zero leading group);
@@ -249,11 +252,13 @@ def _float_tables():
     prefix[:, 0] = np.where(negative.repeat(2), ord("-"), 0)
     prefix[:, 1:6] = np.where(fixed_below_one & (np.arange(5) < 1 - e[:, None]),
                               np.frombuffer(b"0.000", np.uint8), 0)
+    inf = (bexp == 2047).repeat(2)  # and nan, which Python writes
+    prefix[inf, 1:4] = np.frombuffer(b"inf", np.uint8)
     prefix = prefix.view(np.uint64).ravel()
     e_values = range(e.min(), e.max() + 1)
     exponents = np.array([b"" if -4 <= v < 12 else b"e%+03d" % v for v in e_values], "S8")
-    suffix = exponents.view(np.uint64)[e - e.min()]
-    key_base = (np.clip(e, -5, 12) + 5) * 13
+    suffix = np.where(inf, 0, exponents.view(np.uint64)[e - e.min()])
+    key_base = np.where(inf, 18, np.clip(e, -5, 12) + 5) * 13
 
     d = np.stack(np.meshgrid(*[np.arange(10, dtype=np.uint8)] * 4, indexing="ij"), -1)
     d = d.reshape(10000, 4)  # the digits of 0000 ... 9999
@@ -267,13 +272,14 @@ def _float_tables():
             np.where(past == 0, 0, 4 + past).astype(np.uint8),
             np.where(past == 0, 0, 8 + past).astype(np.uint8))
 
-    cls, keep = np.divmod(np.arange(18 * 13), 13)
+    cls, keep = np.divmod(np.arange(19 * 13), 13)
     integer_digits = np.where((cls >= 5) & (cls < 17), cls - 4, 0)  # e + 1 in fixed notation
     point = np.where((cls >= 1) & (cls < 5), -1, np.maximum(integer_digits - 1, 0))
     point[keep <= point + 1] = -1  # no fraction digits left: no '.'
     n_digits = np.maximum(keep, integer_digits)
     slot = np.arange(24) // 2
     kept = np.where(np.arange(24) % 2 == 0, slot < n_digits[:, None], slot == point[:, None])
+    kept[cls == 18] = False
     kept = (kept * 0xFF).astype(np.uint8)
     masks = tuple(np.ascontiguousarray(kept[:, 8 * j:8 * j + 8]).view(np.uint64).ravel()
                   for j in range(3))

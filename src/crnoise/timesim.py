@@ -26,9 +26,11 @@ chunk's recorded samples as soon as they are formed, in arrays of their own.
 `simulate` passes them to one sink as a {channel: samples} dict, forming
 only the channels it is asked for and holding no record, so its memory does
 not grow with the run's length.  The sink runs on a worker thread, which
-takes each chunk from a queue of one while the engine forms the next one;
-numpy releases the GIL in the scan's array operations, the noise draws and
-the FFTs, so on two cores the engine and, say, a Welch estimate overlap.
+takes each chunk from a queue of up to 4 chunks while the engine forms the
+next ones (at most 4 x 0.5 MB per recorded channel wait in it); numpy
+releases the GIL in the scan's array operations, the noise draws and the
+FFTs, so on two cores the engine and, say, a Welch estimate overlap, the
+engine running ahead while a long Welch segment is transformed.
 
 Deterministic harmonic drives enter at the true substep times (full
 4th-order accuracy), in closed form.  The input of step s_b + j of a drive
@@ -60,6 +62,9 @@ from .sysmodel import Modes, SystemMatrices, mode_analysis
 _DEFAULT_STEPS_PER_PERIOD = 50
 _MIN_STEPS_PER_PERIOD = 20
 _CHUNK_STEPS = 1 << 16
+# chunks the engine may run ahead of its sink: one 2^19-point Welch step spans
+# 4 chunks, and its transform about as many chunks of engine work
+_HANDOFF_CHUNKS = 4
 # longest block of the prefix scan, and the largest growth |a|^-L (or |a|^L)
 # of its weights over one block
 _SCAN_BLOCK = 1 << 12
@@ -253,7 +258,7 @@ def simulate(
     "x2", "v1", "v2") are formed.  sink is called with a {channel: samples}
     dict for each chunk of recorded samples, the initial state first; the
     calls come in order on one worker thread while the engine forms the
-    next chunk, and the sink may keep the arrays, which the engine never
+    next chunks, and the sink may keep the arrays, which the engine never
     touches again.  An exception the sink raises stops the run and is
     raised here; the worker thread has ended whenever simulate returns or
     raises.  The returned series counts the recorded samples (plan.n_samples);
@@ -309,17 +314,19 @@ def simulate(
 
 def _drain(sink, chunks) -> None:
     """Pass each of chunks to sink on a worker thread, in order, while this
-    thread forms the next one.
+    thread forms the next ones.
 
-    A queue of one chunk lies between the two threads; it bounds only memory,
-    for the worker never sees an array the engine still writes.  The first
-    exception the sink raises is raised here, and no later chunk is passed
-    on; one raised while forming the chunks drops the chunk still queued.
-    The worker has ended whenever this returns or raises.
+    A queue of up to _HANDOFF_CHUNKS chunks lies between the two threads, so
+    the engine runs that far ahead of a slow sink; it bounds only memory
+    (_HANDOFF_CHUNKS x 0.5 MB per recorded channel at most), for the worker
+    never sees an array the engine still writes.  The first exception the
+    sink raises is raised here, and no later chunk is passed on; one raised
+    while forming the chunks drops every chunk still queued.  The worker has
+    ended whenever this returns or raises.
     """
     import queue  # ~1.5 ms, paid by simulating runs only
 
-    todo = queue.Queue(maxsize=1)
+    todo = queue.Queue(maxsize=_HANDOFF_CHUNKS)
     stop = []  # the first exception on either thread; no chunk is passed on after it
 
     def work():
@@ -424,12 +431,13 @@ def _run_scan(phi, g0, gm, g1, x0, forcing, plan, rows, length):
     trajectory does not depend on the chunk length.
 
     The noise inputs are weighted and summed step by step (one cumulative
-    sum per chunk; a run without noise keeps the zeroed sums).  A harmonic
-    drive's partial sums come from its table H and one phasor p_b per block
-    (module docstring), added to the noise sums at the block ends and at the
-    recorded steps.  One block forms the recorded states from the sums at
-    blocks b and steps k: every step as a view of the scan, with (b, k)
-    broadcasting over it, or the recorded steps gathered.
+    sum per chunk): the first stream's weighted inputs are written into the
+    sums and the others added to them; a run without noise zeroes them.  A
+    harmonic drive's partial sums come from its table H and one phasor p_b
+    per block (module docstring), added to the noise sums at the block ends
+    and at the recorded steps.  One block forms the recorded states from the
+    sums at blocks b and steps k: every step as a view of the scan, with
+    (b, k) broadcasting over it, or the recorded steps gathered.
     """
     yield {name: x0[row : row + 1] for name, row in rows.items()}
 
@@ -472,17 +480,21 @@ def _run_scan(phi, g0, gm, g1, x0, forcing, plan, rows, length):
         n_c = min(chunk, n_steps - start)
         n_b = -(-n_c // length)
         z = scan[:, : n_b * length].reshape(4, n_b, length)
-        z[...] = 0.0
         if streams:
             flat = row_buf[: n_b * length]
             f = flat.reshape(n_b, length)
             tmp = tmp_buf[: n_b * length].reshape(n_b, length)
-            for row, rng in streams:
+            for index, (row, rng) in enumerate(streams):
                 rng.standard_normal(out=flat[:n_c])
                 flat[:n_c] *= sigma
                 flat[n_c:] = 0.0
-                _accumulate(z, w_zoh[:, row], f, tmp)
+                if index:
+                    _accumulate(z, w_zoh[:, row], f, tmp)
+                else:
+                    np.multiply(w_zoh[:, row, None], f, out=z)
             np.cumsum(z, axis=2, out=z)
+        else:
+            z[...] = 0.0
         # each drive's phasor p_b at the first step of each block
         drives = []
         for d, omega, (table_re, table_im) in zip(forcing.harmonic, omegas, tables):

@@ -571,12 +571,15 @@ def test_sweep_simulate_floor_seeded(tmp_path):
     assert (dirs[0] / "sweep.csv").read_bytes() == (dirs[1] / "sweep.csv").read_bytes()
 
 
-def test_simulated_budget_memory_flat_in_duration(tmp_path):
+def test_simulated_budget_memory_flat_in_duration(tmp_path, monkeypatch):
     """Every command that simulates streams the engine's record: the
     simulated budget route into Welch, psd and simulate into their sums and
     timeseries.csv as well.  Each one's traced peak at 20 s is within 10% of
     that at 2 s (a held record is ~40 MB at 20 s undecimated, ~4 MB at
-    decimation 10).  A first run takes the one-time allocations."""
+    decimation 10).  A first run takes the one-time allocations.  The
+    handoff holds one chunk here: how many of its _HANDOFF_CHUNKS wait at
+    once depends on the two threads' timing, not on the run's length, and
+    test_timesim bounds that count."""
     import contextlib
     import io
     import tracemalloc
@@ -602,6 +605,7 @@ def test_simulated_budget_memory_flat_in_duration(tmp_path):
         finally:
             tracemalloc.stop()
 
+    monkeypatch.setattr(timesim, "_HANDOFF_CHUNKS", 1)
     for command in runs:
         peak(command, 2.0)
         short, long = peak(command, 2.0), peak(command, 20.0)

@@ -150,6 +150,27 @@ def test_python_formats_only_near_ties(tmp_path, monkeypatch):
     assert 0 < sum(handed) < 0.02 * 3 * n
 
 
+def test_infinities_are_written_by_the_kernel(tmp_path, monkeypatch):
+    """+-inf in the first, middle and last column is written as '%.12g' % v,
+    separator included, by the kernel itself; only the nan cells go to Python."""
+    n = _BLOCK_CELLS // 3 + 5  # two blocks of three columns
+    rng = np.random.default_rng(18)
+    specials = np.array([math.inf, -math.inf, math.nan, 0.0, -0.0])
+    columns = tuple(np.where(rng.random(n) < 0.3, rng.choice(specials, n),
+                             rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n))
+                    for _ in range(3))
+    handed = []
+    python_cells = reports._format_in_python
+    monkeypatch.setattr(reports, "_format_in_python",
+                        lambda words, values, slow, seps: handed.append(
+                            values.ravel()[slow]) or python_cells(words, values, slow, seps))
+    write_csv(tmp_path / "inf.csv", "a,b,c", columns)
+    assert (tmp_path / "inf.csv").read_text() == per_cell_reference("a,b,c", columns, ())
+    assert all(np.isinf(column).any() for column in columns)
+    assert not np.isinf(np.concatenate(handed)).any()
+    assert np.isnan(np.concatenate(handed)).sum() == sum(np.isnan(c).sum() for c in columns)
+
+
 def test_integer_bool_and_single_columns_are_written_as_percent_12g(tmp_path):
     """Other numeric dtypes are written as Python writes their cells: as
     '%.12g' % cell of the Python int, bool or float that tolist() gives."""

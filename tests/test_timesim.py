@@ -586,7 +586,8 @@ def test_sink_may_keep_its_arrays(reference, monkeypatch):
 
 def test_sink_error_stops_the_run(reference, monkeypatch):
     """The sink's own exception reaches the caller, no chunk after it is
-    passed on, the engine stops and the worker thread is gone."""
+    passed on, the engine stops and the worker thread is gone; at a handoff
+    depth of one and at the shipped depth."""
     _, system, modes = reference
     monkeypatch.setattr(timesim, "_CHUNK_STEPS", 4096)
     formed = []
@@ -608,18 +609,24 @@ def test_sink_error_stops_the_run(reference, monkeypatch):
             raise error
 
     threads = threading.active_count()
-    with pytest.raises(RuntimeError) as caught:
-        chunk_test_run(system, modes, 20 * 4096, 1, failing, ("x1",))
-    assert caught.value is error
-    assert len(passed) == 3
-    assert len(formed) <= 5  # at most the slot's chunk and one more were formed
-    assert threading.active_count() == threads
+    for depth in (1, timesim._HANDOFF_CHUNKS):
+        monkeypatch.setattr(timesim, "_HANDOFF_CHUNKS", depth)
+        formed.clear()
+        passed.clear()
+        with pytest.raises(RuntimeError) as caught:
+            chunk_test_run(system, modes, 20 * 4096, 1, failing, ("x1",))
+        assert caught.value is error
+        assert len(passed) == 3
+        # at most the three passed, the queued ones and the one waiting to be queued
+        assert len(formed) <= 3 + depth + 1  # 5 at a depth of one
+        assert threading.active_count() == threads
 
 
 def test_engine_side_errors_leave_no_thread(reference, monkeypatch):
     """The engine's NumericalError, and an interrupt while the engine runs,
-    stop and join the sink worker; the chunk waiting in the slot when the
-    interrupt comes is not passed on."""
+    stop and join the sink worker; at a handoff depth of one, the chunk
+    waiting in the queue when the interrupt comes is not passed on (the
+    shipped depth: test_engine_runs_ahead_of_a_slow_sink)."""
     _, system, modes = reference
     monkeypatch.setattr(timesim, "_CHUNK_STEPS", 4096)
     unstable = dataclasses.replace(system, damping=-1000.0 * system.damping)
@@ -645,11 +652,81 @@ def test_engine_side_errors_leave_no_thread(reference, monkeypatch):
         passed.append(chunk)
 
     monkeypatch.setattr(timesim, "_run_scan", interrupted)
+    monkeypatch.setattr(timesim, "_HANDOFF_CHUNKS", 1)
     passed = []
     with pytest.raises(KeyboardInterrupt):
         simulate(system, Forcing(), dataclasses.replace(plan, initial_state=(0.0,) * 4), slow)
     assert threading.active_count() == threads
-    assert len(passed) == 2  # chunk 1 was under way and chunk 2 in the slot
+    assert len(passed) == 2  # chunk 1 was under way and chunk 2 in the queue
+
+
+def test_engine_runs_ahead_of_a_slow_sink(reference, monkeypatch):
+    """While the sink holds its first chunk, the engine forms the chunks the
+    queue takes and one more, and waits to queue that one; released, the
+    sink gets an unheld run's record.  An interrupt that comes while the
+    sink holds its first chunk drops every queued chunk."""
+    _, system, modes = reference
+    monkeypatch.setattr(timesim, "_CHUNK_STEPS", 4096)
+    depth = timesim._HANDOFF_CHUNKS
+    n_steps = 4 * depth * 4096 + 1234
+    whole = chunk_test_run(system, modes, n_steps, 3)
+    formed = []
+    scan = timesim._run_scan
+
+    def spy(*args):
+        for chunk in scan(*args):
+            formed.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(timesim, "_run_scan", spy)
+    held, release = threading.Event(), threading.Event()
+    kept, done = [], []
+
+    def holding(chunk):
+        if not kept:
+            held.set()
+            release.wait(timeout=60)
+        kept.append(chunk)
+
+    threads = threading.active_count()
+    runner = threading.Thread(
+        target=lambda: done.append(chunk_test_run(system, modes, n_steps, 3, holding)))
+    runner.start()
+    try:
+        assert held.wait(timeout=60)
+        deadline = time.monotonic() + 60
+        while len(formed) < depth + 2 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        time.sleep(0.2)  # time enough to form more chunks, were there room for them
+        assert len(formed) == depth + 2  # the sink's chunk, the queued ones, the waiting one
+    finally:
+        release.set()
+        runner.join(timeout=60)
+    assert not runner.is_alive() and done
+    assert len(kept) == len(formed) == 4 * depth + 2
+    for name in CHANNELS:
+        assert np.array_equal(np.concatenate([chunk[name] for chunk in kept]),
+                              getattr(whole, name)), name
+
+    def interrupted(*args):
+        for index, chunk in enumerate(scan(*args)):
+            if index == depth + 1:  # the sink holds chunk 0; chunks 1 to depth are queued
+                assert held.wait(timeout=60)
+                raise KeyboardInterrupt
+            yield chunk
+
+    def slow(chunk):
+        held.set()
+        time.sleep(0.2)  # the interrupt comes meanwhile
+        passed.append(chunk)
+
+    monkeypatch.setattr(timesim, "_run_scan", interrupted)
+    held.clear()
+    passed = []
+    with pytest.raises(KeyboardInterrupt):
+        chunk_test_run(system, modes, n_steps, 3, slow, ("x1",))
+    assert threading.active_count() == threads
+    assert len(passed) == 1
 
 
 def settled(system, forcing, plan, start_fraction=0.5):
