@@ -20,7 +20,6 @@ from crnoise import (
     band_mean_psd,
     build_system,
     default_timestep,
-    duration_for_segments,
     frequency_response,
     mode_analysis,
     simulate,
@@ -62,7 +61,8 @@ modes = mode_analysis(system)
 force_psd = thermal_force_psd(cfg.c1, env)
 dt = default_timestep(modes)
 segment = 1 << 17  # df ~ 0.95 Hz resolves the ~1 Hz-wide in-phase peak
-plan = SimulationPlan(dt=dt, duration=duration_for_segments(dt, segment, 120))
+# 120 half-overlapping segments: L + (L/2)(120 - 1) samples, plus the initial state
+plan = SimulationPlan(dt=dt, duration=(segment + segment * 0.5 * 119 + 1) * dt)
 print(f"\ncoupled pair: simulating {plan.duration:.1f} s of thermal drive on resonator 1")
 welch = Welch(plan.n_samples, plan.record_dt, segment_length=segment)
 simulate(system, Forcing(stochastic=StochasticDrive(force_psd, seed=42, target="1")), plan,

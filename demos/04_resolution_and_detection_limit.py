@@ -8,10 +8,10 @@ amplitude and amplitude-ratio resolutions and divides by the AR sensitivity.
 from crnoise import (
     amplitude_resolution,
     ar_resolution,
+    ar_sensitivity,
     compute_readout_voltages,
     derive_quantities,
     min_detectable_stiffness,
-    snr_gate,
 )
 from crnoise.presets import reference_system
 
@@ -33,11 +33,8 @@ for i, r in enumerate(res):
     print(f"  amplitude resolution mode {i + 1}: {r:.3e}")
     print(f"  AR resolution mode {i + 1} (RSS of both channels): {ar_resolution(r, r):.3e}")
 
-gate = snr_gate(signal_shift=10 * 156e-9, v_noise=156e-9)
-print(f"\na 10x-noise amplitude shift: SNR = {gate.snr:.0f}, resolvable = {gate.resolvable}")
-
 derived = derive_quantities(reference_system())
-formula_sens = 1.0 / (2.0 * abs(derived.kappa))
+formula_sens = ar_sensitivity(derived.kappa)
 print(f"\nAR sensitivity: formula 1/(2|kappa|) = {formula_sens:.2f}, "
       f"published simulated value = 180 (ratio {formula_sens / 180:.3f})")
 

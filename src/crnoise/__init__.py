@@ -21,24 +21,21 @@ _EXPORTS = {
         "total_system_noise",
     ),
     "resolution": (
-        "MinDetectableStiffness", "ReadoutVoltages", "ResolutionReport", "SnrGate",
-        "amplitude_resolution", "ar_resolution", "ar_sensitivity", "compute_readout_voltages",
-        "min_detectable_stiffness", "motional_current", "output_voltage", "resolution_report",
-        "snr_gate",
+        "MinDetectableStiffness", "ReadoutVoltages", "ResolutionReport", "amplitude_resolution",
+        "ar_resolution", "ar_sensitivity", "compute_readout_voltages", "min_detectable_stiffness",
+        "motional_current", "output_voltage", "resolution_report",
     ),
     "spectral": (
         "DB_PAPER", "DB_POWER", "Spectrum", "Welch", "band_mean_psd", "band_power",
         "parseval_ratio", "to_db", "welch_psd",
     ),
     "sysmodel": (
-        "DerivedQuantities", "FrequencyResponse", "Modes", "SensitivityReport", "SystemConfig",
-        "SystemMatrices", "build_system", "derive_quantities", "frequency_response",
-        "mode_analysis", "sensitivity_mass", "sensitivity_stiffness",
+        "DerivedQuantities", "FrequencyResponse", "Modes", "SystemConfig", "SystemMatrices",
+        "build_system", "derive_quantities", "frequency_response", "mode_analysis",
     ),
     "timesim": (
         "Forcing", "HarmonicDrive", "SimulationPlan", "SteadyStateAmplitude",
-        "SteadyStateProjection", "StochasticDrive", "TimeSeries", "default_timestep",
-        "duration_for_segments", "simulate",
+        "SteadyStateProjection", "StochasticDrive", "TimeSeries", "default_timestep", "simulate",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

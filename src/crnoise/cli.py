@@ -116,14 +116,14 @@ def _load_engine() -> None:
 
 # --- modes -----------------------------------------------------------------
 
-def _modes_rows(run: RunConfig):
+def _modes_rows(run: RunConfig) -> list[Row]:
     system = sysmodel.build_system(run.system)
     modes = sysmodel.mode_analysis(system)
     derived = sysmodel.derive_quantities(run.system)
     ar_per_dk = reslib.ar_sensitivity(derived.kappa)
     if math.isinf(ar_per_dk):
         ar_per_dk = "unbounded (degenerate)"
-    rows = [
+    return [
         Row("f1", modes.f1, "Hz", modes.label1),
         Row("f2", modes.f2, "Hz", modes.label2),
         Row("mode_split", modes.split_hz, "Hz", "f2 - f1"),
@@ -135,11 +135,10 @@ def _modes_rows(run: RunConfig):
         Row("modal_q2", modes.modal_q2, "-", "projected damping"),
         Row("ar_sensitivity", ar_per_dk, "1/dk", "1/(2|kappa|)"),
     ]
-    return rows, modes
 
 
 def cmd_modes(run: RunConfig, args) -> int:
-    rows, _ = _modes_rows(run)
+    rows = _modes_rows(run)
     out = _out_dir(run)
     _print(write_report(out / "modes.txt", "modal analysis", rows, comments=_echo(run)))
     return 0

@@ -23,8 +23,6 @@ class Row:
 def format_value(value: float | str) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
     return f"{value:.6g}"
 
 

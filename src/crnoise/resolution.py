@@ -58,20 +58,6 @@ def ar_resolution(res_r1: float, res_r2: float) -> float:
 
 
 @dataclass(frozen=True)
-class SnrGate:
-    resolvable: bool
-    snr: float
-
-
-def snr_gate(signal_shift: float, v_noise: float) -> SnrGate:
-    """A shift is resolvable when it reaches the rms noise level (SNR >= 1)."""
-    if v_noise <= 0:
-        raise ValueError("v_noise must be > 0")
-    snr = signal_shift / v_noise
-    return SnrGate(resolvable=snr >= 1.0, snr=snr)
-
-
-@dataclass(frozen=True)
 class MinDetectableStiffness:
     """Minimum detectable stiffness perturbation.
 

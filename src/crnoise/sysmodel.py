@@ -1,10 +1,10 @@
 """Mechanics of the weakly coupled two-resonator system.
 
 Assembles the 2x2 mass/damping/stiffness matrices of the coupled pair,
-solves the modal eigenproblem, evaluates the analytic receptance
-(displacement per unit force) over frequency, and provides the closed-form
-first-order output-shift estimates used to rate stiffness and mass sensing
-through the frequency, amplitude-ratio (AR) and eigenstate readouts.
+solves the modal eigenproblem and evaluates the analytic receptance
+(displacement per unit force) over frequency.  The first-order AR
+sensitivity 1/(2|kappa|) of the derived quantities is
+`resolution.ar_sensitivity`.
 
 kc may be a 1-D array of N designs, evaluated in one array pass: matrices
 stack to (N, 2, 2) and every per-design result gains a leading axis N.
@@ -79,11 +79,6 @@ class DerivedQuantities:
     m_eff: float  # effective mass, kg
     kappa: float  # normalized coupling kc / k_eff
     q: float  # quality factor sqrt(k_eff * m_eff) / c
-
-    @property
-    def kc(self) -> float:
-        """Coupling spring implied by kappa and k_eff, N/m."""
-        return self.kappa * self.k_eff
 
 
 def derive_quantities(config: SystemConfig) -> DerivedQuantities:
@@ -248,55 +243,3 @@ def frequency_response(
     h[..., 1, 0] = -d21 / det
     h[..., 1, 1] = d11 / det
     return FrequencyResponse(frequencies=freqs, h=h)
-
-
-@dataclass(frozen=True)
-class SensitivityReport:
-    """First-order normalized output shifts for a stiffness or mass change.
-
-    frequency_shift, ar_shift and eigenstate_shift are the normalized
-    (fractional) shifts of the mode frequency, amplitude-ratio and
-    eigenstate-amplitude readouts; the eigenstate shift is half the AR shift.
-    The raw frequency form |delta/2m| is not computed (it is dimensionally
-    inconsistent) and the normalized form is the authoritative one.
-
-    When kc = 0 the AR and eigenstate readouts are degenerate and their
-    shifts are reported as unbounded (inf) with degenerate = True.
-    """
-
-    frequency_shift: float
-    ar_shift: float
-    eigenstate_shift: float
-    degenerate: bool
-
-
-def _sensitivity_report(frequency_shift: float, ar_shift: float) -> SensitivityReport:
-    return SensitivityReport(
-        frequency_shift=frequency_shift,
-        ar_shift=ar_shift,
-        eigenstate_shift=ar_shift / 2.0,
-        degenerate=math.isinf(ar_shift),
-    )
-
-
-def sensitivity_stiffness(
-    delta_k: float, derived: DerivedQuantities
-) -> SensitivityReport:
-    """Closed-form output shifts for a stiffness perturbation delta_k [N/m].
-
-    frequency: |delta_k / (2 k_eff)|; AR: |delta_k / (2 kc)|;
-    eigenstate: |delta_k / (4 kc)|.
-    """
-    ar = math.inf if derived.kappa == 0 else abs(delta_k / (2.0 * derived.kc))
-    return _sensitivity_report(abs(delta_k / (2.0 * derived.k_eff)), ar)
-
-
-def sensitivity_mass(delta_m: float, derived: DerivedQuantities) -> SensitivityReport:
-    """Closed-form output shifts for a mass perturbation delta_m [kg].
-
-    frequency: |delta_m / (2 m_eff)|; AR and eigenstate use the dimensionless
-    interpretation dm = delta_m / m_eff: dm/(2|kappa|) and dm/(4|kappa|).
-    """
-    dm = delta_m / derived.m_eff
-    ar = math.inf if derived.kappa == 0 else abs(dm / (2.0 * derived.kappa))
-    return _sensitivity_report(abs(delta_m / (2.0 * derived.m_eff)), ar)

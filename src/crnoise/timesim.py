@@ -185,15 +185,6 @@ def default_timestep(modes: Modes) -> float:
     return 1.0 / (_DEFAULT_STEPS_PER_PERIOD * modes.f2)
 
 
-def duration_for_segments(
-    dt: float, segment_length: int, n_segments: int, overlap: float = 0.5
-) -> float:
-    """Run duration giving at least n_segments Welch segments at this overlap."""
-    step = segment_length * (1.0 - overlap)
-    n_samples = segment_length + step * (n_segments - 1)
-    return (n_samples + 1) * dt
-
-
 def _state_matrices(system: SystemMatrices) -> tuple[np.ndarray, np.ndarray]:
     """First-order form x' = A x + B u, state (x1, v1, x2, v2), input (F1, F2)."""
     m1, m2 = system.mass[0, 0], system.mass[1, 1]

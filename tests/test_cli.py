@@ -826,7 +826,7 @@ print(json.dumps([loaded, names, sorted(set(crnoise.__all__) - set(dir(crnoise))
     assert proc.returncode == 0, proc.stderr
     loaded, names, undir, missing, version = json.loads(proc.stdout.splitlines()[-1])
     assert loaded == []
-    assert len(names) >= 60 and all(module in homes for module, homes in names.values()), names
+    assert len(names) == 54 and all(module in homes for module, homes in names.values()), names
     assert names["simulate"][0] == "crnoise.timesim" and names["Welch"][0] == "crnoise.spectral"
     assert undir == [] and missing and version == "0.1.0"
 

@@ -65,6 +65,14 @@ def test_write_report_returns_the_written_table(tmp_path):
     assert path.read_text() == "# a = 1\n" + table
 
 
+def test_render_table_writes_infinities_of_both_float_types():
+    rows = [Row("a", math.inf, "-", "float"), Row("b", -math.inf, "-", "float"),
+            Row("c", np.float64(np.inf), "-", "float64"),
+            Row("d", np.float64(-np.inf), "-", "float64")]
+    values = [line.split()[1] for line in render_table("t", rows).splitlines()[4:]]
+    assert values == ["inf", "-inf", "inf", "-inf"]
+
+
 def test_failed_write_leaves_no_temporary(tmp_path):
     """A cell that cannot be formatted raises; neither the file nor its
     temporary is left behind, and an existing file keeps its content."""

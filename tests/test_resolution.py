@@ -1,4 +1,4 @@
-"""Readout voltages, resolution ratios, SNR gate and detection limits."""
+"""Readout voltages, resolution ratios and detection limits."""
 
 import math
 
@@ -13,7 +13,6 @@ from crnoise.resolution import (
     motional_current,
     output_voltage,
     resolution_report,
-    snr_gate,
 )
 
 
@@ -67,16 +66,6 @@ def test_ar_resolution_properties():
         rss = ar_resolution(a, b)
         assert rss >= max(a, b)
         assert ar_resolution(a, a) == pytest.approx(math.sqrt(2.0) * a, rel=1e-12)
-
-
-def test_snr_gate():
-    gate = snr_gate(1.56e-7, 1.56e-7)
-    assert gate.resolvable and gate.snr == pytest.approx(1.0)
-    assert not snr_gate(0.0, 1e-9).resolvable
-    strong = snr_gate(1.56e-6, 1.56e-7)
-    assert strong.resolvable and strong.snr == pytest.approx(10.0)
-    with pytest.raises(ValueError):
-        snr_gate(1.0, 0.0)
 
 
 def test_min_detectable_published():
