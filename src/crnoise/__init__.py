@@ -20,11 +20,7 @@ _EXPORTS = {
         "full_noise_budget", "motional_resistance", "thermal_budget", "thermal_force_psd",
         "total_system_noise",
     ),
-    "resolution": (
-        "MinDetectableStiffness", "ReadoutVoltages", "ResolutionReport", "amplitude_resolution",
-        "ar_resolution", "ar_sensitivity", "compute_readout_voltages", "min_detectable_stiffness",
-        "motional_current", "output_voltage", "resolution_report",
-    ),
+    "resolution": ("ResolutionReport", "ar_sensitivity", "carrier_voltages", "resolution_report"),
     "spectral": (
         "DB_PAPER", "DB_POWER", "Spectrum", "Welch", "band_mean_psd", "band_power",
         "parseval_ratio", "to_db", "welch_psd",

@@ -407,20 +407,22 @@ def cmd_psd(run: RunConfig, args) -> int:
 def _resolution_report(run: RunConfig):
     budget, _ = _budget_report(run)
     r_f = run.readout.r_f
-
-    x_modes = (run.get("resolution.x_mode1"), run.get("resolution.x_mode2"))
-    eta_omega = (run.get("resolution.eta_omega_mode1"), run.get("resolution.eta_omega_mode2"))
-    i_system = budget.i_system_paper[0]  # best-case (mode 1) mechanical term
-    voltages = reslib.compute_readout_voltages(x_modes, eta_omega, r_f, i_system)
+    carriers = [reslib.carrier_voltages(run.get(f"resolution.x_mode{mode}"),
+                                        run.get(f"resolution.eta_omega_mode{mode}"), r_f)
+                for mode in (1, 2)]
 
     if run.get("resolution.v_out_source") == "paper":
         v_out = (run.get("resolution.v_out_rms_mode1"), run.get("resolution.v_out_rms_mode2"))
     else:
-        v_out = tuple(m.v_out_rms for m in voltages.modes)
+        v_out = tuple(rms for _, _, rms in carriers)
+        for mode, rms in enumerate(v_out, start=1):
+            if rms <= 0:
+                raise ConfigError(f"resolution.x_mode{mode}: no carrier signal: "
+                                  "the computed v_out must be > 0")
     if run.get("resolution.v_noise_source") == "paper":
         v_noise = run.get("resolution.v_noise_rms")
     else:
-        v_noise = voltages.v_noise_rms
+        v_noise = budget.i_system_paper[0] * r_f  # best-case (mode 1) mechanical term
 
     derived = sysmodel.derive_quantities(run.system)
     source = run.get("resolution.sensitivity_source")
@@ -438,19 +440,19 @@ def _resolution_report(run: RunConfig):
         k_eff=derived.k_eff,
         effective_resolution=run.get("resolution.effective_resolution"),
     )
-    return report, voltages, budget
+    return report, carriers, budget
 
 
-def _resolution_rows(run: RunConfig, report, voltages) -> tuple[list[Row], tuple[str, ...]]:
+def _resolution_rows(run: RunConfig, report, carriers) -> tuple[list[Row], tuple[str, ...]]:
     v_src = run.get("resolution.v_out_source")
     n_src = run.get("resolution.v_noise_source")
     rows = []
-    for m in voltages.modes:
+    for mode, (i_mot, peak, rms) in enumerate(carriers, start=1):
         rows += [
-            Row(f"x_mode{m.mode}", m.x_peak, "m_peak", "input"),
-            Row(f"i_mot_mode{m.mode}", m.i_mot_peak, "A_peak", "eta*omega*x"),
-            Row(f"v_out_peak_mode{m.mode}", m.v_out_peak, "V_peak", "i_mot*R_f"),
-            Row(f"v_out_rms_mode{m.mode}", m.v_out_rms, "V_rms", "peak/sqrt(2)"),
+            Row(f"x_mode{mode}", run.get(f"resolution.x_mode{mode}"), "m_peak", "input"),
+            Row(f"i_mot_mode{mode}", i_mot, "A_peak", "eta*omega*x"),
+            Row(f"v_out_peak_mode{mode}", peak, "V_peak", "i_mot*R_f"),
+            Row(f"v_out_rms_mode{mode}", rms, "V_rms", "peak/sqrt(2)"),
         ]
     for i in (0, 1):
         rows.append(Row(f"v_out_used_mode{i+1}", report.v_out_rms[i], "V_rms", v_src))
@@ -466,8 +468,8 @@ def _resolution_rows(run: RunConfig, report, voltages) -> tuple[list[Row], tuple
         Row("sensitivity", report.sensitivity, "1/dk", report.sensitivity_source),
         Row("sensitivity_formula", report.sensitivity_formula, "1/dk", "1/(2|kappa|)"),
         Row("effective_resolution", report.effective_resolution, "-", "detection-limit input"),
-        Row("min_detectable_stiffness", report.min_detectable.absolute, "N/m*", "res/sens"),
-        Row("min_detectable_density", report.min_detectable.density, "N/m*/rtHz", "res/sqrt(B)/sens"),
+        Row("min_detectable_stiffness", report.min_detectable, "N/m*", "res/sens"),
+        Row("min_detectable_density", report.min_detectable_density, "N/m*/rtHz", "res/sqrt(B)/sens"),
     ]
     ratio = (
         report.sensitivity_formula / report.sensitivity
@@ -477,15 +479,15 @@ def _resolution_rows(run: RunConfig, report, voltages) -> tuple[list[Row], tuple
     notes = (
         "N/m* follows the published labeling of the normalized detection "
         f"limit; the k_eff-scaled equivalent is "
-        f"{report.min_detectable.scaled_by_k_eff:.4g} N/m.",
+        f"{report.min_detectable_scaled:.4g} N/m.",
         f"sensitivity cross-check: formula/sensitivity ratio = {ratio:.3f}.",
     )
     return rows, notes
 
 
 def cmd_resolution(run: RunConfig, args) -> int:
-    report, voltages, _ = _resolution_report(run)
-    rows, notes = _resolution_rows(run, report, voltages)
+    report, carriers, _ = _resolution_report(run)
+    rows, notes = _resolution_rows(run, report, carriers)
     out = _out_dir(run)
     table = write_report(out / "resolution.txt", "output resolution", rows,
                          comments=_echo(run), footnotes=notes)
@@ -552,7 +554,7 @@ def cmd_sweep(run: RunConfig, args) -> int:
         *thermal.x_psd, *thermal.i_mot_noise,
         el.i_rf, el.i_vn, el.i_in, el.i_total_paper, el.i_total_integrated,
         *budget.i_system_paper, *report.amplitude_resolution, *report.ar_resolution,
-        report.min_detectable.absolute, report.min_detectable.density,
+        report.min_detectable, report.min_detectable_density,
     ]
     header = SWEEP_HEADER
     if run.get("sweep.simulate_floor"):
@@ -587,6 +589,10 @@ def _attach_kc_value(argv: list[str]) -> list[str]:
     return out
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"cr-noise-lab: warning: {message}\n"
+
+
 def main(argv=None) -> int:
     if argv is None:
         # The process entry: no collection, those at exit included, walks
@@ -594,6 +600,9 @@ def main(argv=None) -> int:
         # collection after `import crnoise.cli` finds none unreachable), and
         # every output file is closed by its `with` before main returns.
         gc.freeze()
+        # A warning reads as the command's own line, not a source path and line.
+        import warnings
+        warnings.formatwarning = _format_warning
     parser = build_parser()
     args = parser.parse_args(_attach_kc_value(sys.argv[1:] if argv is None else list(argv)))
     try:

@@ -28,17 +28,15 @@ class KeySpec:
     unit: str
     help: str
     minimum: float | None = None
-    maximum: float | None = None
+    maximum: float | None = None  # exclusive: a value must be < maximum
     exclusive_min: bool = False
-    below_max: bool = False  # value must be < maximum instead of <=
     choices: tuple[str, ...] = ()
     allow: tuple[str, ...] = ()  # extra literal tokens, e.g. "auto", "none"
 
 
-def _f(default, unit, help, minimum=None, exclusive=False, maximum=None,
-       below_max=False, allow=()):
+def _f(default, unit, help, minimum=None, exclusive=False, maximum=None, allow=()):
     return KeySpec("float", default, unit, help, minimum=minimum, maximum=maximum,
-                   exclusive_min=exclusive, below_max=below_max, allow=allow)
+                   exclusive_min=exclusive, allow=allow)
 
 
 SCHEMA: dict[str, KeySpec] = {
@@ -98,11 +96,11 @@ SCHEMA: dict[str, KeySpec] = {
     "sim.seed": KeySpec("int", "none", "-", "random seed (required for stochastic runs)",
                         minimum=0, allow=("none",)),
     "analysis.window_start_fraction": _f("0.5", "-", "steady-state window start",
-                                         0, maximum=1.0, below_max=True),
+                                         0, maximum=1.0),
     "analysis.segment_length": KeySpec("int", "auto", "samples",
                                        "Welch segment; auto = pow2 <= n/8",
                                        minimum=16, allow=("auto",)),
-    "analysis.overlap": _f("0.5", "-", "Welch overlap fraction", 0, maximum=1.0, below_max=True),
+    "analysis.overlap": _f("0.5", "-", "Welch overlap fraction", 0, maximum=1.0),
     "resolution.sensitivity_source": KeySpec("enum", "formula", "-",
                                              "AR sensitivity: 1/(2|kappa|) or the published "
                                              "simulated value",
@@ -175,11 +173,8 @@ def _parse_value(key: str, spec: KeySpec, raw: str):
             raise ConfigError(f"{key} = {raw} out of range: must be > {spec.minimum:g}{unit}")
         if not spec.exclusive_min and value < spec.minimum:
             raise ConfigError(f"{key} = {raw} out of range: must be >= {spec.minimum:g}{unit}")
-    if spec.maximum is not None:
-        if spec.below_max and not value < spec.maximum:
-            raise ConfigError(f"{key} = {raw} out of range: must be < {spec.maximum:g}")
-        if not spec.below_max and value > spec.maximum:
-            raise ConfigError(f"{key} = {raw} out of range: must be <= {spec.maximum:g}")
+    if spec.maximum is not None and not value < spec.maximum:
+        raise ConfigError(f"{key} = {raw} out of range: must be < {spec.maximum:g}")
     return value
 
 

@@ -67,6 +67,8 @@ def test_out_of_range_named():
         build_run_config({"sim.decimation": "0"})
     with pytest.raises(ConfigError, match="analysis.overlap"):
         build_run_config({"analysis.overlap": "1.0"})
+    with pytest.raises(ConfigError, match="window_start_fraction = 1 out of range: must be < 1$"):
+        build_run_config({"analysis.window_start_fraction": "1"})
 
 
 def test_bad_value_named():
@@ -356,6 +358,25 @@ def test_resolution_zero_noise_voltage(tmp_path):
     assert values["min_detectable_stiffness"] == 0.0
 
 
+def test_zero_carrier_names_the_drive_key(tmp_path, capsys):
+    """A zero drive amplitude leaves no computed carrier: resolution and sweep
+    exit 1 naming the key.  The published-voltage route does not use it."""
+    for mode in (1, 2):
+        cfg = tmp_path / f"still{mode}.cfg"
+        cfg.write_text(f"resolution.x_mode{mode} = 0\n")
+        for command in ("resolution", "sweep"):
+            capsys.readouterr()
+            assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"cr-noise-lab: config error: resolution.x_mode{mode}: "
+                                  "no carrier signal"), err
+    cfg = tmp_path / "published.cfg"
+    cfg.write_text("resolution.x_mode1 = 0\nresolution.v_out_source = paper\n")
+    assert run_cli("resolution", "--config", str(cfg), "--out", str(tmp_path)) == 0
+    values = report_values(tmp_path / "resolution.csv")
+    assert values["v_out_peak_mode1"] == 0.0 and values["v_out_used_mode1"] == 0.135
+
+
 def test_psd_reference_mode1_quieter(tmp_path):
     """Thermal drive on the reference pair: mode-1 band power below mode 2."""
     cfg = tmp_path / "ref_noise.cfg"
@@ -526,6 +547,9 @@ def test_sweep_single_point_matches_budget(tmp_path, capsys):
             for mode in ("1", "2"):  # x_avg = x_psd * B, B = 10 Hz in both presets
                 assert float(row[f"x_psd_mode{mode}"]) * 10.0 == pytest.approx(
                     budget[f"x_avg_mode{mode}"], rel=1e-9)
+            # v_noise = I_system * R_f, R_f = 1 Mohm in both presets
+            assert resolution["v_noise"] == pytest.approx(
+                budget["i_system_paper_mode1"] * 1e6, rel=1e-9)
             r_x_source = table_rows(point / "budget.txt")["r_x"][1]
             assert r_x_source == ("c/eta^2" if preset == "uncoupled-demo" else "input")
     capsys.readouterr()
@@ -826,9 +850,23 @@ print(json.dumps([loaded, names, sorted(set(crnoise.__all__) - set(dir(crnoise))
     assert proc.returncode == 0, proc.stderr
     loaded, names, undir, missing, version = json.loads(proc.stdout.splitlines()[-1])
     assert loaded == []
-    assert len(names) == 54 and all(module in homes for module, homes in names.values()), names
+    assert len(names) == 47 and all(module in homes for module, homes in names.values()), names
     assert names["simulate"][0] == "crnoise.timesim" and names["Welch"][0] == "crnoise.spectral"
     assert undir == [] and missing and version == "0.1.0"
+
+
+def test_warning_printed_without_source_path(tmp_path):
+    """At the process entry a warning prints as one `cr-noise-lab: warning:`
+    line, with no source file or line of the package."""
+    cfg = tmp_path / "harmonic.cfg"
+    cfg.write_text("forcing.harmonic_amplitude = 1e-6\nforcing.harmonic_frequency = mode1\n"
+                   "sim.duration = 2\nsim.decimation = 25\n")
+    proc = subprocess.run([sys.executable, "-m", "crnoise.cli", "simulate", "--config", str(cfg),
+                           "--out", str(tmp_path / "out")], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ("cr-noise-lab: warning: run covers 4949 drive cycles, "
+                           "below the 5*Q = 12755 settling guideline\n")
+    assert ".py:" not in proc.stderr
 
 
 def test_heap_frozen_only_at_process_entry(tmp_path):
