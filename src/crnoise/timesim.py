@@ -32,18 +32,21 @@ releases the GIL in the scan's array operations, the noise draws and the
 FFTs, so on two cores the engine and, say, a Welch estimate overlap, the
 engine running ahead while a long Welch segment is transformed.
 
-Deterministic harmonic drives enter at the true substep times (full
-4th-order accuracy), in closed form.  The input of step s_b + j of a drive
-a.sin(w t + phase) is Im(p_b e^{i w j dt} Gc), with Gc = G0 + Gm e^{i w dt/2}
-+ G1 e^{i w dt} and p_b = a e^{i (w s_b dt + phase)}, so the drive's partial
-sums over a block are Im(p_b H[:, k]) for one table H[:, k] = sum_{j<=k}
-Phi^-j Gc e^{i w j dt}, built once per drive.  The engine forms them only
-where it needs a state: at block ends, and at the recorded steps.  Each
-block's phase w s_b dt + phase is reduced mod 2 pi in 60-digit decimal
-arithmetic before it is rounded, so the drive keeps its phase to ~1e-16 rad
-over any run length.  Stochastic thermal force is zero-order-hold per step:
-i.i.d. Gaussian samples with variance force_psd / (2 dt), so the one-sided
-power spectral density of the sample stream equals force_psd.
+Harmonic drives a.sin(w t + phase), taken at the true substep times (full
+4th-order accuracy), enter by superposition: the recursion's exact steady
+state x_p[n] = Im(X e^{i (w n dt + phase)}) solves (z^L I - Phi^L) X = a
+sum_{k<L} Phi^(L-1-k) Gc z^k over one scan block, with z = e^{i w dt} and
+Gc = G0 + Gm z^(1/2) + G1 z (the one-step form (z I - Phi) X = a Gc would
+misplace X by ~1e-16 / |z - lambda| near a lightly damped mode lambda).  The
+scan carries only the noise and the transient from x[0] - x_p[0], and x_p is
+added at the recorded steps.  A step's phase is that of its 4096-step block,
+reduced mod 2 pi in 60-digit decimal arithmetic before it is rounded, times
+a fixed table, so the drive keeps its phase to ~1e-16 rad over any run.  The
+sum rounds to ~1e-14 |X|, so a run whose record stays far below |X| (a
+mode with little or no damping, driven for few cycles) is refused.
+Stochastic thermal force is zero-order-hold per step: i.i.d. Gaussian
+samples with variance force_psd / (2 dt), so the one-sided power spectral
+density of the sample stream equals force_psd.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .sysmodel import Modes, SystemMatrices, mode_analysis
+from .sysmodel import Modes, SystemMatrices, frequency_response, mode_analysis
 
 # steps per period of the fastest mode
 _DEFAULT_STEPS_PER_PERIOD = 50
@@ -69,6 +72,11 @@ _HANDOFF_CHUNKS = 4
 # of its weights over one block
 _SCAN_BLOCK = 1 << 12
 _SCAN_GROWTH = 1e3
+# a record holding a drive's steady state x_p rounds to at most ~3e-14 |x_p|
+# (4e-15 to 2e-14 measured), and a run is refused when that exceeds 1e-11 of
+# its full scale
+_STEADY_ROUNDING = 3e-14
+_MAX_ROUNDING = 1e-11
 # 2 pi to 64 digits, the modulus of a harmonic drive's exact phase reduction
 _TWO_PI = "6.283185307179586476925286766559005768394338798750211641949889184615"
 # recorded channels, in the order they are formed and checked, and their state rows
@@ -137,8 +145,8 @@ class SimulationPlan:
             raise ValueError("duration must be > 0")
         if self.record_decimation < 1 or int(self.record_decimation) != self.record_decimation:
             raise ValueError("record_decimation must be an integer >= 1")
-        if len(self.initial_state) != 4:
-            raise ValueError("initial_state must have 4 entries (x1, v1, x2, v2)")
+        if len(self.initial_state) != 4 or not np.isfinite(self.initial_state).all():
+            raise ValueError("initial_state must have 4 finite entries (x1, v1, x2, v2)")
 
     @property
     def n_steps(self) -> int:
@@ -252,53 +260,88 @@ def simulate(
     next chunks, and the sink may keep the arrays, which the engine never
     touches again.  An exception the sink raises stops the run and is
     raised here; the worker thread has ended whenever simulate returns or
-    raises.  The returned series counts the recorded samples (plan.n_samples);
+    raises.  NumericalError is raised on a non-finite sample, and after the
+    run if a channel's steady states outweigh its full scale so far that
+    their rounding exceeds _MAX_ROUNDING of it (module docstring).  The
+    returned series counts the recorded samples (plan.n_samples);
     metadata["scan_block"] is the scan's block length L.
     """
     modes = mode_analysis(system)
     plan.check(modes)
     if not channels or set(channels) - set(_STATE_ROWS):
         raise ValueError(f"channels {sorted(channels)}: name one or more of x1, x2, v1, v2")
-    for d in forcing.harmonic:
-        q_max = max(modes.modal_q1, modes.modal_q2)
-        if math.isfinite(q_max) and plan.duration * d.frequency < 5.0 * q_max:
-            warnings.warn(
-                f"run covers {plan.duration * d.frequency:.0f} drive cycles, "
-                f"below the 5*Q = {5.0 * q_max:.0f} settling guideline",
-                stacklevel=2,
-            )
 
     a, b = _state_matrices(system)
     phi, g0, gm, g1 = _rk4_update_matrices(a, b, plan.dt)
-    block = _scan_block_length(phi)
+    rise = [np.eye(4)]  # Phi^k, k < L, as a running product
+    for _ in range(_scan_block_length(phi) - 1):
+        rise.append(rise[-1] @ phi)
+    rise = np.moveaxis(np.array(rise), 0, -1).copy()  # rise[i, m, k] = (Phi^k)_im
 
     x0 = np.asarray(plan.initial_state, dtype=float)
     rows = {name: row for name, row in _STATE_ROWS.items() if name in channels}
+    start, drives = x0, []  # the scan's entering state; (omega, phase, {channel: X T})
+    steady = np.zeros(4)  # sum of the drives' |X|, per state component
+    q_max = max(modes.modal_q1, modes.modal_q2)  # inf if a mode is undamped
+    for d in forcing.harmonic:
+        omega, x, table = _steady_state(d, phi, rise, g0, gm, g1, plan.dt)
+        if math.isfinite(q_max):
+            cycles = plan.duration * d.frequency
+            if cycles < 5.0 * q_max:
+                warnings.warn(f"run covers {cycles:.0f} drive cycles, below the "
+                              f"5*Q = {5.0 * q_max:.0f} settling guideline", stacklevel=2)
+            # amplitudes, not complex values: the step's phase error is larger
+            h = frequency_response(system, [d.frequency]).h[0, :, d.target - 1]
+            bias = math.hypot(abs(x[0]), abs(x[2])) / math.hypot(*np.abs(h)) - 1.0
+            if abs(bias) > 0.01:
+                warnings.warn(f"dt = {plan.dt:g} s: the RK4 step biases the settled amplitude "
+                              f"at {d.frequency:g} Hz by {bias:+.1%}, beyond the 1% guideline",
+                              stacklevel=2)
+        x *= d.amplitude
+        steady += np.abs(x)
+        start = start - (x * _phasors(omega, plan.dt, d.phase, (0,))).imag
+        y = np.outer(x, table)  # X T, one row per state component
+        drives.append((omega, d.phase, {name: (y.real[row].copy(), y.imag[row].copy())
+                                        for name, row in rows.items()}))
+
+    peak = dict.fromkeys(rows, 0.0)  # each channel's full scale after sample 0
 
     def checked():
-        """The scan's chunks, each checked for non-finite samples on this thread."""
-        first = 0  # index of the chunk's first sample in the record
-        for chunk in _run_scan(phi, g0, gm, g1, x0, forcing, plan, rows, block):
+        """The record's chunks, steady states added, checked for non-finite samples."""
+        yield {name: x0[row : row + 1] for name, row in rows.items()}  # as given, bit for bit
+        first = 1  # index of the chunk's first sample in the record
+        for chunk in _run_scan(phi, rise, g0 + gm + g1, start, forcing.stochastic, plan, rows):
+            if drives:
+                _add_steady(chunk, drives, plan, first)
             for name, data in chunk.items():
-                if not np.isfinite(data).all():
+                top = max(data.max(), -data.min())  # nan or inf if a sample is; no copy
+                if not math.isfinite(top):
                     bad = first + int(np.argmin(np.isfinite(data)))
                     raise NumericalError(
                         f"non-finite {name} at t = "
                         f"{bad * plan.dt * plan.record_decimation:g} s (sample {bad})"
                     )
+                peak[name] = max(peak[name], top)
             first += data.size
             yield chunk
 
     _drain(sink, checked())
+    for name, row in rows.items():
+        if peak[name] and _STEADY_ROUNDING * steady[row] > _MAX_ROUNDING * peak[name]:
+            raise NumericalError(
+                f"{name} is accurate to only ~{_STEADY_ROUNDING * steady[row] / peak[name]:.0e} "
+                f"of full scale: its harmonic steady state is {steady[row] / peak[name]:.1e} "
+                "times the record, as at a mode with little or no damping driven for few "
+                "cycles; raise system.c1, system.c2 or system.cc, or the run's length"
+            )
 
-    seed = forcing.stochastic.seed if forcing.stochastic is not None else None
     metadata = {
         "dt": plan.dt,
         "decimation": plan.record_decimation,
-        "seed": seed,
+        "seed": forcing.stochastic.seed if forcing.stochastic is not None else None,
         "f1_hz": modes.f1,
         "f2_hz": modes.f2,
-        "scan_block": block,
+        "scan_block": rise.shape[-1],
     }
     return TimeSeries(dt=plan.record_dt, n_samples=plan.n_samples, metadata=metadata)
 
@@ -345,13 +388,6 @@ def _drain(sink, chunks) -> None:
         raise stop[0]
 
 
-def _accumulate(z, weights, f, tmp):
-    """z[i] += weights[i] * f for each state component i, through the buffer tmp."""
-    for i in range(4):
-        np.multiply(weights[i], f, out=tmp)
-        z[i] += tmp
-
-
 def _apply(m, v):
     """m @ v for a (4, 4) m and a (4, n) v, elementwise: a column rounds alike for any n."""
     return sum(m[:, i, None] * v[i] for i in range(4))
@@ -372,8 +408,8 @@ def _phasors(omega, dt, phase, steps):
 
     omega dt s + phase is formed from the floats as they are and reduced mod
     2 pi in 60-digit decimal arithmetic, then rounded once: a phase formed
-    in binary at s ~ 1e6 is off by ~1e-11 rad, and one such error per scan
-    block drifts coherently through the run.
+    in binary at s ~ 1e6 is off by ~1e-11 rad, and such errors drift
+    coherently through the run.
     """
     import decimal  # imported only by runs with a harmonic drive
 
@@ -385,93 +421,87 @@ def _phasors(omega, dt, phase, steps):
     return np.exp(1j * np.array(angles))
 
 
-def _harmonic_table(omega, target, g0, gm, g1, fall, dt):
-    """(Re H, Im H), each (4, L), of the partial-sum table H[:, k] = sum_{j<=k}
-    Phi^-j Gc e^{i omega j dt} of a drive at angular frequency omega on
-    resonator target, Gc its column of G0 + Gm e^{i omega dt/2} + G1
-    e^{i omega dt} (see the module docstring)."""
-    length = len(fall)
-    # e^{i w j dt}, j = 64 a + c, as e^{i w 64 a dt} e^{i w c dt}: 2 sqrt(L)
-    # exactly reduced phases
-    fine = min(length, 64)
-    turns = np.outer(_phasors(omega, dt, 0.0, range(0, length, fine)),
-                     _phasors(omega, dt, 0.0, range(fine))).ravel()
+def _steady_state(drive, phi, rise, g0, gm, g1, dt):
+    """(w, X, T) of the drive at unit amplitude: x_p[n] = Im(X e^{i (w n dt +
+    phase)}), X solved over L steps, rise[:, :, k] = Phi^k, k < L (module
+    docstring), and the table T[k] = e^{i w (k+1) dt}, k < _SCAN_BLOCK."""
+    omega = 2.0 * math.pi * drive.frequency
+    # e^{i w j dt}, j = 64 a + c + 1, as e^{i w (64 a + 1) dt} e^{i w c dt}
+    table = np.outer(_phasors(omega, dt, 0.0, range(1, _SCAN_BLOCK + 1, 64)),
+                     _phasors(omega, dt, 0.0, range(64))).ravel()
     half, whole = _phasors(omega, 0.5 * dt, 0.0, (1, 2))
-    gc = (g0 + gm * half + g1 * whole)[:, target - 1]
-    table = np.cumsum((fall @ gc) * turns[:, None], axis=0).T
-    return table.real.copy(), table.imag.copy()
+    gc = (g0 + gm * half + g1 * whole)[:, drive.target - 1]
+    length = rise.shape[-1]
+    turns = np.concatenate(([1.0], table[: length - 1]))  # z^k, k < L
+    total = np.einsum("imk,m->ik", rise[:, :, ::-1], gc) @ turns  # sum_k Phi^(L-1-k) Gc z^k
+    z_l = table[length - 1]
+    return omega, np.linalg.solve(z_l * np.eye(4) - rise[:, :, -1] @ phi, total), table
 
 
-def _add_harmonic(z, drives, b, k):
-    """z[i] += Re p[b] Im H[i, k] + Im p[b] Re H[i, k] for each state component
-    i, summed over the drives: their partial sums at steps k of blocks b.
-    Every caller uses these operations, so a sum rounds alike wherever it is
-    formed."""
-    for re, im, table_re, table_im in drives:
-        for i in range(4):
-            z[i] += re[b] * table_im[i, k] + im[b] * table_re[i, k]
+def _add_steady(chunk, drives, plan, first):
+    """Add each drive's steady state to chunk, the record from its sample
+    first on: Im(P[b] Y[k]) after step s = _SCAN_BLOCK b + k, P[b] the exactly
+    reduced phasor of block b and Y = X T the drive's table for the channel.
+    Every operation is real and elementwise, so a sample depends on s alone."""
+    count, dec = len(next(iter(chunk.values()))), plan.record_decimation
+    b0, offset = divmod(first * dec - 1, _SCAN_BLOCK)
+    n_b = (offset + (count - 1) * dec) // _SCAN_BLOCK + 1  # blocks spanned
+    if dec == 1:  # every step: whole blocks by broadcasting, no gather
+        b, k = np.arange(n_b)[:, None], slice(None)
+    else:
+        b, k = np.divmod(np.arange(offset, offset + count * dec, dec), _SCAN_BLOCK)
+        offset = 0
+    for omega, phase, tables in drives:
+        p = _phasors(omega, plan.dt * _SCAN_BLOCK, phase, range(b0, b0 + n_b))  # dt * 4096 exact
+        re, im = p.real[b], p.imag[b]
+        for name, (y_re, y_im) in tables.items():
+            chunk[name] += (re * y_im[k] + im * y_re[k]).reshape(-1)[offset : offset + count]
 
 
-def _run_scan(phi, g0, gm, g1, x0, forcing, plan, rows, length):
-    """Evaluate the RK4 recursion x[n+1] = Phi x[n] + w[n] as a blocked prefix scan.
+def _run_scan(phi, rise, g_zoh, x0, stochastic, plan, rows):
+    """Evaluate x[n+1] = Phi x[n] + g_zoh u[n] from x0, u the held noise force
+    (none if stochastic is None), as a blocked prefix scan with blocks of
+    L steps, rise[i, m, k] = (Phi^k)_im for k < L.
 
     A generator: yields {channel: recorded samples} for the channels in rows
-    (name -> state row), first the initial state, then chunk by chunk, each
-    in arrays of its own that the scan never writes again.  Blocks of
-    `length` steps count from step 0 and chunks hold whole blocks, so the
-    trajectory does not depend on the chunk length.
-
-    The noise inputs are weighted and summed step by step (one cumulative
-    sum per chunk): the first stream's weighted inputs are written into the
-    sums and the others added to them; a run without noise zeroes them.  A
-    harmonic drive's partial sums come from its table H and one phasor p_b
-    per block (module docstring), added to the noise sums at the block ends
-    and at the recorded steps.  One block forms the recorded states from the
-    sums at blocks b and steps k: every step as a view of the scan, with
-    (b, k) broadcasting over it, or the recorded steps gathered.
+    (name -> state row), the record from sample 1 on, chunk by chunk, in
+    arrays the scan never writes again.  Blocks count from step 0 and
+    chunks hold whole blocks, so the trajectory does not depend on the chunk
+    length.  The noise inputs are weighted and summed step by step, one
+    cumulative sum z per chunk.  The recorded states Phi^k (z + Phi c_b), at
+    blocks b and steps k, are views (every step, (b, k) broadcasting) or
+    gathered; without noise, Phi^k Phi c_b alone.
     """
-    yield {name: x0[row : row + 1] for name, row in rows.items()}
-
-    # Phi^k and Phi^-k, k < L, as running products; one Newton step refines
-    # the inverse to the accuracy of a matrix product
-    eye = np.eye(4)
-    inv = np.linalg.inv(phi)
-    inv += inv @ (eye - phi @ inv)
-    rise, fall = [eye], [eye]
-    for _ in range(length - 1):
-        rise.append(rise[-1] @ phi)
-        fall.append(fall[-1] @ inv)
-    rise_last, fall = rise[-1], np.array(fall)
+    length, rise_last = rise.shape[-1], rise[:, :, -1]
     ((m00, m01, m02, m03), (m10, m11, m12, m13),
      (m20, m21, m22, m23), (m30, m31, m32, m33)) = (rise_last @ phi).tolist()  # Phi^L
-    # rise[i, m, k] = (Phi^k)_im, and w_zoh[i, r, k] = (Phi^-k (G0 + Gm + G1))_ir
-    # is the weight of noise input r at step k of a block; each is a
-    # contiguous row over k
-    rise = np.moveaxis(np.array(rise), 0, -1).copy()
-    dt = plan.dt
-    omegas = [2.0 * math.pi * d.frequency for d in forcing.harmonic]
-    tables = [_harmonic_table(omega, d.target, g0, gm, g1, fall, dt)
-              for omega, d in zip(omegas, forcing.harmonic)]
-    if forcing.stochastic is not None:
-        w_zoh = np.moveaxis(fall @ (g0 + gm + g1), 0, -1).copy()
-    del fall
-
+    # w_zoh[i, r, k] = (Phi^-k g_zoh)_ir is the weight of noise input r at step k
+    # of a block; it and rise are contiguous rows over k
     n_steps, dec = plan.n_steps, plan.record_decimation
-    streams, sigma = _noise_streams(forcing.stochastic, dt)
+    streams, sigma = _noise_streams(stochastic, plan.dt)
+    if streams:
+        # Phi^-k, k < L, as a running product of the inverse refined by one Newton step
+        inv = np.linalg.inv(phi)
+        inv += inv @ (np.eye(4) - phi @ inv)
+        fall = [np.eye(4)]
+        for _ in range(length - 1):
+            fall.append(fall[-1] @ inv)
+        w_zoh = np.moveaxis(np.array(fall) @ g_zoh, 0, -1).copy()
+        del fall
 
-    # buffers reused by every chunk: the scan, one input row and a product.
-    # A chunk's last block is padded to length L; the padded steps are never
-    # recorded or carried on.
+    # buffers reused by every chunk: the scan and an input row (with noise) and a
+    # product.  A chunk's last block is padded to L steps, never recorded or carried on.
     chunk = max(_SCAN_BLOCK, _CHUNK_STEPS // _SCAN_BLOCK * _SCAN_BLOCK)
     size = min(chunk, -(-n_steps // length) * length)
-    scan = np.empty((4, size))
-    row_buf, tmp_buf = np.empty((2, size))
+    if streams:
+        scan, row_buf = np.empty((4, size)), np.empty(size)
+    tmp_buf = np.empty(size)
     c0, c1, c2, c3 = x0.tolist()  # the state the next block is entered with
     for start in range(0, n_steps, chunk):
         n_c = min(chunk, n_steps - start)
         n_b = -(-n_c // length)
-        z = scan[:, : n_b * length].reshape(4, n_b, length)
         if streams:
+            z = scan[:, : n_b * length].reshape(4, n_b, length)
             flat = row_buf[: n_b * length]
             f = flat.reshape(n_b, length)
             tmp = tmp_buf[: n_b * length].reshape(n_b, length)
@@ -479,27 +509,20 @@ def _run_scan(phi, g0, gm, g1, x0, forcing, plan, rows, length):
                 rng.standard_normal(out=flat[:n_c])
                 flat[:n_c] *= sigma
                 flat[n_c:] = 0.0
-                if index:
-                    _accumulate(z, w_zoh[:, row], f, tmp)
+                if index:  # z[i] += w_zoh[i, row] f
+                    for i in range(4):
+                        np.multiply(w_zoh[i, row], f, out=tmp)
+                        z[i] += tmp
                 else:
                     np.multiply(w_zoh[:, row, None], f, out=z)
             np.cumsum(z, axis=2, out=z)
-        else:
-            z[...] = 0.0
-        # each drive's phasor p_b at the first step of each block
-        drives = []
-        for d, omega, (table_re, table_im) in zip(forcing.harmonic, omegas, tables):
-            p = d.amplitude * _phasors(omega, dt, d.phase,
-                                       range(start, start + n_b * length, length))
-            drives.append((p.real, p.imag, table_re, table_im))
-        ends = z[:, :, -1].copy()
-        _add_harmonic(ends, drives, slice(None), -1)
 
         # a block entered with state c is left with Phi^L c + Phi^(L-1) e, e its
         # last partial sum.  Only that chain runs block by block (on floats,
         # Phi^L written out: a strongly damped pair has blocks of a few steps);
         # the rest is elementwise, so it rounds alike for every chunk length.
         starts = []
+        ends = z[:, :, -1] if streams else np.zeros((4, n_b))
         for e0, e1, e2, e3 in _apply(rise_last, ends).T.tolist():
             starts.append((c0, c1, c2, c3))
             c0, c1, c2, c3 = (m00 * c0 + m01 * c1 + m02 * c2 + m03 * c3 + e0,
@@ -514,15 +537,18 @@ def _run_scan(phi, g0, gm, g1, x0, forcing, plan, rows, length):
         if skip >= n_c:
             continue
         if dec == 1:  # every step: views and broadcasts, no gather
-            b, k, zs = np.arange(n_b)[:, None], slice(None), z
+            b, k, shape = np.arange(n_b)[:, None], slice(None), (n_b, length)
         else:
             b, k = np.divmod(np.arange(skip, n_c, dec), length)
-            zs = z[:, b, k]
-        _add_harmonic(zs, drives, b, k)
-        zs += enter[:, b]
-        tmp = tmp_buf[: zs[0].size].reshape(zs[0].shape)
+            shape = b.shape
+        if streams:
+            zs = z if dec == 1 else z[:, b, k]
+            zs += enter[:, b]
+        else:
+            zs = enter[:, b]
+        tmp = tmp_buf[: math.prod(shape)].reshape(shape)
         out = {}
-        for (name, row), g in zip(rows.items(), np.empty((len(rows), *zs[0].shape))):
+        for (name, row), g in zip(rows.items(), np.empty((len(rows), *shape))):
             weights = rise[row][:, k]
             np.multiply(weights[0], zs[0], out=g)
             for i in range(1, 4):

@@ -412,6 +412,21 @@ def test_exit_codes(tmp_path):
     assert run_cli("modes", "--config", str(tmp_path / "missing.cfg")) == 1
 
 
+def test_undamped_harmonic_run_names_the_damping(tmp_path, capsys):
+    """A drive at a mode of an undamped pair, at 200 steps per period: its
+    steady state dwarfs a 0.1 s record, whose sum with it would hold ~1e-9
+    of full scale, so the run fails naming the damping keys and writes
+    nothing."""
+    cfg = tmp_path / "undamped.cfg"
+    cfg.write_text("system.c1 = 0\nsystem.c2 = 0\nsystem.cc = 0\n"
+                   "forcing.harmonic_amplitude = 1e-9\nsim.duration = 0.1\nsim.dt = 2.0139e-06\n")
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: x1 is accurate to only" in err
+    assert "raise system.c1, system.c2 or system.cc" in err
+    assert not list((tmp_path / "out").glob("*"))
+
+
 def test_unwritable_output_exit_code(tmp_path, capsys):
     blocker = tmp_path / "plain_file"
     blocker.write_text("not a directory\n")
@@ -435,7 +450,7 @@ timesim._CHUNK_STEPS = 4096
 scan = timesim._run_scan
 
 def interrupted(*args):
-    for index, chunk in enumerate(scan(*args)):
+    for index, chunk in enumerate(scan(*args), 1):  # chunk 0 is the initial state
         if index == 3:
             raise KeyboardInterrupt
         yield chunk

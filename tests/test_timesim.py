@@ -233,16 +233,21 @@ def test_engine_matches_hand_stepped_rk4(reference, fraction, coupled):
 
 @pytest.mark.parametrize(
     "fraction, coupled, noise",
-    [(None, True, True), (0.999, True, True), (1.0, False, True), (None, True, False)],
-    ids=["reference", "near_critical", "critical_uncoupled", "reference_harmonic_only"],
+    [(None, True, True), (0.999, True, True), (1.0, False, True), (None, True, False),
+     (0.0, True, True), (0.0, True, False)],
+    ids=["reference", "near_critical", "critical_uncoupled", "reference_harmonic_only",
+         "undamped", "undamped_harmonic_only"],
 )
 def test_engine_matches_exact_step_loop(reference, fraction, coupled, noise, monkeypatch):
-    """The scan against the recursion it evaluates, over several scan blocks
-    and chunks, to 1e-13 of full scale (~1e-14 is typical; without the
-    Newton step on Phi^-1 the reference pair reaches 5.6e-13).  Its block
-    length L is the longest power of two <= 4096 over which no eigenvalue of
-    Phi grows or decays by more than 1e3.  Without noise the two drives'
-    partial sums are the only inputs."""
+    """The engine against the recursion it evaluates, over several scan
+    blocks and chunks, to 1e-13 of full scale (~1e-14 is typical, ~6e-14
+    for the undamped pair; without the Newton step on Phi^-1 the reference
+    pair reaches 5.6e-13).  Its block length L is the longest power of two
+    <= 4096 over which no eigenvalue of Phi grows or decays by more than
+    1e3.  Without noise the two drives are the only inputs.  The undamped
+    pair's mode-1 drive sits next to an eigenvalue of Phi on the unit
+    circle: a steady state solved from the one-step form (z I - Phi) X = Gc
+    misses by 7.5e-12, the one solved over a scan block by ~6e-14."""
     from crnoise.timesim import _rk4_update_matrices, _state_matrices
 
     system = reference[1] if fraction is None else damped_reference(fraction, coupled)
@@ -264,6 +269,41 @@ def test_engine_matches_exact_step_loop(reference, fraction, coupled, noise, mon
     length = series.metadata["scan_block"]
     assert 4096 % length == 0 and rate * length <= math.log(1e3)
     assert length == 4096 or rate * 2 * length > math.log(1e3)
+
+
+@pytest.mark.parametrize(
+    "fraction, steps, start, refused",
+    [(0.0, 200, (1e-7, 0.0, -3e-8, 2e-4), True), (0.0, 1000, (0.0,) * 4, True),
+     (1e-9, 200, (1e-7, 0.0, -3e-8, 2e-4), True), (1e-5, 1000, (0.0,) * 4, True),
+     (1e-7, 200, (1e-7, 0.0, -3e-8, 2e-4), False), (None, 1000, (0.0,) * 4, False)],
+    ids=["undamped_harmonic_only_200", "undamped_from_rest_1000", "q1.7e8_200",
+         "q1.7e4_from_rest_1000", "q1.7e6_200", "reference_from_rest_1000"],
+)
+def test_unresolved_steady_state_is_refused(reference, fraction, steps, start, refused,
+                                            monkeypatch):
+    """A drive's steady state X is added to a scan started from x0 - x_p[0].
+    Near a mode with little or no damping |X| grows as 1/|z - lambda|, a
+    record driven for few cycles stays far below it, and the sum loses
+    ~1e-14 |X| (4.2e-11 of full scale for the undamped pair at 200 steps
+    per period, 2.7e-5 at 1000 from rest; the reference pair from rest at
+    1000 reads 5.4e-13).  The engine refuses such a run, naming the damping
+    keys, and holds every run it accepts to 1e-11 of full scale."""
+    system = reference[1] if fraction is None else damped_reference(fraction)
+    modes = mode_analysis(system)
+    dt = 1.0 / (steps * modes.f2)
+    monkeypatch.setattr(timesim, "_CHUNK_STEPS", 8192)
+    plan = SimulationPlan(dt=dt, duration=(3 * 4096 + 1234) * dt, initial_state=start)
+    forcing = oracle_test_forcing(modes, noise=False)
+    if refused:
+        with pytest.raises(NumericalError, match=r"system\.c1, system\.c2 or system\.cc"):
+            quiet_collect(system, forcing, plan, CHANNELS)
+        return
+    series = quiet_collect(system, forcing, plan, CHANNELS)
+    oracle = _exact_step_loop(system, forcing, plan)
+    for name, col in (("x1", 0), ("v1", 1), ("x2", 2), ("v2", 3)):
+        want = oracle[:, col]
+        error = np.max(np.abs(getattr(series, name) - want)) / np.max(np.abs(want))
+        assert error <= 1e-11, (name, error)
 
 
 def _decimal_pi(decimal):
@@ -347,16 +387,20 @@ def _exact_harmonic_steady_state(system, drive, plan):
 
 @pytest.mark.parametrize(
     "frequency, target, bounds",
-    [("mode1", 1, {"x1": 1e-12, "x2": 1e-12}), (2100.0, 2, {"x1": 1e-10, "x2": 1e-12})],
-    ids=["resonant", "off_resonant"],
+    [("mode1", 1, {"x1": 1e-12, "x2": 1e-12}), ("mode2", 2, {"x1": 1e-12, "x2": 1e-12}),
+     (2100.0, 2, {"x1": 1e-12, "x2": 1e-12})],
+    ids=["resonant", "mode2", "off_resonant"],
 )
 def test_harmonic_drive_holds_exact_steady_state(reference, frequency, target, bounds):
     """A 20 s run at decimation 25 started on the recursion's exact steady
     state stays on it at every recorded sample, to the bound of full scale
-    (~1e-13 is typical, 1.2e-11 for the small off-resonant x1; an engine
-    that forms its phases in binary drifts 1.7e-11 to 9.9e-10 away)."""
+    (~1e-14 is typical, 2.4e-13 for the small off-resonant x1).  An engine
+    that forms its phases in binary drifts 3.5e-11 to 5.7e-11 away, and one
+    that solves the steady state from the one-step form (z I - Phi) X = Gc
+    misses by 6.6e-13 to 1.9e-12 on the resonant drives."""
     _, system, modes = reference
-    drive = HarmonicDrive(target, 1e-6, modes.f1 if frequency == "mode1" else frequency, 0.7)
+    frequency = {"mode1": modes.f1, "mode2": modes.f2}.get(frequency, frequency)
+    drive = HarmonicDrive(target, 1e-6, frequency, 0.7)
     plan = SimulationPlan(dt=default_timestep(modes), duration=20.0, record_decimation=25)
     want, start = _exact_harmonic_steady_state(system, drive, plan)
     series = quiet_collect(system, Forcing(harmonic=(drive,)),
@@ -366,6 +410,39 @@ def test_harmonic_drive_holds_exact_steady_state(reference, frequency, target, b
         assert got.shape == want[:, col].shape
         error = np.max(np.abs(got - want[:, col])) / np.max(np.abs(want[:, col]))
         assert error <= bounds[name], (name, error)
+
+
+def test_harmonic_run_records_its_initial_state(reference):
+    """The first sample is the initial state as given, bit for bit, though
+    the scan starts from it less the drive's steady state.  The plan refuses
+    a non-finite one: the engine checks the record from sample 1 on."""
+    _, system, modes = reference
+    start = (1.234567e-7, -3.1e-4, 2.2e-8, 7.7e-4)
+    plan = SimulationPlan(dt=default_timestep(modes), duration=0.01, record_decimation=7,
+                          initial_state=start)
+    forcing = Forcing(harmonic=(HarmonicDrive(1, 1e-6, modes.f1, 0.7),
+                                HarmonicDrive(2, 3e-7, 2100.0, 1.9)))
+    series = quiet_collect(system, forcing, plan, CHANNELS)
+    assert tuple(float(getattr(series, name)[0]) for name in ("x1", "v1", "x2", "v2")) == start
+    with pytest.raises(ValueError, match="4 finite entries"):
+        dataclasses.replace(plan, initial_state=(math.nan, 0.0, 0.0, 0.0))
+
+
+def test_rk4_resonance_bias_warns(reference):
+    """The settled amplitude of the RK4 recursion's steady state against
+    |a h(f)| over x1 and x2: a mode-2 drive at 25 steps per period reads
+    4.6% low and warns; at the default 50 steps per period it does not."""
+    _, system, modes = reference
+    drive = HarmonicDrive(2, 1e-6, modes.f2)
+    for steps, warned in ((25, True), (50, False)):
+        plan = SimulationPlan(dt=1.0 / (steps * modes.f2), duration=0.01)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            collect(system, Forcing(harmonic=(drive,)), plan)
+        biased = [str(w.message) for w in caught if "settled amplitude" in str(w.message)]
+        assert len(biased) == warned, biased
+        if warned:
+            assert re.search(rf"dt = {plan.dt:g} s: .* at {modes.f2:g} Hz by -4\.6%", biased[0])
 
 
 # --- simulate ---------------------------------------------------------------------
@@ -594,6 +671,7 @@ def test_sink_error_stops_the_run(reference, monkeypatch):
     scan = timesim._run_scan
 
     def spy(*args):
+        formed.append(None)  # the record's chunk 0, the initial state, is not the scan's
         for chunk in scan(*args):
             formed.append(chunk)
             yield chunk
@@ -641,8 +719,8 @@ def test_engine_side_errors_leave_no_thread(reference, monkeypatch):
 
     scan = timesim._run_scan
 
-    def interrupted(*args):
-        for index, chunk in enumerate(scan(*args)):
+    def interrupted(*args):  # the record's chunk 0 is the initial state, not the scan's
+        for index, chunk in enumerate(scan(*args), 1):
             if index == 3:
                 raise KeyboardInterrupt
             yield chunk
@@ -674,6 +752,7 @@ def test_engine_runs_ahead_of_a_slow_sink(reference, monkeypatch):
     scan = timesim._run_scan
 
     def spy(*args):
+        formed.append(None)  # the record's chunk 0, the initial state, is not the scan's
         for chunk in scan(*args):
             formed.append(chunk)
             yield chunk
@@ -709,7 +788,7 @@ def test_engine_runs_ahead_of_a_slow_sink(reference, monkeypatch):
                               getattr(whole, name)), name
 
     def interrupted(*args):
-        for index, chunk in enumerate(scan(*args)):
+        for index, chunk in enumerate(scan(*args), 1):
             if index == depth + 1:  # the sink holds chunk 0; chunks 1 to depth are queued
                 assert held.wait(timeout=60)
                 raise KeyboardInterrupt
