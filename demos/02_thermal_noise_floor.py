@@ -48,7 +48,7 @@ def mean_square(chunk):
     squares["sum"] += float(np.dot(x, x))
 
 
-simulate(system, Forcing(stochastic=StochasticDrive(force_psd, seed=7, target="1")), plan,
+simulate(system, Forcing(stochastic=StochasticDrive((force_psd, 0.0), seed=7)), plan,
          mean_square, channels=("x1",))
 x_sq = squares["sum"] / (plan.n_samples - skip)
 print(f"  <x^2> simulated = {x_sq:.3e} m^2")
@@ -65,7 +65,7 @@ segment = 1 << 17  # df ~ 0.95 Hz resolves the ~1 Hz-wide in-phase peak
 plan = SimulationPlan(dt=dt, duration=(segment + segment * 0.5 * 119 + 1) * dt)
 print(f"\ncoupled pair: simulating {plan.duration:.1f} s of thermal drive on resonator 1")
 welch = Welch(plan.n_samples, plan.record_dt, segment_length=segment)
-simulate(system, Forcing(stochastic=StochasticDrive(force_psd, seed=42, target="1")), plan,
+simulate(system, Forcing(stochastic=StochasticDrive((force_psd, 0.0), seed=42)), plan,
          lambda chunk: welch.add(chunk["x1"]), channels=("x1",))
 spectrum = welch.spectrum()
 print(f"  Welch: {spectrum.n_segments} segments, df = {spectrum.df:.3f} Hz")

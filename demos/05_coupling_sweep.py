@@ -17,6 +17,7 @@ from crnoise import (
     build_system,
     derive_quantities,
     mode_analysis,
+    thermal_force_psd,
     to_db,
 )
 from crnoise.presets import reference_system
@@ -27,7 +28,8 @@ cfg = dataclasses.replace(reference_system(), kc=kcs)
 split = mode_analysis(build_system(cfg)).split_hz
 kappa = derive_quantities(cfg).kappa
 sensitivity = ar_sensitivity(kappa)
-psd1, psd2 = analytic_displacement_psd(cfg, env, "1")
+# the thermal force on resonator 1 alone, as forcing.noise_target = 1 sets it
+psd1, psd2 = analytic_displacement_psd(cfg, (thermal_force_psd(cfg.c1, env), 0.0))
 db1 = [to_db(p, "paper_20log") for p in psd1]
 db2 = [to_db(p, "paper_20log") for p in psd2]
 

@@ -23,7 +23,7 @@ _EXPORTS = {
     "resolution": ("ResolutionReport", "ar_sensitivity", "carrier_voltages", "resolution_report"),
     "spectral": (
         "DB_PAPER", "DB_POWER", "Spectrum", "Welch", "band_mean_psd", "band_power",
-        "parseval_ratio", "to_db", "welch_psd",
+        "parseval_ratio", "to_db",
     ),
     "sysmodel": (
         "DerivedQuantities", "FrequencyResponse", "Modes", "SystemConfig", "SystemMatrices",

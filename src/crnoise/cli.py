@@ -36,7 +36,6 @@ from .noisebudget import (
     NoiseBudgetReport,
     analytic_displacement_psd,
     full_noise_budget,
-    thermal_force_psd,
 )
 from .reports import Row, csv_writer, render_table, write_report, write_rows_csv, write_csv
 
@@ -156,17 +155,11 @@ def _x_psd_inputs(run: RunConfig, modes) -> tuple[tuple[float, float], str]:
             "published PSD",
         )
     if source == "analytic":
-        psd = analytic_displacement_psd(
-            run.system, run.environment, run.get("forcing.noise_target"), modes
-        )
-        return psd, "|h|^2 * S_F"
+        return analytic_displacement_psd(run.system, run.force_psd(), modes), "|h|^2 * S_F"
     # simulated
-    if not run.is_stochastic:
-        raise ConfigError(
-            "forcing.noise_psd: stochastic forcing required (set it to auto or > 0)"
-        )
-    system, modes, plan, forcing = _sim_inputs(run, modes)
-    return tuple(_band_floors(run, system, modes, plan, forcing, ("x1",))), "simulated spectrum"
+    floors = _band_floors(run, sysmodel.build_system(run.system), modes, run.require_seed(),
+                          ("x1",))
+    return tuple(floors), "simulated spectrum"
 
 
 def _budget_report(run: RunConfig) -> tuple[NoiseBudgetReport, str]:
@@ -237,11 +230,10 @@ def cmd_budget(run: RunConfig, args) -> int:
 
 # --- simulate / psd ----------------------------------------------------------
 
-def _sim_inputs(run: RunConfig, modes=None):
-    """(system, modes, plan, forcing) of a run; modes are solved when not given."""
+def _sim_inputs(run: RunConfig):
+    """(system, modes, plan, forcing) of a run."""
     system = sysmodel.build_system(run.system)
-    if modes is None:
-        modes = sysmodel.mode_analysis(system)
+    modes = sysmodel.mode_analysis(system)
     return system, modes, _plan(run, modes), run.make_forcing(modes)
 
 
@@ -287,10 +279,14 @@ def _welch(run: RunConfig, plan: timesim.SimulationPlan) -> spectral.Welch:
                     run.get("analysis.overlap"))
 
 
-def _band_floors(run: RunConfig, system, modes, plan, forcing, channels) -> list[float]:
-    """Band-mean PSD of each channel at f1, then at f2, from one streamed run."""
-    from . import spectral
+def _band_floors(run: RunConfig, system, modes, seed: int, channels) -> list[float]:
+    """Band-mean PSD of each channel at f1, then at f2, from one streamed run
+    of system under the thermal force alone, `RunConfig.force_psd` seeded
+    with seed, whatever else the run drives."""
+    from . import spectral, timesim
 
+    plan = _plan(run, modes)
+    forcing = timesim.Forcing(stochastic=timesim.StochasticDrive(run.force_psd(), seed))
     welch = {name: _welch(run, plan) for name in channels}
     _simulate(system, forcing, plan, welch=welch, channels=channels)
     spectra = [w.spectrum() for w in welch.values()]
@@ -524,18 +520,12 @@ SWEEP_SOURCES = {
 def _sweep_floors(run: RunConfig) -> list:
     """Simulated floor columns, one streamed run per design: the engine takes
     one at a time."""
-    from . import timesim
-
     seed = run.require_seed()
-    force_psd = run.noise_psd() or thermal_force_psd(run.system.c1, run.environment)
     floors = []
     for i, kc in enumerate(run.system.kc):
         system = sysmodel.build_system(dataclasses.replace(run.system, kc=kc))
-        modes = sysmodel.mode_analysis(system)
-        drive = timesim.StochasticDrive(force_psd=force_psd, seed=seed + i,
-                                        target=run.get("forcing.noise_target"))
-        floors.append(_band_floors(run, system, modes, _plan(run, modes),
-                                   timesim.Forcing(stochastic=drive), ("x1", "x2")))
+        floors.append(_band_floors(run, system, sysmodel.mode_analysis(system), seed + i,
+                                   ("x1", "x2")))
     return list(zip(*floors))
 
 

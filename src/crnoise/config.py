@@ -86,10 +86,12 @@ SCHEMA: dict[str, KeySpec] = {
                                      0, True, allow=("mode1", "mode2")),
     "forcing.harmonic_target": KeySpec("enum", "1", "-", "driven resonator", choices=("1", "2")),
     "forcing.harmonic_phase": _f("0", "rad", "drive phase"),
-    "forcing.noise_psd": _f("0", "N^2/Hz", "thermal force PSD; auto = 4*kB*T*c1; 0 disables",
+    "forcing.noise_psd": _f("0", "N^2/Hz", "thermal force PSD on each noise-driven resonator; "
+                            "auto or 0 = 4*kB*T*c_i, its own damping; 0 leaves the force out of "
+                            "simulate and psd (budgets and sweep floors always model it)",
                             0, allow=("auto",)),
-    "forcing.noise_target": KeySpec("enum", "1", "-", "noise-driven resonator(s)",
-                                    choices=("1", "2", "both")),
+    "forcing.noise_target": KeySpec("enum", "1", "-", "noise-driven resonator(s); the other "
+                                    "has no thermal force", choices=("1", "2", "both")),
     "sim.dt": _f("auto", "s", "integration step; auto = 1/(50*f2)", 0, True, allow=("auto",)),
     "sim.duration": _f("2.0", "s", "simulated span", 0, True),
     "sim.decimation": KeySpec("int", "1", "-", "record every n-th sample", minimum=1),
@@ -222,11 +224,16 @@ class RunConfig:
             )
         return seed
 
-    def noise_psd(self) -> float:
-        value = self.values["forcing.noise_psd"]
-        if value is None:
-            return thermal_force_psd(self.system.c1, self.environment)
-        return value
+    def force_psd(self) -> tuple[float, float]:
+        """The one-sided thermal force PSD on each resonator, (S1, S2) [N^2/Hz]:
+        forcing.noise_psd, or 4 kB T c_i when it is auto or 0, on the
+        resonators forcing.noise_target names, and 0 on the other.  Every
+        route that models the thermal force reads it."""
+        level, target = self.values["forcing.noise_psd"], self.values["forcing.noise_target"]
+        return tuple(
+            (level or thermal_force_psd(c, self.environment)) if target in (i, "both") else 0.0
+            for i, c in (("1", self.system.c1), ("2", self.system.c2))
+        )
 
     def make_plan(self, modes):
         # the engine is imported here, so that only a run that needs it loads it
@@ -257,18 +264,9 @@ class RunConfig:
                 ),
             )
         stochastic = None
-        psd = self.noise_psd()
-        if psd > 0:
-            stochastic = StochasticDrive(
-                force_psd=psd,
-                seed=self.require_seed(),
-                target=self.values["forcing.noise_target"],
-            )
+        if self.values["forcing.noise_psd"] != 0:
+            stochastic = StochasticDrive(self.force_psd(), self.require_seed())
         return Forcing(harmonic=harmonic, stochastic=stochastic)
-
-    @property
-    def is_stochastic(self) -> bool:
-        return self.noise_psd() > 0
 
     def echo_lines(self) -> list[str]:
         """Fully resolved configuration, one `key = value` line per key.

@@ -2,11 +2,14 @@
 
 The mechanical side follows the fluctuation-dissipation force density
 S_F = 4 kB T c through a measurement bandwidth into an rms displacement and
-a motional noise current eta * omega * x_rms per mode.  The electronic side
-budgets the transimpedance readout: feedback-resistor Johnson noise, the
-amplifier's input voltage noise acting through the noise gain (1 + R_x/R_f),
-and the amplifier's input current noise, the latter two widened by the
-single-pole noise-equivalent-bandwidth factor 1.57.
+a motional noise current eta * omega * x_rms per mode.  Its force rows are
+the published 4 kB T c1; the analytic displacement PSD takes the force on
+each resonator, (S1, S2), from `RunConfig.force_psd`, as the engine's noise
+streams do.  The electronic side budgets the transimpedance readout:
+feedback-resistor Johnson noise, the amplifier's input voltage noise acting
+through the noise gain (1 + R_x/R_f), and the amplifier's input current
+noise, the latter two widened by the single-pole noise-equivalent-bandwidth
+factor 1.57.
 
 Two electronic totals are computed on purpose.  total_paper follows the
 published final-row expression, an RSS of per-rtHz densities without the
@@ -187,14 +190,14 @@ def thermal_budget(
 
 
 def analytic_displacement_psd(
-    config: SystemConfig, env: Environment, noise_target: str = "1",
-    modes: sysmodel.Modes | None = None,
+    config: SystemConfig, s_f: tuple[float, float], modes: sysmodel.Modes | None = None,
 ) -> tuple[float, float]:
-    """Displacement-noise PSD of resonator 1 at each mode from |h|^2 S_F.
+    """Displacement-noise PSD of resonator 1 at each mode, sum_j |h_1j|^2 S_j.
 
-    noise_target selects where the thermal force acts ("1", "2" or "both";
-    independent forces add in power).  modes are the config's solved modes,
-    solved here when not given.
+    s_f is the one-sided force PSD on each resonator, (S1, S2) [N^2/Hz], as
+    `RunConfig.force_psd` gives it; the forces are independent, so they add
+    in power.  modes are the config's solved modes, solved here when not
+    given.
     """
     system = sysmodel.build_system(config)
     if modes is None:
@@ -204,10 +207,9 @@ def analytic_displacement_psd(
     # a complex array can differ in the last bit
     gain = np.hypot(h.real, h.imag)
     total = np.zeros(h.shape[:-2])
-    if noise_target in ("1", "both"):
-        total += gain[..., 0, 0] ** 2 * thermal_force_psd(config.c1, env)
-    if noise_target in ("2", "both"):
-        total += gain[..., 0, 1] ** 2 * thermal_force_psd(config.c2, env)
+    for j, s in enumerate(s_f):
+        if s:
+            total += gain[..., 0, j] ** 2 * s
     return tuple(np.moveaxis(total, -1, 0))
 
 

@@ -6,12 +6,12 @@ a record that arrives in chunks, as the engine hands its record out: each
 segment is windowed and transformed once its samples are in, at most about
 2**20 samples (or one segment, if that is longer) at a time, and only the
 partial segment at the end of a chunk is carried, so its working memory does
-not grow with the record.  `welch_psd` is the same estimate of an array held
-whole.  Density scaling is used throughout, so integrating a spectrum over a
-band returns the mean-square content of that band; band arithmetic reads only
-the bins in the band.  The dB helper offers two conventions: 20*log10 of the
-PSD value ("paper_20log", the convention the reference design's published
-numbers follow) and the physically standard 10*log10 ("power_10log").
+not grow with the record.  Density scaling is used throughout, so integrating
+a spectrum over a band returns the mean-square content of that band; band
+arithmetic reads only the bins in the band.  The dB helper offers two
+conventions: 20*log10 of the PSD value ("paper_20log", the convention the
+reference design's published numbers follow) and the physically standard
+10*log10 ("power_10log").
 """
 
 from __future__ import annotations
@@ -61,6 +61,15 @@ def default_segment_length(n_samples: int) -> int:
 class Welch:
     """Welch estimate of one record, accumulated over consecutive chunks of it.
 
+    The estimate is the Hann-windowed, overlap-averaged one-sided PSD.
+    Segments of segment_length samples start every segment_length - noverlap
+    samples; each is weighted by the periodic Hann window
+    w[k] = 0.5 - 0.5 cos(2 pi k / L) and transformed with a real FFT, and the
+    averaged |X|^2 is scaled by 2 dt / sum(w^2), except that DC and (for even
+    L) Nyquist, which a one-sided spectrum holds once, take half of that.  No
+    detrending is applied, so the integral of the spectrum matches the mean
+    square (not the variance) of the input.
+
     The record's length is fixed up front, so segments are transformed as
     soon as their samples have arrived; only the partial segment at the end
     of a chunk is carried, in one preallocated buffer.  Segments are summed
@@ -69,7 +78,7 @@ class Welch:
     does not depend on how the record is cut into chunks.  Segments complete
     within one chunk are windowed and transformed together, at most one
     block at a time, so the working memory is bounded by the chunk and the
-    block, not by the record length.  See `welch_psd` for the estimator.
+    block, not by the record length.
     """
 
     def __init__(
@@ -196,29 +205,6 @@ class Welch:
             overlap=self.overlap,
             n_segments=self.n_segments,
         )
-
-
-def welch_psd(
-    samples: np.ndarray,
-    dt: float,
-    segment_length: int | None = None,
-    overlap: float = 0.5,
-) -> Spectrum:
-    """Hann-windowed, overlap-averaged one-sided PSD of a sampled channel.
-
-    Segments of segment_length samples start every segment_length - noverlap
-    samples; each is weighted by the periodic Hann window
-    w[k] = 0.5 - 0.5 cos(2 pi k / L) and transformed with a real FFT, and the
-    averaged |X|^2 is scaled by 2 dt / sum(w^2), except that DC and (for even
-    L) Nyquist, which a one-sided spectrum holds once, take half of that.  No
-    detrending is applied, so the integral of the spectrum matches the mean
-    square (not the variance) of the input.  A record that arrives in chunks
-    gives the same estimate through `Welch`.
-    """
-    x = np.asarray(samples, dtype=float)
-    welch = Welch(x.size, dt, segment_length, overlap)
-    welch.add(x)
-    return welch.spectrum()
 
 
 def band_power(spectrum: Spectrum, f_center: float, bandwidth: float) -> float:

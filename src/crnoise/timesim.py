@@ -44,9 +44,10 @@ reduced mod 2 pi in 60-digit decimal arithmetic before it is rounded, times
 a fixed table, so the drive keeps its phase to ~1e-16 rad over any run.  The
 sum rounds to ~1e-14 |X|, so a run whose record stays far below |X| (a
 mode with little or no damping, driven for few cycles) is refused.
-Stochastic thermal force is zero-order-hold per step: i.i.d. Gaussian
-samples with variance force_psd / (2 dt), so the one-sided power spectral
-density of the sample stream equals force_psd.
+Stochastic thermal force is zero-order-hold per step: on each resonator i
+with a nonzero force_psd[i], i.i.d. Gaussian samples with variance
+force_psd[i] / (2 dt), so the one-sided power spectral density of its sample
+stream equals force_psd[i].
 """
 
 from __future__ import annotations
@@ -82,10 +83,6 @@ _TWO_PI = "6.283185307179586476925286766559005768394338798750211641949889184615"
 # recorded channels, in the order they are formed and checked, and their state rows
 _STATE_ROWS = {"x1": 0, "x2": 2, "v1": 1, "v2": 3}
 
-NOISE_TARGET_1 = "1"
-NOISE_TARGET_2 = "2"
-NOISE_TARGET_BOTH = "both"
-
 
 @dataclass(frozen=True)
 class HarmonicDrive:
@@ -107,22 +104,27 @@ class HarmonicDrive:
 
 @dataclass(frozen=True)
 class StochasticDrive:
-    """White thermal force with one-sided PSD force_psd on one/both resonators.
+    """White thermal force with one-sided PSD force_psd[i] on resonator i + 1.
 
-    target "both" uses independent streams seeded with (seed, seed ^ 1).
+    Each resonator with a nonzero entry has its own independent stream; the
+    k-th of them, in resonator order, is seeded with seed ^ k.
     """
 
-    force_psd: float  # N^2/Hz, one-sided
+    force_psd: tuple[float, float]  # N^2/Hz, one-sided, (S1, S2)
     seed: int
-    target: str = NOISE_TARGET_1  # "1" | "2" | "both"
 
     def __post_init__(self) -> None:
-        if self.force_psd < 0:
-            raise ValueError("force_psd must be >= 0")
-        if self.target not in (NOISE_TARGET_1, NOISE_TARGET_2, NOISE_TARGET_BOTH):
-            raise ValueError(f"noise target must be '1', '2' or 'both', got {self.target!r}")
+        if len(self.force_psd) != 2 or min(self.force_psd) < 0:
+            raise ValueError("force_psd must be two entries (S1, S2), each >= 0")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
+
+    @property
+    def target(self) -> str:
+        """The noise-driven resonators, "1", "2" or "both" (perfbench's
+        tracer counts the streams by it)."""
+        s1, s2 = self.force_psd
+        return "both" if s1 and s2 else "2" if s2 else "1"
 
 
 @dataclass(frozen=True)
@@ -231,15 +233,13 @@ def _rk4_update_matrices(
 
 
 def _noise_streams(drive: StochasticDrive | None, dt: float):
-    """((resonator index, generator) pairs, sigma) for the stochastic force streams."""
+    """(input row, generator, sigma) of each stochastic force stream: one per
+    resonator with a nonzero force PSD, in order, the k-th seeded seed ^ k."""
     if drive is None:
-        return [], 0.0
-    sigma = math.sqrt(drive.force_psd / (2.0 * dt))
-    if drive.target == NOISE_TARGET_BOTH:
-        seeds = ((0, drive.seed), (1, drive.seed ^ 1))
-    else:
-        seeds = ((int(drive.target) - 1, drive.seed),)
-    return [(row, np.random.default_rng(seed)) for row, seed in seeds], sigma
+        return []
+    driven = [(row, psd) for row, psd in enumerate(drive.force_psd) if psd > 0]
+    return [(row, np.random.default_rng(drive.seed ^ k), math.sqrt(psd / (2.0 * dt)))
+            for k, (row, psd) in enumerate(driven)]
 
 
 def simulate(
@@ -478,7 +478,7 @@ def _run_scan(phi, rise, g_zoh, x0, stochastic, plan, rows):
     # w_zoh[i, r, k] = (Phi^-k g_zoh)_ir is the weight of noise input r at step k
     # of a block; it and rise are contiguous rows over k
     n_steps, dec = plan.n_steps, plan.record_decimation
-    streams, sigma = _noise_streams(stochastic, plan.dt)
+    streams = _noise_streams(stochastic, plan.dt)
     if streams:
         # Phi^-k, k < L, as a running product of the inverse refined by one Newton step
         inv = np.linalg.inv(phi)
@@ -505,7 +505,7 @@ def _run_scan(phi, rise, g_zoh, x0, stochastic, plan, rows):
             flat = row_buf[: n_b * length]
             f = flat.reshape(n_b, length)
             tmp = tmp_buf[: n_b * length].reshape(n_b, length)
-            for index, (row, rng) in enumerate(streams):
+            for index, (row, rng, sigma) in enumerate(streams):
                 rng.standard_normal(out=flat[:n_c])
                 flat[:n_c] *= sigma
                 flat[n_c:] = 0.0

@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's own code paths: modal
 quantities come from scipy's generalized eigensolver on the raw matrices,
 receptance cross-checks use a dense complex solve, and the RK4 reference is
 the textbook four-stage step written out by hand.  `collect` joins the
-chunks a run hands its sink, for tests that check a record whole.  The CSV
+chunks a run hands its sink, for tests that check a record whole, and
+`welch_psd` is the streamed `Welch` estimate of an array held whole.  The CSV
 reference formats cell by cell with Python's '%' operator.
 """
 
@@ -15,6 +16,7 @@ import pytest
 import scipy.linalg
 
 from crnoise import presets
+from crnoise.spectral import Welch
 from crnoise.sysmodel import SystemConfig
 from crnoise.timesim import simulate
 
@@ -36,6 +38,14 @@ def collect(system, forcing, plan, channels=("x1", "x2")):
     series = simulate(system, forcing, plan, keep, channels)
     return SimpleNamespace(dt=series.dt, n_samples=series.n_samples, metadata=series.metadata,
                            **{name: np.concatenate(parts) for name, parts in chunks.items()})
+
+
+def welch_psd(samples, dt, segment_length=None, overlap=0.5):
+    """The `Welch` estimate of samples, handed over in one chunk."""
+    x = np.asarray(samples, dtype=float)
+    welch = Welch(x.size, dt, segment_length, overlap)
+    welch.add(x)
+    return welch.spectrum()
 
 
 def per_cell_rows(columns) -> str:

@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 import numpy as np
-from conftest import collect, oracle_stiffness_shifts
+from conftest import collect, oracle_stiffness_shifts, welch_psd
 
 from crnoise import presets, spectral
 from crnoise.noisebudget import (
@@ -157,7 +157,7 @@ def test_criterion_08a_equipartition():
     psd = thermal_force_psd(cfg.c1, ENV)
     plan = SimulationPlan(dt=default_timestep(modes), duration=30.0)
     series = collect(
-        system, Forcing(stochastic=StochasticDrive(psd, seed=123, target="1")), plan, ("x1",)
+        system, Forcing(stochastic=StochasticDrive((psd, 0.0), seed=123)), plan, ("x1",)
     )
     skip = int(0.05 * series.n_samples)
     x_sq = float(np.mean(series.x1[skip:] ** 2))
@@ -196,7 +196,7 @@ def _q500_thermal_spectrum():
         welch.add(chunk["x1"])
         square_sum.append(float(np.dot(chunk["x1"], chunk["x1"])))
 
-    simulate(system, Forcing(stochastic=StochasticDrive(psd_force, seed=2718, target="1")),
+    simulate(system, Forcing(stochastic=StochasticDrive((psd_force, 0.0), seed=2718)),
              plan, sink, ("x1",))
     return system, modes, psd_force, welch.spectrum(), sum(square_sum) / plan.n_samples
 
@@ -269,15 +269,15 @@ def test_criterion_08d_parseval_on_emitted_spectra():
     plan = SimulationPlan(dt=default_timestep(modes), duration=2.0)
     series = collect(
         system,
-        Forcing(stochastic=StochasticDrive(thermal_force_psd(cfg.c1, ENV), seed=5, target="1")),
+        Forcing(stochastic=StochasticDrive((thermal_force_psd(cfg.c1, ENV), 0.0), seed=5)),
         plan,
     )
     for name, samples in (("thermal x1", series.x1), ("silent x2", series.x2)):
-        collected.append((name, spectral.welch_psd(samples, series.dt), np.mean(samples**2)))
+        collected.append((name, welch_psd(samples, series.dt), np.mean(samples**2)))
 
     t = np.arange(200_000) * 1e-5
     tone = 2.5e-7 * np.sin(2 * np.pi * 1234.0 * t)
-    collected.append(("pure tone", spectral.welch_psd(tone, 1e-5), np.mean(tone**2)))
+    collected.append(("pure tone", welch_psd(tone, 1e-5), np.mean(tone**2)))
 
     for name, spectrum, mean_square in collected:
         ratio = spectral.parseval_ratio(spectrum, mean_square)

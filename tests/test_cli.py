@@ -9,12 +9,19 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import oracle_receptance
 
-from crnoise import cli, config, timesim
+from crnoise import cli, config, sysmodel, timesim
 from crnoise.cli import SWEEP_SOURCES, main
 from crnoise.config import SCHEMA, build_run_config, parse_config_text
 from crnoise.errors import ConfigError
-from crnoise.noisebudget import Environment, ReadoutConfig, TransducerConfig
+from crnoise.noisebudget import (
+    BOLTZMANN,
+    Environment,
+    ReadoutConfig,
+    TransducerConfig,
+    analytic_displacement_psd,
+)
 from crnoise.presets import PRESET_NAMES, preset_text
 from crnoise.sysmodel import SystemConfig, derive_quantities
 
@@ -230,6 +237,78 @@ def test_resolution_command_published_rows(tmp_path):
     assert values["sensitivity_formula"] == pytest.approx(156.25)
     assert values["i_mot_mode1"] == pytest.approx(1.92e-7, rel=5e-3)
     assert values["v_out_peak_mode1"] == pytest.approx(0.192, rel=5e-3)
+
+
+# --- the force model: one (S1, S2) pair for every route -----------------------------
+
+FORCE_PAIR = {"system.c2": "0.0062", "forcing.noise_psd": "auto", "sim.seed": "3"}
+
+
+@pytest.mark.filterwarnings("ignore:cc differs from c1/c2")
+@pytest.mark.parametrize("target", ["1", "2", "both"])
+def test_engine_and_analytic_read_one_force_pair(target):
+    """With c2 = 2 c1, RunConfig.force_psd is 4 kB T c_i on the targets; the
+    engine draws one stream per nonzero S_i, the k-th seeded seed ^ k, with
+    sigma_i^2 2 dt = S_i; the analytic route is sum_j |h_1j|^2 S_j of the
+    same pair."""
+    run = build_run_config(FORCE_PAIR | {"forcing.noise_target": target})
+    s_f = run.force_psd()
+    kt4 = 4.0 * BOLTZMANN * 300.0
+    assert s_f == pytest.approx(tuple(kt4 * c if target in (i, "both") else 0.0
+                                      for i, c in (("1", 0.0031), ("2", 0.0062))),
+                                rel=1e-12, abs=0)
+    system = sysmodel.build_system(run.system)
+    modes = sysmodel.mode_analysis(system)
+    dt = run.make_plan(modes).dt
+    streams = timesim._noise_streams(run.make_forcing(modes).stochastic, dt)
+    assert [row for row, _, _ in streams] == [j for j in (0, 1) if s_f[j] > 0]
+    for k, (row, rng, sigma) in enumerate(streams):
+        assert sigma**2 * 2.0 * dt == pytest.approx(s_f[row], rel=1e-12, abs=0)
+        assert np.array_equal(rng.standard_normal(8),
+                              np.random.default_rng(3 ^ k).standard_normal(8))
+    x_psd = analytic_displacement_psd(run.system, s_f, modes)
+    for f_mode, got in zip((modes.f1, modes.f2), x_psd):
+        h = oracle_receptance(system.mass, system.damping, system.stiffness, f_mode)
+        want = sum(abs(h[0, j]) ** 2 * s_f[j] for j in (0, 1))
+        assert got == pytest.approx(want, rel=1e-10, abs=0)
+    analytic = build_run_config(FORCE_PAIR | {"forcing.noise_target": target,
+                                              "budget.x_psd_source": "analytic"})
+    assert cli._x_psd_inputs(analytic, modes)[0] == x_psd
+
+
+def test_analytic_budget_reads_an_explicit_force_psd():
+    """forcing.noise_psd = p is the force the analytic route budgets: p / (4 kB T c1)
+    times its value under auto."""
+    p = 4e-23
+    reports = [cli._budget_report(build_run_config({"budget.x_psd_source": "analytic",
+                                                     "forcing.noise_psd": level}))[0]
+               for level in ("auto", repr(p))]
+    scale = p / (4.0 * BOLTZMANN * 300.0 * 0.0031)
+    for auto, explicit in zip(*(r.thermal.x_psd for r in reports)):
+        assert explicit == pytest.approx(scale * auto, rel=1e-12, abs=0)
+
+
+def simulated_budget_rows(tmp_path, name, extra):
+    """The data rows of a 0.3 s simulated budget.csv at seed 1."""
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text("budget.x_psd_source = simulated\nsim.duration = 0.3\n" + extra)
+    out = tmp_path / name
+    assert run_cli("budget", "--config", str(cfg), "--seed", "1", "--out", str(out)) == 0
+    return read_csv_table(out / "budget.csv")
+
+
+def test_simulated_budget_models_the_force_at_zero(tmp_path):
+    """forcing.noise_psd = 0 means 4 kB T c_i to the simulated route, as auto does."""
+    assert (simulated_budget_rows(tmp_path, "zero", "forcing.noise_psd = 0\n")
+            == simulated_budget_rows(tmp_path, "auto", "forcing.noise_psd = auto\n"))
+
+
+def test_simulated_budget_runs_the_thermal_force_alone(tmp_path):
+    """A configured harmonic drive does not enter the simulated noise budget."""
+    noise = "forcing.noise_psd = auto\n"
+    drive = "forcing.harmonic_amplitude = 1e-9\nforcing.harmonic_frequency = mode1\n"
+    assert (simulated_budget_rows(tmp_path, "driven", noise + drive)
+            == simulated_budget_rows(tmp_path, "noise", noise))
 
 
 def test_simulate_zero_forcing(tmp_path):
@@ -865,7 +944,7 @@ print(json.dumps([loaded, names, sorted(set(crnoise.__all__) - set(dir(crnoise))
     assert proc.returncode == 0, proc.stderr
     loaded, names, undir, missing, version = json.loads(proc.stdout.splitlines()[-1])
     assert loaded == []
-    assert len(names) == 47 and all(module in homes for module, homes in names.values()), names
+    assert len(names) == 46 and all(module in homes for module, homes in names.values()), names
     assert names["simulate"][0] == "crnoise.timesim" and names["Welch"][0] == "crnoise.spectral"
     assert undir == [] and missing and version == "0.1.0"
 

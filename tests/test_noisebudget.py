@@ -77,7 +77,8 @@ def test_thermal_budget_zero_psd_input(reference_config, env, transducer):
 
 def test_analytic_psd_feeds_budget(reference_config, env, transducer):
     """i_mot from the analytic route equals an independent hand computation."""
-    x_psd = analytic_displacement_psd(reference_config, env, "1")
+    force = (thermal_force_psd(reference_config.c1, env), 0.0)
+    x_psd = analytic_displacement_psd(reference_config, force)
     budget = thermal_budget(reference_config, env, transducer, x_psd)
 
     system = build_system(reference_config)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import welch_psd
 
 from crnoise import spectral
 from crnoise.spectral import (
@@ -13,7 +14,6 @@ from crnoise.spectral import (
     band_power,
     parseval_ratio,
     to_db,
-    welch_psd,
     write_spectrum_csv,
 )
 

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import collect, textbook_rk4_step
+from conftest import collect, textbook_rk4_step, welch_psd
 
 from crnoise import cli, presets, spectral, timesim
 from crnoise.errors import NumericalError
@@ -59,13 +59,14 @@ def single_resonator(q=100.0):
 
 def engine_force_samples(force_psd, dt, n, seed):
     """The first n force samples the engine draws for a noise-driven resonator."""
-    drive = StochasticDrive(force_psd=force_psd, seed=seed)
-    [(_, rng)], sigma = _noise_streams(drive, dt)
+    drive = StochasticDrive(force_psd=(force_psd, 0.0), seed=seed)
+    [(_, rng, sigma)] = _noise_streams(drive, dt)
     return rng.standard_normal(n) * sigma
 
 
 def test_zero_psd_gives_zero_series():
-    assert np.all(engine_force_samples(0.0, 1e-5, 1000, seed=1) == 0.0)
+    """A zero force PSD draws no stream: the engine adds no noise at all."""
+    assert _noise_streams(StochasticDrive(force_psd=(0.0, 0.0), seed=1), 1e-5) == []
 
 
 def test_sample_variance_matches_psd():
@@ -80,7 +81,7 @@ def test_sample_variance_matches_psd():
 def test_sample_stream_psd_is_flat():
     psd, dt = 5.136e-23, 8e-6
     samples = engine_force_samples(psd, dt, 500_000, seed=3)
-    spectrum = spectral.welch_psd(samples, dt, segment_length=2048)
+    spectrum = welch_psd(samples, dt, segment_length=2048)
     freqs = spectrum.frequencies
     sel = (freqs >= 0.1 * 0.1 / dt) & (freqs <= 0.5 / dt)
     band = spectrum.values[sel]
@@ -128,14 +129,16 @@ def test_update_map_matches_textbook_rk4(reference):
 def _oracle_forces(forcing, plan):
     """(harmonic(t), noise) as the engine documents them: the harmonic force
     on each resonator at time t, and the held noise force of every step
-    (seeds seed, seed ^ 1 for "both"), shape (2, n_steps)."""
+    (the k-th resonator with a nonzero force PSD seeded seed ^ k), shape
+    (2, n_steps)."""
     n_steps = int(round(plan.duration / plan.dt))
     noise = np.zeros((2, n_steps))
     drive = forcing.stochastic
     if drive is not None:
-        sigma = math.sqrt(drive.force_psd / (2 * plan.dt))
-        for row, seed in ((0, drive.seed), (1, drive.seed ^ 1)):
-            noise[row] = np.random.default_rng(seed).standard_normal(n_steps) * sigma
+        driven = [(row, psd) for row, psd in enumerate(drive.force_psd) if psd > 0]
+        for k, (row, psd) in enumerate(driven):
+            sigma = math.sqrt(psd / (2 * plan.dt))
+            noise[row] = np.random.default_rng(drive.seed ^ k).standard_normal(n_steps) * sigma
 
     def harmonic(t):
         force = np.zeros(2)
@@ -197,7 +200,7 @@ def oracle_test_forcing(modes, noise=True):
     """Two harmonic drives, one per resonator, and noise on both (or none)."""
     return Forcing(
         harmonic=(HarmonicDrive(1, 1e-6, modes.f1), HarmonicDrive(2, 4e-7, 2100.0, 0.2)),
-        stochastic=StochasticDrive(force_psd=5e-23, seed=12, target="both") if noise else None,
+        stochastic=StochasticDrive(force_psd=(5e-23, 5e-23), seed=12) if noise else None,
     )
 
 
@@ -466,7 +469,7 @@ def test_dt_bound_enforced(reference):
 def test_determinism_same_seed(reference):
     _, system, modes = reference
     plan = SimulationPlan(dt=default_timestep(modes), duration=0.05)
-    forcing = Forcing(stochastic=StochasticDrive(force_psd=5.1e-23, seed=99, target="1"))
+    forcing = Forcing(stochastic=StochasticDrive(force_psd=(5.1e-23, 0.0), seed=99))
     a = collect(system, forcing, plan)
     b = collect(system, forcing, plan)
     assert np.array_equal(a.x1, b.x1)
@@ -481,7 +484,7 @@ def test_concurrent_runs_match_serial(reference):
     plan = SimulationPlan(dt=default_timestep(modes), duration=0.05)
 
     def run(seed):
-        forcing = Forcing(stochastic=StochasticDrive(5.1e-23, seed=seed, target="1"))
+        forcing = Forcing(stochastic=StochasticDrive((5.1e-23, 0.0), seed=seed))
         return collect(system, forcing, plan)
 
     serial = [run(seed) for seed in (1, 2, 3, 4)]
@@ -498,7 +501,7 @@ def chunk_test_run(system, modes, n_steps, decimation=1, sink=None, channels=Non
     dt = default_timestep(modes)
     forcing = Forcing(
         harmonic=(HarmonicDrive(1, 1e-6, modes.f1, 0.3),),
-        stochastic=StochasticDrive(force_psd=5.1e-23, seed=4, target="both"),
+        stochastic=StochasticDrive(force_psd=(5.1e-23, 5.1e-23), seed=4),
     )
     plan = SimulationPlan(dt=dt, duration=n_steps * dt, record_decimation=decimation)
     channels = CHANNELS if channels is None else channels
@@ -519,7 +522,7 @@ def test_decimation_subsamples(reference, monkeypatch, harmonic, noise):
     dt = default_timestep(modes)
     forcing = Forcing(
         harmonic=(HarmonicDrive(1, 1e-6, modes.f1, 0.3),) if harmonic else (),
-        stochastic=StochasticDrive(force_psd=5.1e-23, seed=4, target="both") if noise else None,
+        stochastic=StochasticDrive(force_psd=(5.1e-23, 5.1e-23), seed=4) if noise else None,
     )
 
     def run(decimation):
@@ -850,7 +853,7 @@ def test_superposition_same_seed(reference):
     _, system, modes = reference
     dt = default_timestep(modes)
     plan = SimulationPlan(dt=dt, duration=4000 * dt)
-    noise = StochasticDrive(force_psd=5.1e-23, seed=21, target="1")
+    noise = StochasticDrive(force_psd=(5.1e-23, 0.0), seed=21)
     harmonic = (HarmonicDrive(1, 1e-6, modes.f1),)
     both = quiet_collect(system, Forcing(harmonic=harmonic, stochastic=noise), plan)
     only_noise = quiet_collect(system, Forcing(stochastic=noise), plan)
@@ -905,7 +908,7 @@ def test_equipartition_value():
     cfg, system, modes = single_resonator(q=100.0)
     psd = thermal_force_psd(cfg.c1, Environment())
     plan = SimulationPlan(dt=default_timestep(modes), duration=12.0)
-    series = collect(system, Forcing(stochastic=StochasticDrive(psd, seed=314, target="1")), plan)
+    series = collect(system, Forcing(stochastic=StochasticDrive((psd, 0.0), seed=314)), plan)
     skip = int(0.1 * series.n_samples)
     x_sq = float(np.mean(series.x1[skip:] ** 2))
     assert x_sq == pytest.approx(BOLTZMANN * 300.0 / cfg.km1, rel=0.10)
