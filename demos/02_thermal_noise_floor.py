@@ -75,7 +75,7 @@ print(f"  Welch: {spectrum.n_segments} segments, df = {spectrum.df:.3f} Hz")
 for i, f_mode in enumerate((modes.f1, modes.f2)):
     simulated = band_mean_psd(spectrum, f_mode, env.bandwidth)
     grid = np.linspace(f_mode - env.bandwidth / 2, f_mode + env.bandwidth / 2, 2001)
-    h11 = frequency_response(system, grid).h[:, 0, 0]
+    h11 = frequency_response(system, grid)[:, 0, 0]
     analytic = float(np.trapezoid(np.abs(h11) ** 2 * force_psd, grid)) / env.bandwidth
     print(f"  mode {i + 1} ({f_mode:7.1f} Hz): band-mean PSD simulated {simulated:.3e}, "
           f"analytic {analytic:.3e} m^2/Hz "

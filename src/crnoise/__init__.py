@@ -15,10 +15,8 @@ from importlib import import_module
 _EXPORTS = {
     "errors": ("ConfigError", "NumericalError"),
     "noisebudget": (
-        "BOLTZMANN", "ElectronicBudget", "Environment", "NoiseBudgetReport", "ReadoutConfig",
-        "ThermalBudget", "TransducerConfig", "analytic_displacement_psd", "electronic_budget",
-        "full_noise_budget", "motional_resistance", "thermal_budget", "thermal_force_psd",
-        "total_system_noise",
+        "BOLTZMANN", "Environment", "NoiseBudgetReport", "ReadoutConfig", "TransducerConfig",
+        "analytic_displacement_psd", "full_noise_budget", "thermal_force_psd",
     ),
     "resolution": ("ResolutionReport", "ar_sensitivity", "carrier_voltages", "resolution_report"),
     "spectral": (
@@ -26,7 +24,7 @@ _EXPORTS = {
         "parseval_ratio", "to_db",
     ),
     "sysmodel": (
-        "DerivedQuantities", "FrequencyResponse", "Modes", "SystemConfig", "SystemMatrices",
+        "DerivedQuantities", "Modes", "SystemConfig", "SystemMatrices",
         "build_system", "derive_quantities", "frequency_response", "mode_analysis",
     ),
     "timesim": (

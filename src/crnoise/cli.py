@@ -176,23 +176,23 @@ def _budget_report(run: RunConfig) -> tuple[NoiseBudgetReport, str]:
 
 def _budget_rows(run: RunConfig) -> tuple[list[Row], NoiseBudgetReport]:
     report, x_psd_label = _budget_report(run)
-    th, el = report.thermal, report.electronic
+    neb = run.readout.neb_factor
     rows = [
-        Row("f_noise_psd", th.f_noise_psd, "N^2/Hz", "4*kB*T*c"),
-        Row("f_noise_avg", th.f_noise_avg, "N^2", "psd * B"),
-        Row("f_noise_rms", th.f_noise_rms, "N", "sqrt(avg)"),
-        Row("x_avg_mode1", th.x_avg[0], "m^2", x_psd_label + " * B"),
-        Row("x_avg_mode2", th.x_avg[1], "m^2", x_psd_label + " * B"),
-        Row("x_rms_mode1", th.x_rms[0], "m", "sqrt(avg)"),
-        Row("x_rms_mode2", th.x_rms[1], "m", "sqrt(avg)"),
-        Row("i_mot_noise_mode1", th.i_mot_noise[0], "A_rms", "eta*omega1*x_rms"),
-        Row("i_mot_noise_mode2", th.i_mot_noise[1], "A_rms", "eta*omega2*x_rms"),
-        Row("r_x", el.r_x, "ohm", "input" if run.transducer.r_x is not None else "c/eta^2"),
-        Row("i_rf", el.i_rf, "A_rms", "sqrt(4*kB*T*B/R_f)"),
-        Row("i_vn", el.i_vn, "A_rms", "v_n*(1+R_x/R_f)/R_x*sqrt(B)*1.57"),
-        Row("i_in", el.i_in, "A_rms", "i_n*sqrt(B)*1.57"),
-        Row("i_elec_total_paper", el.i_total_paper, "A", "density RSS (no B)"),
-        Row("i_elec_total_integrated", el.i_total_integrated, "A_rms", "RSS of rows"),
+        Row("f_noise_psd", report.f_noise_psd, "N^2/Hz", "4*kB*T*c"),
+        Row("f_noise_avg", report.f_noise_avg, "N^2", "psd * B"),
+        Row("f_noise_rms", report.f_noise_rms, "N", "sqrt(avg)"),
+        Row("x_avg_mode1", report.x_avg[0], "m^2", x_psd_label + " * B"),
+        Row("x_avg_mode2", report.x_avg[1], "m^2", x_psd_label + " * B"),
+        Row("x_rms_mode1", report.x_rms[0], "m", "sqrt(avg)"),
+        Row("x_rms_mode2", report.x_rms[1], "m", "sqrt(avg)"),
+        Row("i_mot_noise_mode1", report.i_mot_noise[0], "A_rms", "eta*omega1*x_rms"),
+        Row("i_mot_noise_mode2", report.i_mot_noise[1], "A_rms", "eta*omega2*x_rms"),
+        Row("r_x", report.r_x, "ohm", "input" if run.transducer.r_x is not None else "c/eta^2"),
+        Row("i_rf", report.i_rf, "A_rms", "sqrt(4*kB*T*B/R_f)"),
+        Row("i_vn", report.i_vn, "A_rms", f"v_n*(1+R_x/R_f)/R_x*sqrt(B)*{neb:g}"),
+        Row("i_in", report.i_in, "A_rms", f"i_n*sqrt(B)*{neb:g}"),
+        Row("i_elec_total_paper", report.i_total_paper, "A", "density RSS (no B)"),
+        Row("i_elec_total_integrated", report.i_total_integrated, "A_rms", "RSS of rows"),
         Row("i_system_paper_mode1", report.i_system_paper[0], "A", "RSS of mech and elec"),
         Row("i_system_paper_mode2", report.i_system_paper[1], "A", "RSS of mech and elec"),
         Row("i_system_integrated_mode1", report.i_system_integrated[0], "A_rms", "RSS of mech and elec"),
@@ -203,9 +203,8 @@ def _budget_rows(run: RunConfig) -> tuple[list[Row], NoiseBudgetReport]:
 
 
 def _budget_footnotes(report: NoiseBudgetReport) -> tuple[str, ...]:
-    th = report.thermal
     implied = tuple(
-        i / x if x > 0 else float("nan") for i, x in zip(th.i_mot_noise, th.x_rms)
+        i / x if x > 0 else float("nan") for i, x in zip(report.i_mot_noise, report.x_rms)
     )
     return (
         "i_elec_total_paper follows the published final-row convention "
@@ -536,13 +535,13 @@ def cmd_sweep(run: RunConfig, args) -> int:
     base = build_run_config(run.entries | SWEEP_SOURCES)
     base = dataclasses.replace(base, system=dataclasses.replace(base.system, kc=kc))
     report, _, budget = _resolution_report(base)
-    thermal, el, modes = budget.thermal, budget.electronic, budget.thermal.modes
+    modes = budget.modes
     columns = [
         kc, sysmodel.derive_quantities(base.system).kappa,
         modes.f1, modes.f2, modes.split_hz, modes.label1,
         modes.modal_q1, modes.modal_q2, report.sensitivity,
-        *thermal.x_psd, *thermal.i_mot_noise,
-        el.i_rf, el.i_vn, el.i_in, el.i_total_paper, el.i_total_integrated,
+        *budget.x_psd, *budget.i_mot_noise,
+        budget.i_rf, budget.i_vn, budget.i_in, budget.i_total_paper, budget.i_total_integrated,
         *budget.i_system_paper, *report.amplitude_resolution, *report.ar_resolution,
         report.min_detectable, report.min_detectable_density,
     ]

@@ -197,18 +197,10 @@ def mode_analysis(system: SystemMatrices) -> Modes:
     )
 
 
-@dataclass(frozen=True)
-class FrequencyResponse:
-    """Complex receptance h[j][k] = displacement of j per unit force on k."""
-
-    frequencies: np.ndarray  # Hz
-    h: np.ndarray  # complex, shape (F, 2, 2) or (N, F, 2, 2), m/N
-
-
-def frequency_response(
-    system: SystemMatrices, frequencies: np.ndarray
-) -> FrequencyResponse:
-    """Evaluate h(w) = (-w^2 M + i w C + K)^-1 on a grid of frequencies [Hz].
+def frequency_response(system: SystemMatrices, frequencies: np.ndarray) -> np.ndarray:
+    """The complex receptance h(w) = (-w^2 M + i w C + K)^-1 on a grid of
+    frequencies [Hz]: h[..., j, k] is the displacement of j per unit force on
+    k [m/N], shape (F, 2, 2).
 
     For N designs the grid is one row per design, shape (F,) or (N, F), and
     h has shape (N, F, 2, 2).  The 2x2 inverse is formed explicitly from the
@@ -242,4 +234,4 @@ def frequency_response(
     h[..., 0, 1] = -d12 / det
     h[..., 1, 0] = -d21 / det
     h[..., 1, 1] = d11 / det
-    return FrequencyResponse(frequencies=freqs, h=h)
+    return h

@@ -291,7 +291,7 @@ def simulate(
                 warnings.warn(f"run covers {cycles:.0f} drive cycles, below the "
                               f"5*Q = {5.0 * q_max:.0f} settling guideline", stacklevel=2)
             # amplitudes, not complex values: the step's phase error is larger
-            h = frequency_response(system, [d.frequency]).h[0, :, d.target - 1]
+            h = frequency_response(system, [d.frequency])[0, :, d.target - 1]
             bias = math.hypot(abs(x[0]), abs(x[2])) / math.hypot(*np.abs(h)) - 1.0
             if abs(bias) > 0.01:
                 warnings.warn(f"dt = {plan.dt:g} s: the RK4 step biases the settled amplitude "

@@ -18,13 +18,7 @@ import numpy as np
 from conftest import collect, oracle_stiffness_shifts, welch_psd
 
 from crnoise import presets, spectral
-from crnoise.noisebudget import (
-    Environment,
-    electronic_budget,
-    thermal_budget,
-    thermal_force_psd,
-    total_system_noise,
-)
+from crnoise.noisebudget import Environment, full_noise_budget, thermal_force_psd
 from crnoise.resolution import ar_sensitivity, resolution_report
 from crnoise.sysmodel import (
     build_system,
@@ -75,13 +69,19 @@ def test_criterion_01_thermal_force_pipeline():
     _report(1, "thermal force pipeline (PSD, band mean square, rms)", failures)
 
 
-def test_criterion_02_displacement_pipeline():
-    failures = []
+def _reference_budget():
+    """The noise budget of the reference run (r_x = 4 Mohm) at its published
+    displacement-noise PSD inputs."""
     run = presets.reference_run()
-    budget = thermal_budget(
-        run.system, ENV, run.transducer,
+    return full_noise_budget(
+        run.system, ENV, run.transducer, run.readout,
         (run.get("budget.x_psd_mode1"), run.get("budget.x_psd_mode2")),
     )
+
+
+def test_criterion_02_displacement_pipeline():
+    failures = []
+    budget = _reference_budget()
     _check(failures, "x mean square", budget.x_avg[0], 7.762e-29, 5e-3)
     _check(failures, "x rms", budget.x_rms[0], 8.81e-15, 5e-3)
     _check(failures, "motional noise current", budget.i_mot_noise[0], 4.9e-15, 0.02)
@@ -90,7 +90,8 @@ def test_criterion_02_displacement_pipeline():
 
 def test_criterion_03_readout_noise_rows():
     failures = []
-    budget = electronic_budget(presets.reference_run().readout, r_x=4e6, env=ENV)
+    budget = _reference_budget()
+    _check_true(failures, "r_x = 4 Mohm", budget.r_x == 4e6)
     _check(failures, "feedback-resistor row", budget.i_rf, 4.06e-13, 0.01)
     _check(failures, "voltage-noise row", budget.i_vn, 4.34e-13, 0.01)
     _check(failures, "current-noise row", budget.i_in, 9.92e-14, 0.01)
@@ -104,8 +105,9 @@ def test_criterion_03_readout_noise_rows():
 
 def test_criterion_04_total_system_noise():
     failures = []
-    budget = electronic_budget(presets.reference_run().readout, r_x=4e6, env=ENV)
-    total = total_system_noise(4.9e-15, budget.i_total_paper)
+    budget = _reference_budget()
+    _check(failures, "motional noise current", budget.i_mot_noise[0], 4.9e-15, 0.02)
+    total = budget.i_system_paper[0]
     _check_true(failures, "mechanical term must shift total by < 0.1%",
                 total / budget.i_total_paper - 1.0 < 1e-3)
     _check(failures, "system total", total, 1.56e-13, 0.01)
@@ -210,8 +212,8 @@ def test_criterion_08b_simulated_psd_vs_analytic():
 
     freqs = spectrum.frequencies
     band = (freqs >= 1900.0) & (freqs <= 3100.0)
-    response = frequency_response(system, freqs[band])
-    analytic = np.abs(response.h[:, 0, 0]) ** 2 * psd_force
+    h = frequency_response(system, freqs[band])
+    analytic = np.abs(h[:, 0, 0]) ** 2 * psd_force
 
     zone_width = (3.0 * modes.f1 / modes.modal_q1, 3.0 * modes.f2 / modes.modal_q2)
     f_band = freqs[band]
@@ -252,7 +254,7 @@ def test_criterion_08c_steady_state_amplitude():
         simulate(system, Forcing(harmonic=(HarmonicDrive(1, amplitude, modes.f1),)), plan,
                  projection.add)
     steady = projection.result()
-    h = frequency_response(system, [modes.f1]).h[0]
+    h = frequency_response(system, [modes.f1])[0]
     _check(failures, "x1 amplitude vs |h11|*F", steady.amp1, abs(h[0, 0]) * amplitude, 0.01)
     _check(failures, "x2 amplitude vs |h21|*F", steady.amp2, abs(h[1, 0]) * amplitude, 0.01)
     _report(8, "(c) settled harmonic amplitude vs analytic receptance", failures)

@@ -97,8 +97,8 @@ def test_defaults_match_reference_system():
     """The SCHEMA defaults are the published operating point."""
     run = build_run_config()
     derived = derive_quantities(run.system)
-    assert derived.q == pytest.approx(2547.0, rel=1e-12)
-    assert derived.kappa == pytest.approx(-0.0032, rel=1e-12)
+    assert derived.q == pytest.approx(2547.0, rel=1e-12, abs=0)
+    assert derived.kappa == pytest.approx(-0.0032, rel=1e-12, abs=0)
     assert run.environment.temperature == 300.0
     assert run.readout.r_f == 1e6
 
@@ -113,7 +113,7 @@ def test_eta_auto_requires_geometry():
         "transducer.area": "1e-6",
         "transducer.gap": "2e-6",
     })
-    assert run.transducer.eta == pytest.approx(10 * 8.854e-12 * 1e-6 / 4e-12)
+    assert run.transducer.eta == pytest.approx(10 * 8.854e-12 * 1e-6 / 4e-12, rel=1e-6, abs=0)
 
 
 def test_presets_parse_and_cover_schema():
@@ -216,27 +216,49 @@ def test_modes_command(tmp_path, capsys):
 def test_budget_command_published_rows(tmp_path):
     assert run_cli("budget", "--config", "paper-reference", "--out", str(tmp_path)) == 0
     values = report_values(tmp_path / "budget.csv")
-    assert values["f_noise_psd"] == pytest.approx(5.136e-23, rel=1e-3)
-    assert values["i_rf"] == pytest.approx(4.06e-13, rel=0.01)
-    assert values["i_vn"] == pytest.approx(4.34e-13, rel=0.01)
-    assert values["i_in"] == pytest.approx(9.92e-14, rel=0.01)
-    assert values["i_elec_total_paper"] == pytest.approx(1.56e-13, rel=0.01)
-    assert values["i_elec_total_integrated"] == pytest.approx(6.03e-13, rel=0.01)
-    assert values["i_mot_noise_mode1"] == pytest.approx(4.9e-15, rel=0.02)
+    assert values["f_noise_psd"] == pytest.approx(5.136e-23, rel=1e-3, abs=0)
+    assert values["i_rf"] == pytest.approx(4.06e-13, rel=0.01, abs=0)
+    assert values["i_vn"] == pytest.approx(4.34e-13, rel=0.01, abs=0)
+    assert values["i_in"] == pytest.approx(9.92e-14, rel=0.01, abs=0)
+    assert values["i_elec_total_paper"] == pytest.approx(1.56e-13, rel=0.01, abs=0)
+    assert values["i_elec_total_integrated"] == pytest.approx(6.03e-13, rel=0.01, abs=0)
+    assert values["i_mot_noise_mode1"] == pytest.approx(4.9e-15, rel=0.02, abs=0)
     assert values["dominant_source"] == "amplifier_voltage_noise"
+
+
+def test_budget_rows_name_the_configured_neb_factor(tmp_path):
+    """readout.neb_factor scales the i_vn and i_in rows, and their source column
+    names it; the density total carries no NEB factor."""
+    rows = {}
+    for name, text in (("default", ""), ("neb2", "readout.neb_factor = 2\n")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        assert run_cli("budget", "--config", str(cfg), "--out", str(tmp_path / name)) == 0
+        _, table = read_csv_table(tmp_path / name / "budget.csv")
+        rows[name] = {quantity: (value, source) for quantity, value, _, source in table}
+    default, neb2 = rows["default"], rows["neb2"]
+    assert default["i_vn"][1] == "v_n*(1+R_x/R_f)/R_x*sqrt(B)*1.57"
+    assert default["i_in"][1] == "i_n*sqrt(B)*1.57"
+    assert neb2["i_vn"][1] == "v_n*(1+R_x/R_f)/R_x*sqrt(B)*2"
+    assert neb2["i_in"][1] == "i_n*sqrt(B)*2"
+    for quantity in ("i_vn", "i_in"):
+        assert float(neb2[quantity][0]) / float(default[quantity][0]) == pytest.approx(
+            2 / 1.57, rel=1e-9, abs=0)
+    for quantity in ("i_rf", "i_elec_total_paper"):
+        assert neb2[quantity] == default[quantity]
 
 
 def test_resolution_command_published_rows(tmp_path):
     assert run_cli("resolution", "--config", "paper-reference", "--out", str(tmp_path)) == 0
     values = report_values(tmp_path / "resolution.csv")
-    assert values["amplitude_resolution_mode1"] == pytest.approx(1.155e-6, rel=5e-3)
-    assert values["amplitude_resolution_mode2"] == pytest.approx(5.756e-7, rel=5e-3)
-    assert values["min_detectable_stiffness"] == pytest.approx(2.161e-9, rel=5e-3)
-    assert values["min_detectable_density"] == pytest.approx(6.83e-10, rel=5e-3)
+    assert values["amplitude_resolution_mode1"] == pytest.approx(1.155e-6, rel=5e-3, abs=0)
+    assert values["amplitude_resolution_mode2"] == pytest.approx(5.756e-7, rel=5e-3, abs=0)
+    assert values["min_detectable_stiffness"] == pytest.approx(2.161e-9, rel=5e-3, abs=0)
+    assert values["min_detectable_density"] == pytest.approx(6.83e-10, rel=5e-3, abs=0)
     assert values["sensitivity"] == 180.0
-    assert values["sensitivity_formula"] == pytest.approx(156.25)
-    assert values["i_mot_mode1"] == pytest.approx(1.92e-7, rel=5e-3)
-    assert values["v_out_peak_mode1"] == pytest.approx(0.192, rel=5e-3)
+    assert values["sensitivity_formula"] == pytest.approx(156.25, rel=1e-6, abs=0)
+    assert values["i_mot_mode1"] == pytest.approx(1.92e-7, rel=5e-3, abs=0)
+    assert values["v_out_peak_mode1"] == pytest.approx(0.192, rel=5e-3, abs=0)
 
 
 # --- the force model: one (S1, S2) pair for every route -----------------------------
@@ -284,7 +306,7 @@ def test_analytic_budget_reads_an_explicit_force_psd():
                                                      "forcing.noise_psd": level}))[0]
                for level in ("auto", repr(p))]
     scale = p / (4.0 * BOLTZMANN * 300.0 * 0.0031)
-    for auto, explicit in zip(*(r.thermal.x_psd for r in reports)):
+    for auto, explicit in zip(*(r.x_psd for r in reports)):
         assert explicit == pytest.approx(scale * auto, rel=1e-12, abs=0)
 
 
@@ -361,7 +383,7 @@ def test_simulate_alias_image_on_drive_named(tmp_path, capsys):
             summaries[decimation] = table_rows(out / "simulate_summary.txt")
     for quantity in ("steady_amp_x1", "steady_amp_x2", "phase_diff"):
         assert float(summaries[30][quantity][0]) == pytest.approx(
-            float(summaries[1][quantity][0]), rel=1e-4)
+            float(summaries[1][quantity][0]), rel=1e-4, abs=0)
 
 
 NOISE_CFG = "forcing.noise_psd = auto\nsim.duration = 0.3\n"
@@ -404,10 +426,10 @@ def test_psd_harmonic_peak_and_band_power(tmp_path):
     assert abs(freqs[int(np.argmax(psd))] - f_drive) <= df
     # off-resonance drive: no slow settling, so Parseval closes on A^2/2
     system = build_system(uncoupled_system(q=100.0))
-    amp = abs(frequency_response(system, [f_drive]).h[0, 0, 0]) * force
+    amp = abs(frequency_response(system, [f_drive])[0, 0, 0]) * force
     band = (freqs >= f_drive - 5.0) & (freqs <= f_drive + 5.0)
     band_power = float(np.trapezoid(psd[band], freqs[band]))
-    assert band_power == pytest.approx(amp**2 / 2.0, rel=0.02)
+    assert band_power == pytest.approx(amp**2 / 2.0, rel=0.02, abs=0)
 
 
 def test_budget_all_zero_in_noiseless_limit(tmp_path):
@@ -557,9 +579,9 @@ def test_sweep_published_pair(tmp_path):
     assert [r[0] for r in rows] == ["-393.5", "-1000"]
     split = {float(r[0]): float(r[header.index("split_hz")]) for r in rows}
     # the stronger coupling widens the split by ~2.55x
-    assert split[-1000.0] / split[-393.5] == pytest.approx(2.548, rel=2e-3)
+    assert split[-1000.0] / split[-393.5] == pytest.approx(2.548, rel=2e-3, abs=0)
     sens = [float(r[header.index("ar_sensitivity")]) for r in rows]
-    assert sens[0] == pytest.approx(156.25)
+    assert sens[0] == pytest.approx(156.25, rel=1e-6, abs=0)
     assert sens == sorted(sens, reverse=True)  # decreases as |kc| grows
 
 
@@ -634,16 +656,17 @@ def test_sweep_single_point_matches_budget(tmp_path, capsys):
             resolution = report_values(point / "resolution.csv")
             assert row["label1"] == modes["f1"][1]
             for column, quantity in SWEEP_COLUMNS["modes"].items():
-                assert float(row[column]) == pytest.approx(float(modes[quantity][0]), rel=1e-5)
+                assert float(row[column]) == pytest.approx(float(modes[quantity][0]),
+                                                           rel=1e-5, abs=0)
             for reported, command in ((budget, "budget"), (resolution, "resolution")):
                 for column, quantity in SWEEP_COLUMNS[command].items():
-                    assert float(row[column]) == pytest.approx(reported[quantity], rel=1e-9)
+                    assert float(row[column]) == pytest.approx(reported[quantity], rel=1e-9, abs=0)
             for mode in ("1", "2"):  # x_avg = x_psd * B, B = 10 Hz in both presets
                 assert float(row[f"x_psd_mode{mode}"]) * 10.0 == pytest.approx(
-                    budget[f"x_avg_mode{mode}"], rel=1e-9)
+                    budget[f"x_avg_mode{mode}"], rel=1e-9, abs=0)
             # v_noise = I_system * R_f, R_f = 1 Mohm in both presets
             assert resolution["v_noise"] == pytest.approx(
-                budget["i_system_paper_mode1"] * 1e6, rel=1e-9)
+                budget["i_system_paper_mode1"] * 1e6, rel=1e-9, abs=0)
             r_x_source = table_rows(point / "budget.txt")["r_x"][1]
             assert r_x_source == ("c/eta^2" if preset == "uncoupled-demo" else "input")
     capsys.readouterr()
@@ -944,7 +967,7 @@ print(json.dumps([loaded, names, sorted(set(crnoise.__all__) - set(dir(crnoise))
     assert proc.returncode == 0, proc.stderr
     loaded, names, undir, missing, version = json.loads(proc.stdout.splitlines()[-1])
     assert loaded == []
-    assert len(names) == 46 and all(module in homes for module, homes in names.values()), names
+    assert len(names) == 39 and all(module in homes for module, homes in names.values()), names
     assert names["simulate"][0] == "crnoise.timesim" and names["Welch"][0] == "crnoise.spectral"
     assert undir == [] and missing and version == "0.1.0"
 

@@ -30,7 +30,7 @@ def test_sine_band_power():
     f0 = 40 * (1.0 / (seg * dt))  # bin-centered
     spectrum = welch_psd(sine(amp, f0, dt, 16 * seg), dt, segment_length=seg)
     power = band_power(spectrum, f0, 10 * spectrum.df)
-    assert power == pytest.approx(amp**2 / 2, rel=0.01)
+    assert power == pytest.approx(amp**2 / 2, rel=0.01, abs=0)
 
 
 def test_white_noise_level():
@@ -42,7 +42,7 @@ def test_white_noise_level():
     spectrum = welch_psd(x, dt, segment_length=4096)
     assert spectrum.n_segments >= 200
     sel = spectrum.frequencies > 5 * spectrum.df
-    assert np.mean(spectrum.values[sel]) == pytest.approx(target_psd, rel=0.02)
+    assert np.mean(spectrum.values[sel]) == pytest.approx(target_psd, rel=0.02, abs=0)
 
 
 def test_zero_input_zero_spectrum():
@@ -184,8 +184,8 @@ def test_flat_band_power_exact():
     spectrum = flat_spectrum()
     # 7.76e-30 m^2/Hz over 10 Hz -> 7.76e-29 m^2, the published 7.762e-29
     power = band_power(spectrum, 1000.0, 10.0)
-    assert power == pytest.approx(7.76e-29, rel=1e-12)
-    assert power == pytest.approx(7.762e-29, rel=5e-3)
+    assert power == pytest.approx(7.76e-29, rel=1e-12, abs=0)
+    assert power == pytest.approx(7.762e-29, rel=5e-3, abs=0)
 
 
 def test_zero_bandwidth():
@@ -202,7 +202,7 @@ def test_band_power_additive():
     total = band_power(spectrum, 500.0, 60.0)
     left = band_power(spectrum, 485.0, 30.0)
     right = band_power(spectrum, 515.0, 30.0)
-    assert left + right == pytest.approx(total, rel=1e-12)
+    assert left + right == pytest.approx(total, rel=1e-12, abs=0)
 
 
 def searchsorted_band_power(spectrum, f_center, bandwidth):
@@ -255,7 +255,7 @@ def test_band_outside_grid_rejected():
 def test_band_edges_clamped():
     spectrum = flat_spectrum(value=2.0, df=1.0, n=101)
     # band [95, 105] clamps to [95, 100]
-    assert band_power(spectrum, 100.0, 10.0) == pytest.approx(10.0)
+    assert band_power(spectrum, 100.0, 10.0) == pytest.approx(10.0, rel=1e-6, abs=0)
 
 
 # --- dB --------------------------------------------------------------------------
@@ -270,7 +270,7 @@ def test_db_published_values():
 def test_db_convention_relation():
     rng = np.random.default_rng(17)
     for value in 10.0 ** rng.uniform(-30, 5, size=20):
-        assert to_db(value, DB_PAPER) == pytest.approx(2 * to_db(value, DB_POWER), rel=1e-12)
+        assert to_db(value, DB_PAPER) == pytest.approx(2 * to_db(value, DB_POWER), rel=1e-12, abs=0)
 
 
 def test_db_rejects_nonpositive():
