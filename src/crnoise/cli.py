@@ -15,11 +15,16 @@ byte for byte (stochastic runs require a seed; there is no silent
 nondeterminism).  Exit codes: 0 success, 1 invalid configuration (the
 offending key is named), 2 numerical failure, 3 an output could not be
 written, 130 interrupted (Ctrl-C; no partial output file is left).
+
+simulate, psd, the simulated budget and the sweep floors run the engine
+through one function, `_stream`, which plans, forces and feeds each run;
+the config builds no engine objects.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import gc
 import math
@@ -227,28 +232,7 @@ def cmd_budget(run: RunConfig, args) -> int:
     return 0
 
 
-# --- simulate / psd ----------------------------------------------------------
-
-def _sim_inputs(run: RunConfig):
-    """(system, modes, plan, forcing) of a run."""
-    system = sysmodel.build_system(run.system)
-    modes = sysmodel.mode_analysis(system)
-    return system, modes, _plan(run, modes), run.make_forcing(modes)
-
-
-def _simulate(system, forcing, plan, consumers=(), welch=None, channels=("x1", "x2")):
-    """Run the engine once, handing each chunk of the record to every consumer
-    in turn and each channel's samples to its accumulator in welch."""
-    from . import timesim
-
-    def sink(chunk):
-        for consume in consumers:
-            consume(chunk)
-        for name, accumulator in (welch or {}).items():
-            accumulator.add(chunk[name])
-
-    return timesim.simulate(system, forcing, plan, sink, channels)
-
+# --- the engine: simulate, psd, the simulated budget and the sweep floors -------
 
 def _planned(keys: str, build, *args):
     """build(*args), with a ValueError it raises (a step too coarse, a record too
@@ -261,37 +245,6 @@ def _planned(keys: str, build, *args):
 
 # the keys that set the recorded samples: their step, their number and their spacing
 _RECORD_KEYS = "sim.dt, sim.duration, sim.decimation"
-
-
-def _plan(run: RunConfig, modes):
-    """The run's simulation plan, checked against its modes."""
-    return _planned("sim.dt, sim.duration", run.make_plan, modes)
-
-
-def _welch(run: RunConfig, plan: timesim.SimulationPlan) -> spectral.Welch:
-    """A Welch accumulator for one channel of the planned record, with the
-    configured analysis.segment_length and analysis.overlap."""
-    from . import spectral
-
-    return _planned(f"analysis.segment_length, {_RECORD_KEYS}", spectral.Welch, plan.n_samples,
-                    plan.record_dt, run.get("analysis.segment_length"),
-                    run.get("analysis.overlap"))
-
-
-def _band_floors(run: RunConfig, system, modes, seed: int, channels) -> list[float]:
-    """Band-mean PSD of each channel at f1, then at f2, from one streamed run
-    of system under the thermal force alone, `RunConfig.force_psd` seeded
-    with seed, whatever else the run drives."""
-    from . import spectral, timesim
-
-    plan = _plan(run, modes)
-    forcing = timesim.Forcing(stochastic=timesim.StochasticDrive(run.force_psd(), seed))
-    welch = {name: _welch(run, plan) for name in channels}
-    _simulate(system, forcing, plan, welch=welch, channels=channels)
-    spectra = [w.spectrum() for w in welch.values()]
-    band = run.environment.bandwidth
-    return [spectral.band_mean_psd(s, f, band) for s in spectra for f in (modes.f1, modes.f2)]
-
 
 TIMESERIES_HEADER = "t_s,x1_m,x2_m"
 
@@ -312,39 +265,100 @@ def _timeseries_sink(write, record_dt: float, squares: dict):
     return add
 
 
-def cmd_simulate(run: RunConfig, args) -> int:
-    from . import timesim  # first: see _load_engine
+def _stream(run: RunConfig, system, modes, channels=("x1", "x2"), *, spectra=True,
+            seed=None, csv=False):
+    """Run the engine once; the one place outside `timesim` that plans,
+    checks and feeds a simulation.  Returns (plan, spectra, squares, steady).
 
-    system, modes, plan, forcing = _sim_inputs(run)
-    squares = {"x1": 0.0, "x2": 0.0}
-    consumers = []
-    if forcing.harmonic:
-        drive = forcing.harmonic[0]
+    The force is the configured one or, given seed, the thermal force alone
+    (`RunConfig.force_psd`) seeded with seed.  With spectra each of channels
+    gets a Welch estimate, spectra = {channel: Spectrum}; without, a harmonic
+    drive's steady state is projected (steady, else None).  With csv the
+    record goes to timeseries.csv and squares sums each channel's squares.
+    All that can reject the run is built before the output directory is.
+    """
+    from . import timesim
+
+    dt = run.get("sim.dt")
+    plan = timesim.SimulationPlan(timesim.default_timestep(modes) if dt is None else dt,
+                                  run.get("sim.duration"), run.get("sim.decimation"))
+    _planned("sim.dt, sim.duration", plan.check, modes)
+    harmonic = ()
+    if seed is None:  # the configured drives
+        amplitude = run.get("forcing.harmonic_amplitude")
+        if amplitude > 0:
+            frequency = run.get("forcing.harmonic_frequency")
+            harmonic = (timesim.HarmonicDrive(
+                int(run.get("forcing.harmonic_target")), amplitude,
+                {"mode1": modes.f1, "mode2": modes.f2}.get(frequency, frequency),
+                run.get("forcing.harmonic_phase")),)
+        if run.get("forcing.noise_psd") != 0:
+            seed = run.require_seed()
+    stochastic = None if seed is None else timesim.StochasticDrive(run.force_psd(), seed)
+
+    welch, steady = {}, None
+    if spectra:
+        from . import spectral
+
+        welch = {name: _planned(f"analysis.segment_length, {_RECORD_KEYS}", spectral.Welch,
+                                plan.n_samples, plan.record_dt,
+                                run.get("analysis.segment_length"), run.get("analysis.overlap"))
+                 for name in channels}
+    elif harmonic:
         steady = _planned(f"forcing.harmonic_frequency, {_RECORD_KEYS}, "
                           "analysis.window_start_fraction",
                           timesim.SteadyStateProjection, plan.n_samples, plan.record_dt,
-                          drive.frequency, run.get("analysis.window_start_fraction"))
-        consumers.append(steady.add)
-    out = _out_dir(run)
-    with csv_writer(out / "timeseries.csv", TIMESERIES_HEADER, _echo(run)) as write:
-        series = _simulate(system, forcing, plan,
-                           [_timeseries_sink(write, plan.record_dt, squares), *consumers])
+                          harmonic[0].frequency, run.get("analysis.window_start_fraction"))
+
+    squares = dict.fromkeys(channels, 0.0)
+    consumers = [] if steady is None else [steady.add]
+
+    def sink(chunk):
+        for consume in consumers:
+            consume(chunk)
+        for name, accumulator in welch.items():
+            accumulator.add(chunk[name])
+
+    with (csv_writer(_out_dir(run) / "timeseries.csv", TIMESERIES_HEADER, _echo(run))
+          if csv else contextlib.nullcontext()) as write:
+        if csv:  # the CSV first, then the projection or the Welch estimates
+            consumers.insert(0, _timeseries_sink(write, plan.record_dt, squares))
+        timesim.simulate(system, timesim.Forcing(harmonic, stochastic), plan, sink, channels)
+    return plan, {name: w.spectrum() for name, w in welch.items()}, squares, steady
+
+
+def _band_floors(run: RunConfig, system, modes, seed: int, channels=("x1", "x2")) -> list[float]:
+    """Band-mean PSD of each channel at f1, then at f2, from one streamed run
+    of system under the thermal force alone, seeded with seed."""
+    from . import spectral
+
+    spectra = _stream(run, system, modes, channels, seed=seed)[1].values()
+    band = run.environment.bandwidth
+    return [spectral.band_mean_psd(s, f, band) for s in spectra for f in (modes.f1, modes.f2)]
+
+
+def cmd_simulate(run: RunConfig, args) -> int:
+    from . import timesim  # noqa: F401  first, see _load_engine (simulate needs no spectral)
+
+    system = sysmodel.build_system(run.system)
+    plan, _, squares, steady = _stream(run, system, sysmodel.mode_analysis(system),
+                                       spectra=False, csv=True)
     rows = [
-        Row("samples", float(series.n_samples), "-", "recorded"),
-        Row("dt", series.dt, "s", "after decimation"),
+        Row("samples", float(plan.n_samples), "-", "recorded"),
+        Row("dt", plan.record_dt, "s", "after decimation"),
         Row("duration", run.get("sim.duration"), "s", "input"),
-        Row("x1_rms", math.sqrt(squares["x1"] / series.n_samples), "m", "time average"),
-        Row("x2_rms", math.sqrt(squares["x2"] / series.n_samples), "m", "time average"),
+        Row("x1_rms", math.sqrt(squares["x1"] / plan.n_samples), "m", "time average"),
+        Row("x2_rms", math.sqrt(squares["x2"] / plan.n_samples), "m", "time average"),
     ]
-    if forcing.harmonic:
+    if steady is not None:
         result = steady.result()
         rows += [
-            Row("drive_frequency", drive.frequency, "Hz", "input"),
+            Row("drive_frequency", steady.frequency, "Hz", "input"),
             Row("steady_amp_x1", result.amp1, "m", "single-bin projection"),
             Row("steady_amp_x2", result.amp2, "m", "single-bin projection"),
             Row("phase_diff", result.phase_diff, "rad", "x2 - x1"),
         ]
-    _print(write_report(out / "simulate_summary.txt", "simulation summary", rows,
+    _print(write_report(_out_dir(run) / "simulate_summary.txt", "simulation summary", rows,
                         comments=_echo(run)))
     return 0
 
@@ -356,13 +370,13 @@ def _band_rows(name: str, spectrum: spectral.Spectrum, mean_square, modes, band:
     for mode_idx, f_mode in ((1, modes.f1), (2, modes.f2)):
         power = spectral.band_power(spectrum, f_mode, band)
         mean_psd = spectral.band_mean_psd(spectrum, f_mode, band)
-        db_paper = spectral.to_db(mean_psd, spectral.DB_PAPER) if mean_psd > 0 else float("-inf")
-        db_power = spectral.to_db(mean_psd, spectral.DB_POWER) if mean_psd > 0 else float("-inf")
         rows += [
             Row(f"{name}_band_power_f{mode_idx}", power, "m^2", f"integral over {band:g} Hz"),
             Row(f"{name}_band_psd_f{mode_idx}", mean_psd, "m^2/Hz", "band mean"),
-            Row(f"{name}_band_db_paper_f{mode_idx}", db_paper, "dB/Hz", "20*log10(psd)"),
-            Row(f"{name}_band_db_power_f{mode_idx}", db_power, "dB/Hz", "10*log10(psd)"),
+            Row(f"{name}_band_db_paper_f{mode_idx}", spectral.to_db(mean_psd, spectral.DB_PAPER),
+                "dB/Hz", "20*log10(psd)"),
+            Row(f"{name}_band_db_power_f{mode_idx}", spectral.to_db(mean_psd, spectral.DB_POWER),
+                "dB/Hz", "10*log10(psd)"),
         ]
     rows.append(
         Row(f"{name}_parseval_ratio", spectral.parseval_ratio(spectrum, mean_square), "-",
@@ -375,16 +389,13 @@ def cmd_psd(run: RunConfig, args) -> int:
     _load_engine()
     from . import spectral
 
-    system, modes, plan, forcing = _sim_inputs(run)
-    welch = {name: _welch(run, plan) for name in ("x1", "x2")}
-    squares = {"x1": 0.0, "x2": 0.0}
+    system = sysmodel.build_system(run.system)
+    modes = sysmodel.mode_analysis(system)
+    plan, spectra, squares, _ = _stream(run, system, modes, csv=True)
     out = _out_dir(run)
-    with csv_writer(out / "timeseries.csv", TIMESERIES_HEADER, _echo(run)) as write:
-        _simulate(system, forcing, plan, [_timeseries_sink(write, plan.record_dt, squares)], welch)
     band = run.environment.bandwidth
     rows = []
-    for name, accumulator in welch.items():
-        spectrum = accumulator.spectrum()
+    for name, spectrum in spectra.items():
         spectral.write_spectrum_csv(spectrum, out / f"spectrum_{name}.csv", comments=_echo(run))
         rows += _band_rows(name, spectrum, squares[name] / plan.n_samples, modes, band)
     notes = (
@@ -523,8 +534,7 @@ def _sweep_floors(run: RunConfig) -> list:
     floors = []
     for i, kc in enumerate(run.system.kc):
         system = sysmodel.build_system(dataclasses.replace(run.system, kc=kc))
-        floors.append(_band_floors(run, system, sysmodel.mode_analysis(system), seed + i,
-                                   ("x1", "x2")))
+        floors.append(_band_floors(run, system, sysmodel.mode_analysis(system), seed + i))
     return list(zip(*floors))
 
 

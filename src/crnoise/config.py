@@ -7,7 +7,8 @@ out-of-range values are errors that name the offending key.
 The SCHEMA defaults are the one place where the reference design is written
 down: an empty config is a valid run of it, the shipped presets list only the
 keys they change, and `cr-noise-lab --help` prints every key with its unit
-and default.
+and default.  A RunConfig holds the parsed values and the model's sections;
+it builds no engine objects (the CLI plans and forces each simulation).
 """
 
 from __future__ import annotations
@@ -234,39 +235,6 @@ class RunConfig:
             (level or thermal_force_psd(c, self.environment)) if target in (i, "both") else 0.0
             for i, c in (("1", self.system.c1), ("2", self.system.c2))
         )
-
-    def make_plan(self, modes):
-        # the engine is imported here, so that only a run that needs it loads it
-        from .timesim import SimulationPlan, default_timestep
-
-        dt = self.values["sim.dt"]
-        plan = SimulationPlan(
-            dt=default_timestep(modes) if dt is None else dt,
-            duration=self.values["sim.duration"],
-            record_decimation=self.values["sim.decimation"],
-        )
-        plan.check(modes)
-        return plan
-
-    def make_forcing(self, modes):
-        from .timesim import Forcing, HarmonicDrive, StochasticDrive
-
-        harmonic = ()
-        amplitude = self.values["forcing.harmonic_amplitude"]
-        if amplitude > 0:
-            frequency = self.values["forcing.harmonic_frequency"]
-            harmonic = (
-                HarmonicDrive(
-                    target=int(self.values["forcing.harmonic_target"]),
-                    amplitude=amplitude,
-                    frequency={"mode1": modes.f1, "mode2": modes.f2}.get(frequency, frequency),
-                    phase=self.values["forcing.harmonic_phase"],
-                ),
-            )
-        stochastic = None
-        if self.values["forcing.noise_psd"] != 0:
-            stochastic = StochasticDrive(self.force_psd(), self.require_seed())
-        return Forcing(harmonic=harmonic, stochastic=stochastic)
 
     def echo_lines(self) -> list[str]:
         """Fully resolved configuration, one `key = value` line per key.

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sysmodel
+from .errors import ConfigError
 from .sysmodel import SystemConfig
 
 BOLTZMANN = 1.380649e-23  # J/K
@@ -181,20 +182,28 @@ def full_noise_budget(
     x_psd_per_mode is the displacement-noise PSD of the readout resonator at
     each mode [m^2/Hz]: analytic, simulated or published.  The force rows use
     the resonator-1 damping (the noise-injection convention).  r_x is the
-    transducer's when given, otherwise sqrt(k_eff m_eff) / (Q eta^2) =
-    c / eta^2 with the eta the motional current uses.  A given r_x off
-    r_x * eta^2 = c by more than the transducer's tolerance warns, as
-    published parameter sets are not always self-consistent.  modes are the
-    config's solved modes, solved here when not given.
+    transducer's when given, otherwise c / eta^2 with c = (c1 + c2) / 2, the
+    mean damping Q is taken from (so sqrt(k_eff m_eff) / (Q eta^2)), and the
+    eta the motional current uses; an undamped pair has none, a config
+    error.  A given r_x off r_x * eta^2 = c, the same c, by more than the
+    transducer's tolerance warns, as published parameter sets are not
+    always self-consistent.  modes are the config's solved modes, solved
+    here when not given.
     """
     if np.any(np.less(x_psd_per_mode, 0)):
         raise ValueError("displacement-noise PSD must be >= 0")
-    c = config.c1
-    if transducer.r_x is not None and c > 0:
-        mismatch = abs(transducer.r_x * transducer.eta**2 - c) / c
+    c = 0.5 * (config.c1 + config.c2)  # the mean damping, as Q's
+    r_x = transducer.r_x
+    if r_x is None:
+        if c == 0:
+            raise ConfigError("transducer.r_x, system.c1, system.c2: the derived r_x = c/eta^2 "
+                              "is 0 at c1 = c2 = 0; give r_x, or c1 or c2 > 0")
+        r_x = c / transducer.eta**2
+    elif c > 0:
+        mismatch = abs(r_x * transducer.eta**2 - c) / c
         if mismatch > transducer.consistency_tolerance:
             warnings.warn(
-                f"r_x * eta^2 = {transducer.r_x * transducer.eta**2:.3g} N*s/m differs "
+                f"r_x * eta^2 = {r_x * transducer.eta**2:.3g} N*s/m differs "
                 f"from c = {c:.3g} N*s/m by {mismatch:.0%} "
                 f"(tolerance {transducer.consistency_tolerance:.0%})",
                 stacklevel=2,
@@ -204,19 +213,11 @@ def full_noise_budget(
     band = env.bandwidth
 
     # mechanical: force, displacement and motional-current rows
-    f_psd = thermal_force_psd(c, env)
+    f_psd = thermal_force_psd(config.c1, env)
     f_avg = f_psd * band
     x_avg = tuple(p * band for p in x_psd_per_mode)
     x_rms = tuple(np.sqrt(v) for v in x_avg)
     i_mot = tuple(transducer.eta * w * x for w, x in zip((modes.omega1, modes.omega2), x_rms))
-
-    if transducer.r_x is not None:
-        r_x = transducer.r_x
-    else:
-        derived = sysmodel.derive_quantities(config)
-        r_x = np.sqrt(derived.k_eff * derived.m_eff) / (derived.q * transducer.eta**2)
-    if np.any(r_x <= 0):
-        raise ValueError("r_x must be > 0")
 
     # electronic: the transimpedance readout's three rows and both totals
     kt4 = 4.0 * BOLTZMANN * env.temperature

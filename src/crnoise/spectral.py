@@ -256,20 +256,21 @@ def band_mean_psd(spectrum: Spectrum, f_center: float, bandwidth: float) -> floa
     return band_power(spectrum, f_center, bandwidth) / (hi - lo)
 
 
-def to_db(psd_value: float, convention: str = DB_PAPER) -> float:
-    """PSD value in dB under the chosen convention.
+def to_db(psd, convention: str = DB_PAPER):
+    """PSD value(s) in dB under the chosen convention; a zero PSD is -inf.
 
     paper_20log applies 20*log10 to the unit^2/Hz value (the reference
     design's published convention, despite the squared unit); power_10log is
-    the standard 10*log10.
+    the standard 10*log10.  A negative value or an unknown convention raises
+    ValueError.
     """
-    if psd_value <= 0:
-        raise ValueError(f"PSD value must be > 0 for dB conversion, got {psd_value!r}")
-    if convention == DB_PAPER:
-        return 20.0 * math.log10(psd_value)
-    if convention == DB_POWER:
-        return 10.0 * math.log10(psd_value)
-    raise ValueError(f"unknown dB convention {convention!r}")
+    factor = {DB_PAPER: 20.0, DB_POWER: 10.0}.get(convention)
+    if factor is None:
+        raise ValueError(f"unknown dB convention {convention!r}")
+    if np.any(np.less(psd, 0)):
+        raise ValueError(f"PSD must be >= 0 for dB conversion, got {np.min(psd):g}")
+    with np.errstate(divide="ignore"):
+        return factor * np.log10(psd)
 
 
 def parseval_ratio(spectrum: Spectrum, mean_square: float) -> float:
@@ -289,9 +290,6 @@ def write_spectrum_csv(spectrum: Spectrum, path, comments: tuple[str, ...] = ())
 
     Zero PSD bins print -inf in the dB columns.
     """
-    with np.errstate(divide="ignore"):
-        db_paper = 20.0 * np.log10(spectrum.values)
-        db_power = 10.0 * np.log10(spectrum.values)
     window = (
         f"window = {spectrum.window}, segment_length = {spectrum.segment_length}, "
         f"overlap = {spectrum.overlap}, n_segments = {spectrum.n_segments}"
@@ -299,6 +297,7 @@ def write_spectrum_csv(spectrum: Spectrum, path, comments: tuple[str, ...] = ())
     write_csv(
         path,
         "f_hz,psd,psd_db_paper,psd_db_power",
-        (spectrum.frequencies, spectrum.values, db_paper, db_power),
+        (spectrum.frequencies, spectrum.values,
+         to_db(spectrum.values, DB_PAPER), to_db(spectrum.values, DB_POWER)),
         (*comments, window),
     )

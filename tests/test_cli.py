@@ -88,6 +88,25 @@ def test_bad_value_named():
             build_run_config({"sweep.kc_values": kc})
 
 
+@pytest.mark.parametrize("given, message", [
+    # an override {key: value}, or the text of a config file
+    ({"sweep.simulate_floor": "yes"}, "sweep.simulate_floor: cannot parse 'yes' as bool"),
+    ({"budget.x_psd_source": "Paper"},
+     "budget.x_psd_source: cannot parse 'Paper' as paper|analytic|simulated"),
+    ({"sweep.kc_values": " , "}, "sweep.kc_values: cannot parse ' , ' as float_list"),
+    ({"system.kc": "nan"}, "system.kc: value must be finite, got 'nan'"),
+    ({"system.bogus": "1"}, "unknown config key 'system.bogus'"),
+    ("system.m1 =  # no value\n", "<config>:1: empty value for 'system.m1'"),
+])
+def test_rejection_names_its_key(given, message):
+    with pytest.raises(ConfigError) as caught:
+        if isinstance(given, str):
+            parse_config_text(given)
+        else:
+            build_run_config(None, given)
+    assert str(caught.value) == message
+
+
 def test_comments_and_inline_comments():
     entries = parse_config_text("# a comment\nsystem.kc = -100  # inline\n")
     assert entries == {"system.kc": "-100"}
@@ -268,11 +287,12 @@ FORCE_PAIR = {"system.c2": "0.0062", "forcing.noise_psd": "auto", "sim.seed": "3
 
 @pytest.mark.filterwarnings("ignore:cc differs from c1/c2")
 @pytest.mark.parametrize("target", ["1", "2", "both"])
-def test_engine_and_analytic_read_one_force_pair(target):
+def test_engine_and_analytic_read_one_force_pair(target, monkeypatch):
     """With c2 = 2 c1, RunConfig.force_psd is 4 kB T c_i on the targets; the
-    engine draws one stream per nonzero S_i, the k-th seeded seed ^ k, with
-    sigma_i^2 2 dt = S_i; the analytic route is sum_j |h_1j|^2 S_j of the
-    same pair."""
+    engine, fed by cli._stream with the configured forcing or the floors'
+    thermal force alone, draws one stream per nonzero S_i, the k-th seeded
+    seed ^ k, with sigma_i^2 2 dt = S_i; the analytic route is
+    sum_j |h_1j|^2 S_j of the same pair."""
     run = build_run_config(FORCE_PAIR | {"forcing.noise_target": target})
     s_f = run.force_psd()
     kt4 = 4.0 * BOLTZMANN * 300.0
@@ -281,8 +301,14 @@ def test_engine_and_analytic_read_one_force_pair(target):
                                 rel=1e-12, abs=0)
     system = sysmodel.build_system(run.system)
     modes = sysmodel.mode_analysis(system)
-    dt = run.make_plan(modes).dt
-    streams = timesim._noise_streams(run.make_forcing(modes).stochastic, dt)
+    fed = []  # the (forcing, plan) of each run cli._stream starts
+    monkeypatch.setattr(timesim, "simulate", lambda _, forcing, plan, *rest: fed.append(
+        (forcing, plan)))
+    dt = cli._stream(run, system, modes, spectra=False)[0].dt
+    cli._stream(run, system, modes, spectra=False, seed=3)
+    configured, floor = (forcing.stochastic for forcing, _ in fed)
+    assert floor == configured and fed[0][1] == fed[1][1]
+    streams = timesim._noise_streams(configured, dt)
     assert [row for row, _, _ in streams] == [j for j in (0, 1) if s_f[j] > 0]
     for k, (row, rng, sigma) in enumerate(streams):
         assert sigma**2 * 2.0 * dt == pytest.approx(s_f[row], rel=1e-12, abs=0)
@@ -526,6 +552,21 @@ def test_undamped_harmonic_run_names_the_damping(tmp_path, capsys):
     assert "numerical failure: x1 is accurate to only" in err
     assert "raise system.c1, system.c2 or system.cc" in err
     assert not list((tmp_path / "out").glob("*"))
+
+
+def test_undamped_pair_with_derived_r_x_names_the_keys(tmp_path, capsys):
+    """An undamped pair has no motional resistance c/eta^2 to derive: budget
+    and resolution exit 1 with a config error naming transducer.r_x and the
+    damping keys, and write nothing."""
+    cfg = tmp_path / "undamped.cfg"
+    cfg.write_text("system.c1 = 0\nsystem.c2 = 0\nsystem.cc = 0\ntransducer.r_x = auto\n")
+    for command in ("budget", "resolution"):
+        out = tmp_path / command
+        assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cr-noise-lab: config error: "
+                              "transducer.r_x, system.c1, system.c2: "), err
+        assert not out.exists()
 
 
 def test_unwritable_output_exit_code(tmp_path, capsys):

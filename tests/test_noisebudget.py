@@ -129,6 +129,27 @@ def test_consistency_silent_when_widened(reference_config, env, transducer, read
         _budget(reference_config, env, transducer, readout)
 
 
+def test_consistency_judges_the_damping_r_x_is_derived_from(readout):
+    """The check and the derived r_x read one damping, the mean (c1 + c2)/2:
+    at c2 = 2 c1 the derived r_x, 1.5 c1/eta^2, passes a 25% tolerance
+    silently, and c1/eta^2 is 33% off and warns."""
+    pair = _pair(1.2e5, 5e-4, 2000.0)
+    pair = dataclasses.replace(pair, c2=2.0 * pair.c1)
+    eta = REFERENCE.transducer.eta
+    derived = _r_x(_transducer(eta=eta), pair)
+    assert derived == pytest.approx(1.5 * pair.c1 / eta**2, rel=1e-12, abs=0)
+    env = REFERENCE.environment
+
+    def given(r_x):
+        return TransducerConfig(consistency_tolerance=0.25, eta=eta, r_x=r_x)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _budget(pair, env, given(derived), readout)
+    with pytest.warns(UserWarning, match=r"differs from c = 0\.00581 N\*s/m by 33%"):
+        _budget(pair, env, given(pair.c1 / eta**2), readout)
+
+
 def test_eta_from_geometry():
     t = _transducer(v_dc=10.0, epsilon=8.854e-12, area=1e-6, gap=2e-6)
     assert t.eta == pytest.approx(10.0 * 8.854e-12 * 1e-6 / 4e-12, rel=1e-6, abs=0)

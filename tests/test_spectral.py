@@ -274,10 +274,16 @@ def test_db_convention_relation():
 
 
 def test_db_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        to_db(0.0)
+    """A zero PSD is -inf dB, as the spectrum CSVs print it, for a value or an
+    array; a negative value, anywhere in an array too, and an unknown
+    convention raise."""
+    assert to_db(0.0) == -np.inf and to_db(0.0, DB_POWER) == -np.inf
+    values = np.array([0.0, 1.0, 1e-20])
+    assert np.array_equal(to_db(values, DB_POWER), [-np.inf, 0.0, -200.0])
     with pytest.raises(ValueError):
         to_db(-1e-3)
+    with pytest.raises(ValueError):
+        to_db(np.array([1.0, -1e-30]))
     with pytest.raises(ValueError):
         to_db(1.0, "bogus")
 

@@ -703,6 +703,39 @@ def test_sink_error_stops_the_run(reference, monkeypatch):
         assert threading.active_count() == threads
 
 
+def test_sink_error_on_the_last_chunk(reference, monkeypatch):
+    """A sink that fails on the record's last chunk, after the engine has
+    queued every chunk and left its loop, still has its exception raised by
+    simulate, and the worker thread is gone."""
+    _, system, modes = reference
+    monkeypatch.setattr(timesim, "_CHUNK_STEPS", 4096)
+    queued = threading.Event()  # set once the engine asks for a chunk after the last
+    scan = timesim._run_scan
+
+    def spy(*args):
+        yield from scan(*args)
+        queued.set()
+
+    monkeypatch.setattr(timesim, "_run_scan", spy)
+    dt = default_timestep(modes)
+    plan = SimulationPlan(dt=dt, duration=3 * 4096 * dt)
+    error = RuntimeError("sink failed on the last chunk")
+    seen = []
+
+    def failing(chunk):
+        seen.append(chunk["x1"].size)
+        if sum(seen) == plan.n_samples:
+            assert queued.wait(10.0)
+            raise error
+
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError) as caught:
+        simulate(system, Forcing(), plan, failing, ("x1",))
+    assert caught.value is error and queued.is_set()
+    assert len(seen) == 4  # the initial state and three chunks of the scan
+    assert threading.active_count() == threads
+
+
 def test_engine_side_errors_leave_no_thread(reference, monkeypatch):
     """The engine's NumericalError, and an interrupt while the engine runs,
     stop and join the sink worker; at a handoff depth of one, the chunk
