@@ -7,22 +7,21 @@ eigenproblem.
 
 import numpy as np
 
-from crnoise import ar_sensitivity, build_system, derive_quantities, mode_analysis
+from crnoise import ar_sensitivity, build_system
 from crnoise.presets import reference_system
 
 cfg = reference_system()
 system = build_system(cfg)
-modes = mode_analysis(system)
-derived = derive_quantities(cfg)
+modes = system.modes
 
 print("reference coupled pair")
-print(f"  kappa = {derived.kappa}, Q = {derived.q:.0f}")
+print(f"  kappa = {system.kappa}, Q = {system.q:.0f}")
 print(f"  mode 1: {modes.f1:9.3f} Hz  {modes.label1}  (modal Q {modes.modal_q1:.0f})")
 print(f"  mode 2: {modes.f2:9.3f} Hz  {modes.label2}  (modal Q {modes.modal_q2:.0f})")
 print(f"  split : {modes.split_hz:.3f} Hz")
 
 print("\nfirst-order output shifts for a normalized stiffness change dk:")
-ar_per_dk = ar_sensitivity(derived.kappa)
+ar_per_dk = ar_sensitivity(system.kappa)
 print(f"  frequency : {0.5:8.2f} per dk  (1/2)")
 print(f"  amp ratio : {ar_per_dk:8.2f} per dk  (1/(2|kappa|))")
 print(f"  eigenstate: {ar_per_dk / 2:8.2f} per dk  (1/(4|kappa|))")
@@ -41,7 +40,7 @@ def amplitude_ratio(stiffness):
 
 
 for dk_norm in (1e-3, 5e-4, 2.5e-4):
-    dk = dk_norm * derived.k_eff
+    dk = dk_norm * system.k_eff
     k0 = system.stiffness
     k1 = k0 + np.diag([dk, 0.0])
     ar0 = amplitude_ratio(k0)

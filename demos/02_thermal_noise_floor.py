@@ -21,7 +21,6 @@ from crnoise import (
     build_system,
     default_timestep,
     frequency_response,
-    mode_analysis,
     simulate,
     thermal_force_psd,
     to_db,
@@ -33,7 +32,7 @@ env = Environment(temperature=300.0, bandwidth=10.0)
 # --- equipartition on a single resonator -------------------------------------
 cfg = uncoupled_system(q=100.0)
 system = build_system(cfg)
-modes = mode_analysis(system)
+modes = system.modes
 force_psd = thermal_force_psd(cfg.c1, env)
 print(f"single resonator, Q=100: thermal force PSD = {force_psd:.3e} N^2/Hz")
 
@@ -57,7 +56,7 @@ print(f"  kB*T/k          = {BOLTZMANN * 300 / cfg.km1:.3e} m^2   (equipartition
 # --- coupled pair: simulated spectrum vs analytic ------------------------------
 cfg = reference_system()
 system = build_system(cfg)
-modes = mode_analysis(system)
+modes = system.modes
 force_psd = thermal_force_psd(cfg.c1, env)
 dt = default_timestep(modes)
 segment = 1 << 17  # df ~ 0.95 Hz resolves the ~1 Hz-wide in-phase peak

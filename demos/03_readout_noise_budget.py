@@ -18,7 +18,7 @@ x_psd = (run.get("budget.x_psd_mode1"), run.get("budget.x_psd_mode2"))
 
 print("thermal pipeline (published displacement-noise PSD inputs)")
 print(f"  force PSD 4*kB*T*c = {thermal_force_psd(cfg.c1, env):.4e} N^2/Hz")
-report = full_noise_budget(cfg, env, run.transducer, run.readout, x_psd)
+report = full_noise_budget(run.design, env, run.transducer, run.readout, x_psd)
 print(f"  force rms over {env.bandwidth:g} Hz = {report.f_noise_rms:.4e} N")
 for i in (0, 1):
     print(f"  mode {i + 1}: x_rms = {report.x_rms[i]:.3e} m -> "
@@ -43,5 +43,5 @@ for r_x in (8e6, 4e6, 2e6, 1e6):
     with warnings.catch_warnings():
         # R_x is swept alone here, off the r_x * eta^2 = c identity the budget checks
         warnings.simplefilter("ignore")
-        b = full_noise_budget(cfg, env, transducer, run.readout, x_psd)
+        b = full_noise_budget(run.design, env, transducer, run.readout, x_psd)
     print(f"  R_x = {r_x / 1e6:4.1f} Mohm: voltage-noise row {b.i_vn:.3e} A rms")

@@ -5,8 +5,8 @@ Follows the published readout chain: drive displacement -> motional current
 amplitude and amplitude-ratio resolutions and divides by the AR sensitivity.
 """
 
-from crnoise import carrier_voltages, derive_quantities, resolution_report
-from crnoise.presets import reference_system
+from crnoise import carrier_voltages, resolution_report
+from crnoise.presets import reference_run
 
 R_F = 1e6  # ohm
 X_MODES = (0.419e-6, 0.836e-6)  # m peak, published drive amplitudes
@@ -20,10 +20,10 @@ for mode, (x, eta_omega) in enumerate(zip(X_MODES, ETA_OMEGA), start=1):
           f"-> v_out = {peak:.3f} V peak = {rms:.3f} V rms")
 print(f"  output-referred noise voltage: {I_SYSTEM * R_F * 1e9:.0f} nV rms")
 
-derived = derive_quantities(reference_system())
+design = reference_run().design
 # the published voltages, sensitivity and headline AR resolution
-report = resolution_report((0.135, 0.271), 156e-9, 180.0, "paper_simulated", derived.kappa,
-                           bandwidth=10.0, k_eff=derived.k_eff, effective_resolution=3.89e-7)
+report = resolution_report((0.135, 0.271), 156e-9, 180.0, "paper_simulated", design.kappa,
+                           bandwidth=10.0, k_eff=design.k_eff, effective_resolution=3.89e-7)
 
 print("\nresolutions from the published voltages (0.135 / 0.271 V rms, 156 nV)")
 for i, (r, ar) in enumerate(zip(report.amplitude_resolution, report.ar_resolution)):

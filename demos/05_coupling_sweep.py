@@ -15,8 +15,6 @@ from crnoise import (
     analytic_displacement_psd,
     ar_sensitivity,
     build_system,
-    derive_quantities,
-    mode_analysis,
     thermal_force_psd,
     to_db,
 )
@@ -25,11 +23,11 @@ from crnoise.presets import reference_system
 env = Environment(temperature=300.0, bandwidth=10.0)
 kcs = np.array([-200.0, -393.5, -600.0, -1000.0, -2000.0])
 cfg = dataclasses.replace(reference_system(), kc=kcs)
-split = mode_analysis(build_system(cfg)).split_hz
-kappa = derive_quantities(cfg).kappa
+design = build_system(cfg)
+split, kappa = design.modes.split_hz, design.kappa
 sensitivity = ar_sensitivity(kappa)
 # the thermal force on resonator 1 alone, as forcing.noise_target = 1 sets it
-psd1, psd2 = analytic_displacement_psd(cfg, (thermal_force_psd(cfg.c1, env), 0.0))
+psd1, psd2 = analytic_displacement_psd(design, (thermal_force_psd(cfg.c1, env), 0.0))
 db1 = [to_db(p, "paper_20log") for p in psd1]
 db2 = [to_db(p, "paper_20log") for p in psd2]
 

@@ -24,8 +24,7 @@ _EXPORTS = {
         "parseval_ratio", "to_db",
     ),
     "sysmodel": (
-        "DerivedQuantities", "Modes", "SystemConfig", "SystemMatrices",
-        "build_system", "derive_quantities", "frequency_response", "mode_analysis",
+        "Modes", "System", "SystemConfig", "build_system", "frequency_response", "mode_analysis",
     ),
     "timesim": (
         "Forcing", "HarmonicDrive", "SimulationPlan", "SteadyStateAmplitude",

@@ -16,9 +16,9 @@ nondeterminism).  Exit codes: 0 success, 1 invalid configuration (the
 offending key is named), 2 numerical failure, 3 an output could not be
 written, 130 interrupted (Ctrl-C; no partial output file is left).
 
-simulate, psd, the simulated budget and the sweep floors run the engine
-through one function, `_stream`, which plans, forces and feeds each run;
-the config builds no engine objects.
+Every command reads the run's one design, `RunConfig.design`.  simulate,
+psd, the simulated budget and the sweep floors run the engine through one
+function, `_stream`, which plans, forces and feeds each run.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import presets, resolution as reslib, sysmodel
+from . import presets, resolution as reslib
 from .config import RunConfig, build_run_config, load_config_file, parse_config_text, schema_help
 from .errors import ConfigError, NumericalError
 from .noisebudget import (
@@ -121,20 +121,19 @@ def _load_engine() -> None:
 # --- modes -----------------------------------------------------------------
 
 def _modes_rows(run: RunConfig) -> list[Row]:
-    system = sysmodel.build_system(run.system)
-    modes = sysmodel.mode_analysis(system)
-    derived = sysmodel.derive_quantities(run.system)
-    ar_per_dk = reslib.ar_sensitivity(derived.kappa)
+    design = run.design
+    modes = design.modes
+    ar_per_dk = reslib.ar_sensitivity(design.kappa)
     if math.isinf(ar_per_dk):
         ar_per_dk = "unbounded (degenerate)"
     return [
         Row("f1", modes.f1, "Hz", modes.label1),
         Row("f2", modes.f2, "Hz", modes.label2),
         Row("mode_split", modes.split_hz, "Hz", "f2 - f1"),
-        Row("kappa", derived.kappa, "-", "kc/k_eff"),
-        Row("k_eff", derived.k_eff, "N/m", "km + kc"),
-        Row("m_eff", derived.m_eff, "kg", "input"),
-        Row("q", derived.q, "-", "sqrt(k_eff*m_eff)/c"),
+        Row("kappa", design.kappa, "-", "kc/k_eff"),
+        Row("k_eff", design.k_eff, "N/m", "km + kc"),
+        Row("m_eff", design.m_eff, "kg", "input"),
+        Row("q", design.q, "-", "sqrt(k_eff*m_eff)/c"),
         Row("modal_q1", modes.modal_q1, "-", "projected damping"),
         Row("modal_q2", modes.modal_q2, "-", "projected damping"),
         Row("ar_sensitivity", ar_per_dk, "1/dk", "1/(2|kappa|)"),
@@ -150,9 +149,8 @@ def cmd_modes(run: RunConfig, args) -> int:
 
 # --- budget ------------------------------------------------------------------
 
-def _x_psd_inputs(run: RunConfig, modes) -> tuple[tuple[float, float], str]:
-    """The displacement-noise PSD at each mode, and its label; modes are the
-    run's solved modes."""
+def _x_psd_inputs(run: RunConfig) -> tuple[tuple[float, float], str]:
+    """The displacement-noise PSD at each mode of the run's design, and its label."""
     source = run.get("budget.x_psd_source")
     if source == "paper":
         return (
@@ -160,22 +158,19 @@ def _x_psd_inputs(run: RunConfig, modes) -> tuple[tuple[float, float], str]:
             "published PSD",
         )
     if source == "analytic":
-        return analytic_displacement_psd(run.system, run.force_psd(), modes), "|h|^2 * S_F"
+        return analytic_displacement_psd(run.design, run.force_psd()), "|h|^2 * S_F"
     # simulated
-    floors = _band_floors(run, sysmodel.build_system(run.system), modes, run.require_seed(),
-                          ("x1",))
+    floors = _band_floors(run, run.design, run.require_seed(), ("x1",))
     return tuple(floors), "simulated spectrum"
 
 
 def _budget_report(run: RunConfig) -> tuple[NoiseBudgetReport, str]:
-    """The noise budget, with the run's eigenproblem solved once for every stage."""
+    """The noise budget of the run's design."""
     if run.get("budget.x_psd_source") == "simulated":
         _load_engine()
-    modes = sysmodel.mode_analysis(sysmodel.build_system(run.system))
-    x_psd, label = _x_psd_inputs(run, modes)
-    report = full_noise_budget(
-        run.system, run.environment, run.transducer, run.readout, x_psd, modes
-    )
+    design = run.design  # its warnings ahead of any the inputs raise
+    x_psd, label = _x_psd_inputs(run)
+    report = full_noise_budget(design, run.environment, run.transducer, run.readout, x_psd)
     return report, label
 
 
@@ -265,10 +260,11 @@ def _timeseries_sink(write, record_dt: float, squares: dict):
     return add
 
 
-def _stream(run: RunConfig, system, modes, channels=("x1", "x2"), *, spectra=True,
+def _stream(run: RunConfig, system, channels=("x1", "x2"), *, spectra=True,
             seed=None, csv=False):
-    """Run the engine once; the one place outside `timesim` that plans,
-    checks and feeds a simulation.  Returns (plan, spectra, squares, steady).
+    """Run the engine once on system, the run's design or one point of it;
+    the one place outside `timesim` that plans, checks and feeds a
+    simulation.  Returns (plan, spectra, squares, steady).
 
     The force is the configured one or, given seed, the thermal force alone
     (`RunConfig.force_psd`) seeded with seed.  With spectra each of channels
@@ -279,6 +275,7 @@ def _stream(run: RunConfig, system, modes, channels=("x1", "x2"), *, spectra=Tru
     """
     from . import timesim
 
+    modes = system.modes
     dt = run.get("sim.dt")
     plan = timesim.SimulationPlan(timesim.default_timestep(modes) if dt is None else dt,
                                   run.get("sim.duration"), run.get("sim.decimation"))
@@ -327,22 +324,20 @@ def _stream(run: RunConfig, system, modes, channels=("x1", "x2"), *, spectra=Tru
     return plan, {name: w.spectrum() for name, w in welch.items()}, squares, steady
 
 
-def _band_floors(run: RunConfig, system, modes, seed: int, channels=("x1", "x2")) -> list[float]:
+def _band_floors(run: RunConfig, system, seed: int, channels=("x1", "x2")) -> list[float]:
     """Band-mean PSD of each channel at f1, then at f2, from one streamed run
     of system under the thermal force alone, seeded with seed."""
     from . import spectral
 
-    spectra = _stream(run, system, modes, channels, seed=seed)[1].values()
-    band = run.environment.bandwidth
+    spectra = _stream(run, system, channels, seed=seed)[1].values()
+    band, modes = run.environment.bandwidth, system.modes
     return [spectral.band_mean_psd(s, f, band) for s in spectra for f in (modes.f1, modes.f2)]
 
 
 def cmd_simulate(run: RunConfig, args) -> int:
     from . import timesim  # noqa: F401  first, see _load_engine (simulate needs no spectral)
 
-    system = sysmodel.build_system(run.system)
-    plan, _, squares, steady = _stream(run, system, sysmodel.mode_analysis(system),
-                                       spectra=False, csv=True)
+    plan, _, squares, steady = _stream(run, run.design, spectra=False, csv=True)
     rows = [
         Row("samples", float(plan.n_samples), "-", "recorded"),
         Row("dt", plan.record_dt, "s", "after decimation"),
@@ -389,11 +384,9 @@ def cmd_psd(run: RunConfig, args) -> int:
     _load_engine()
     from . import spectral
 
-    system = sysmodel.build_system(run.system)
-    modes = sysmodel.mode_analysis(system)
-    plan, spectra, squares, _ = _stream(run, system, modes, csv=True)
+    plan, spectra, squares, _ = _stream(run, run.design, csv=True)
     out = _out_dir(run)
-    band = run.environment.bandwidth
+    band, modes = run.environment.bandwidth, run.design.modes
     rows = []
     for name, spectrum in spectra.items():
         spectral.write_spectrum_csv(spectrum, out / f"spectrum_{name}.csv", comments=_echo(run))
@@ -430,20 +423,20 @@ def _resolution_report(run: RunConfig):
     else:
         v_noise = budget.i_system_paper[0] * r_f  # best-case (mode 1) mechanical term
 
-    derived = sysmodel.derive_quantities(run.system)
+    design = run.design
     source = run.get("resolution.sensitivity_source")
     sensitivity = (
         run.get("resolution.sensitivity_paper") if source == "paper_simulated"
-        else reslib.ar_sensitivity(derived.kappa)
+        else reslib.ar_sensitivity(design.kappa)
     )
     report = reslib.resolution_report(
         v_out_rms=v_out,
         v_noise_rms=v_noise,
         sensitivity=sensitivity,
         sensitivity_source=source,
-        kappa=derived.kappa,
+        kappa=design.kappa,
         bandwidth=run.environment.bandwidth,
-        k_eff=derived.k_eff,
+        k_eff=design.k_eff,
         effective_resolution=run.get("resolution.effective_resolution"),
     )
     return report, carriers, budget
@@ -528,13 +521,11 @@ SWEEP_SOURCES = {
 
 
 def _sweep_floors(run: RunConfig) -> list:
-    """Simulated floor columns, one streamed run per design: the engine takes
-    one at a time."""
+    """Simulated floor columns, one streamed run per point of the run's
+    designs: the engine takes one at a time."""
     seed = run.require_seed()
-    floors = []
-    for i, kc in enumerate(run.system.kc):
-        system = sysmodel.build_system(dataclasses.replace(run.system, kc=kc))
-        floors.append(_band_floors(run, system, sysmodel.mode_analysis(system), seed + i))
+    floors = [_band_floors(run, run.design.point(i), seed + i)
+              for i in range(len(run.system.kc))]
     return list(zip(*floors))
 
 
@@ -545,9 +536,9 @@ def cmd_sweep(run: RunConfig, args) -> int:
     base = build_run_config(run.entries | SWEEP_SOURCES)
     base = dataclasses.replace(base, system=dataclasses.replace(base.system, kc=kc))
     report, _, budget = _resolution_report(base)
-    modes = budget.modes
+    modes = base.design.modes
     columns = [
-        kc, sysmodel.derive_quantities(base.system).kappa,
+        kc, base.design.kappa,
         modes.f1, modes.f2, modes.split_hz, modes.label1,
         modes.modal_q1, modes.modal_q2, report.sensitivity,
         *budget.x_psd, *budget.i_mot_noise,

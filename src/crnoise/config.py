@@ -7,19 +7,21 @@ out-of-range values are errors that name the offending key.
 The SCHEMA defaults are the one place where the reference design is written
 down: an empty config is a valid run of it, the shipped presets list only the
 keys they change, and `cr-noise-lab --help` prints every key with its unit
-and default.  A RunConfig holds the parsed values and the model's sections;
-it builds no engine objects (the CLI plans and forces each simulation).
+and default.  A RunConfig holds the parsed values and the model's sections,
+and builds the run's one design on first use (`RunConfig.design`), which
+every command reads; it builds no engine objects.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 from .errors import ConfigError
 from .noisebudget import Environment, ReadoutConfig, TransducerConfig, thermal_force_psd
-from .sysmodel import SystemConfig
+from .sysmodel import System, SystemConfig, build_system
 
 
 @dataclass(frozen=True)
@@ -216,6 +218,11 @@ class RunConfig:
 
     def get(self, key: str):
         return self.values[key]
+
+    @cached_property
+    def design(self) -> System:
+        """The run's one design, resolved (and its warnings raised) on first use."""
+        return build_system(self.system)
 
     def require_seed(self) -> int:
         seed = self.values["sim.seed"]

@@ -21,7 +21,9 @@ bandwidth or NEB factors (numerically ~1.57e-13 A for the reference
 readout); total_integrated is the internally consistent RSS of the three
 integrated rows (~6.0e-13 A rms for the same inputs).  Reports carry both.
 
-A SystemConfig whose kc is an array of N designs gives arrays of length N.
+Both functions take the run's resolved design, a `sysmodel.System`, and
+build or solve nothing of it; a design whose kc is an array of N designs
+gives arrays of length N.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import numpy as np
 
 from . import sysmodel
 from .errors import ConfigError
-from .sysmodel import SystemConfig
 
 BOLTZMANN = 1.380649e-23  # J/K
 
@@ -122,18 +123,15 @@ def thermal_force_psd(c: float, env: Environment) -> float:
 
 
 def analytic_displacement_psd(
-    config: SystemConfig, s_f: tuple[float, float], modes: sysmodel.Modes | None = None,
+    system: sysmodel.System, s_f: tuple[float, float]
 ) -> tuple[float, float]:
     """Displacement-noise PSD of resonator 1 at each mode, sum_j |h_1j|^2 S_j.
 
     s_f is the one-sided force PSD on each resonator, (S1, S2) [N^2/Hz], as
     `RunConfig.force_psd` gives it; the forces are independent, so they add
-    in power.  modes are the config's solved modes, solved here when not
-    given.
+    in power.
     """
-    system = sysmodel.build_system(config)
-    if modes is None:
-        modes = sysmodel.mode_analysis(system)
+    modes = system.modes
     h = sysmodel.frequency_response(system, np.stack([modes.f1, modes.f2], axis=-1))
     # |h| by hypot, which rounds as abs() of a complex scalar does; np.abs of
     # a complex array can differ in the last bit
@@ -166,16 +164,14 @@ class NoiseBudgetReport:
     i_system_paper: tuple[float, float]  # A, published-convention total
     i_system_integrated: tuple[float, float]  # A rms
     dominant_source: str
-    modes: sysmodel.Modes  # the modes whose frequencies the budget used
 
 
 def full_noise_budget(
-    config: SystemConfig,
+    system: sysmodel.System,
     env: Environment,
     transducer: TransducerConfig,
     readout: ReadoutConfig,
     x_psd_per_mode: tuple[float, float],
-    modes: sysmodel.Modes | None = None,
 ) -> NoiseBudgetReport:
     """The complete noise budget from per-mode displacement-noise PSD inputs.
 
@@ -187,11 +183,11 @@ def full_noise_budget(
     eta the motional current uses; an undamped pair has none, a config
     error.  A given r_x off r_x * eta^2 = c, the same c, by more than the
     transducer's tolerance warns, as published parameter sets are not
-    always self-consistent.  modes are the config's solved modes, solved
-    here when not given.
+    always self-consistent.  The motional currents read system's modes.
     """
     if np.any(np.less(x_psd_per_mode, 0)):
         raise ValueError("displacement-noise PSD must be >= 0")
+    config, modes = system.config, system.modes
     c = 0.5 * (config.c1 + config.c2)  # the mean damping, as Q's
     r_x = transducer.r_x
     if r_x is None:
@@ -208,8 +204,6 @@ def full_noise_budget(
                 f"(tolerance {transducer.consistency_tolerance:.0%})",
                 stacklevel=2,
             )
-    if modes is None:
-        modes = sysmodel.mode_analysis(sysmodel.build_system(config))
     band = env.bandwidth
 
     # mechanical: force, displacement and motional-current rows
@@ -253,5 +247,4 @@ def full_noise_budget(
         i_system_paper=tuple(np.hypot(i, i_total_paper) for i in i_mot),
         i_system_integrated=tuple(np.hypot(i, i_total_integrated) for i in i_mot),
         dominant_source=np.array(list(components))[largest],
-        modes=modes,
     )

@@ -13,7 +13,7 @@ import importlib.resources
 import math
 
 from .config import RunConfig, build_run_config, parse_config_text
-from .sysmodel import SystemConfig, derive_quantities
+from .sysmodel import SystemConfig
 
 PRESET_NAMES = ("paper-reference", "uncoupled-demo")
 
@@ -35,11 +35,11 @@ def uncoupled_system(q: float = 100.0) -> SystemConfig:
     Used for the equipartition demonstration: with kc = cc = 0 resonator 1
     behaves as a single mass-spring-damper with the reference k_eff and mass.
     """
-    derived = derive_quantities(reference_system())
-    c = math.sqrt(derived.k_eff * derived.m_eff) / q
+    design = reference_run().design
+    c = math.sqrt(design.k_eff * design.m_eff) / q
     return SystemConfig(
-        m1=derived.m_eff, m2=derived.m_eff,
-        km1=derived.k_eff, km2=derived.k_eff,
+        m1=design.m_eff, m2=design.m_eff,
+        km1=design.k_eff, km2=design.k_eff,
         kc=0.0,
         c1=c, c2=c, cc=0.0,
     )

@@ -1,20 +1,21 @@
 """Mechanics of the weakly coupled two-resonator system.
 
-Assembles the 2x2 mass/damping/stiffness matrices of the coupled pair,
-solves the modal eigenproblem and evaluates the analytic receptance
-(displacement per unit force) over frequency.  The first-order AR
-sensitivity 1/(2|kappa|) of the derived quantities is
-`resolution.ar_sensitivity`.
+`build_system` resolves a design, once per run (`RunConfig.design`): the 2x2
+mass/damping/stiffness matrices of the coupled pair, its modes
+(`mode_analysis`), k_eff, m_eff, kappa and Q, and the engine's first-order
+(A, B), as one `System`.  `frequency_response` evaluates the analytic
+receptance (displacement per unit force) over frequency.  The first-order AR
+sensitivity 1/(2|kappa|) is `resolution.ar_sensitivity`.
 
-kc may be a 1-D array of N designs, evaluated in one array pass: matrices
-stack to (N, 2, 2) and every per-design result gains a leading axis N.
+kc may be a 1-D array of N designs, solved in one array pass: the fields of
+its `System` gain a leading axis N, and `System.point(i)` is design i.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -62,74 +63,6 @@ class SystemConfig:
                         f"stiffness matrix not positive definite: "
                         f"{name} + {term} = {np.min(diagonal):g} <= 0"
                     )
-        ratio = np.max(np.abs(self.kc)) / min(self.km1, self.km2)
-        if ratio > _WEAK_COUPLING_RATIO:
-            warnings.warn(
-                f"|kc|/km = {ratio:.3g} > {_WEAK_COUPLING_RATIO}; "
-                "first-order weak-coupling sensitivity formulas may be inaccurate",
-                stacklevel=2,
-            )
-
-
-@dataclass(frozen=True)
-class DerivedQuantities:
-    """Scalar summary of the (nominally symmetric) coupled pair."""
-
-    k_eff: float  # effective stiffness km + kc, N/m
-    m_eff: float  # effective mass, kg
-    kappa: float  # normalized coupling kc / k_eff
-    q: float  # quality factor sqrt(k_eff * m_eff) / c
-
-
-def derive_quantities(config: SystemConfig) -> DerivedQuantities:
-    """Compute k_eff, m_eff, kappa and Q for a system configuration.
-
-    k_eff is the diagonal stiffness km + kc of the equations of motion.  For
-    asymmetric configurations the two resonators' diagonal values (and masses
-    and dampers) are averaged; for the symmetric design this is exact.
-    """
-    k_eff = 0.5 * ((config.km1 + config.kc) + (config.km2 + config.kc))
-    m_eff = 0.5 * (config.m1 + config.m2)
-    c_mean = 0.5 * (config.c1 + config.c2)
-    with np.errstate(divide="ignore"):
-        q = np.sqrt(k_eff * m_eff) / c_mean
-    return DerivedQuantities(k_eff=k_eff, m_eff=m_eff, kappa=config.kc / k_eff, q=q)
-
-
-@dataclass(frozen=True)
-class SystemMatrices:
-    """Assembled 2x2 matrices of the equations of motion, (N, 2, 2) for N designs."""
-
-    mass: np.ndarray  # kg
-    damping: np.ndarray  # N*s/m
-    stiffness: np.ndarray  # N/m
-
-
-def build_system(config: SystemConfig) -> SystemMatrices:
-    """Assemble mass, damping and stiffness matrices from the configuration.
-
-    The off-diagonal damping is -cc (the physical coupler damper).  Under the
-    nominal design condition c1 = c2 = cc this coincides with writing -c in
-    the coupled equations of motion; a warning is raised otherwise.
-    """
-    kc = np.asarray(config.kc, dtype=float)
-    fully_uncoupled = np.all(kc == 0) and config.cc == 0
-    if not (config.c1 == config.c2 == config.cc) and not fully_uncoupled:
-        warnings.warn(
-            "cc differs from c1/c2: off-diagonal damping uses the coupler "
-            "value -cc, which departs from the equal-damping idealization",
-            stacklevel=2,
-        )
-    stiffness = np.empty(kc.shape + (2, 2))
-    stiffness[..., 0, 0] = config.km1 + kc
-    stiffness[..., 0, 1] = stiffness[..., 1, 0] = -kc
-    stiffness[..., 1, 1] = config.km2 + kc
-    mass = np.broadcast_to([[config.m1, 0.0], [0.0, config.m2]], stiffness.shape)
-    damping = np.broadcast_to(
-        [[config.c1 + config.cc, -config.cc], [-config.cc, config.c2 + config.cc]],
-        stiffness.shape,
-    )
-    return SystemMatrices(mass=mass, damping=damping, stiffness=stiffness)
 
 
 @dataclass(frozen=True)
@@ -155,7 +88,7 @@ class Modes:
         return self.f2 - self.f1
 
 
-def mode_analysis(system: SystemMatrices) -> Modes:
+def mode_analysis(mass: np.ndarray, damping: np.ndarray, stiffness: np.ndarray) -> Modes:
     """Solve the generalized symmetric eigenproblem K v = w^2 M v.
 
     Uses Cholesky reduction of the mass matrix so the reduced problem stays
@@ -164,8 +97,8 @@ def mode_analysis(system: SystemMatrices) -> Modes:
     damping: q_i = sqrt(k_i * m_i) / c_i with k_i = v'Kv, m_i = v'Mv,
     c_i = v'Cv.
     """
-    chol = np.linalg.cholesky(system.mass)
-    reduced = np.linalg.solve(chol, np.linalg.solve(chol, system.stiffness).mT).mT
+    chol = np.linalg.cholesky(mass)
+    reduced = np.linalg.solve(chol, np.linalg.solve(chol, stiffness).mT).mT
     eigvals, eigvecs = np.linalg.eigh(0.5 * (reduced + reduced.mT))
     shapes = np.linalg.solve(chol.mT, eigvecs)  # columns are the modes
 
@@ -174,12 +107,11 @@ def mode_analysis(system: SystemMatrices) -> Modes:
     flip = (first < 0) | ((first == 0) & (second < 0))
     shapes = np.where(flip[..., None, :], -shapes, shapes)
     labels = np.where(
-        (system.stiffness[..., 0, 1] == 0)[..., None],
+        (stiffness[..., 0, 1] == 0)[..., None],
         DEGENERATE,
         np.where(shapes[..., 0, :] * shapes[..., 1, :] > 0, IN_PHASE, OUT_OF_PHASE),
     )
-    m, k, c = (np.vecdot(shapes, a @ shapes, axis=-2)
-               for a in (system.mass, system.stiffness, system.damping))
+    m, k, c = (np.vecdot(shapes, a @ shapes, axis=-2) for a in (mass, stiffness, damping))
     with np.errstate(divide="ignore", invalid="ignore"):
         modal_q = np.where(c > 0, np.sqrt(k * m) / c, np.inf)
 
@@ -197,7 +129,80 @@ def mode_analysis(system: SystemMatrices) -> Modes:
     )
 
 
-def frequency_response(system: SystemMatrices, frequencies: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class System:
+    """One resolved design (`build_system`); for N designs every field but
+    config and m_eff has a leading axis N."""
+
+    config: SystemConfig
+    mass: np.ndarray  # kg, (..., 2, 2)
+    damping: np.ndarray  # N*s/m
+    stiffness: np.ndarray  # N/m
+    modes: Modes
+    k_eff: float  # km + kc, N/m, the two resonators' mean (exact when symmetric)
+    m_eff: float  # kg, the two masses' mean
+    kappa: float  # normalized coupling kc / k_eff
+    q: float  # sqrt(k_eff * m_eff) / c, c = (c1 + c2) / 2
+    a: np.ndarray  # x' = A x + B u, state (x1, v1, x2, v2), (..., 4, 4)
+    b: np.ndarray  # input (F1, F2), (..., 4, 2)
+
+    def point(self, i: int) -> System:
+        """Design i of a batch, sliced from it."""
+        per_design = {f.name: getattr(self, f.name)[i] for f in fields(self)
+                      if f.name not in ("config", "modes", "m_eff")}
+        modes = Modes(**{f.name: getattr(self.modes, f.name)[i] for f in fields(Modes)})
+        return System(config=replace(self.config, kc=self.config.kc[i]), modes=modes,
+                      m_eff=self.m_eff, **per_design)
+
+
+def build_system(config: SystemConfig) -> System:
+    """Resolve config's design.  It warns when |kc|/km leaves the weak-coupling
+    range of the first-order formulas, and when cc differs from c1 = c2: the
+    off-diagonal damping is the coupler's -cc, which equals the -c of the
+    coupled equations of motion only when c1 = c2 = cc.
+    """
+    kc = np.asarray(config.kc, dtype=float)
+    ratio = np.max(np.abs(kc)) / min(config.km1, config.km2)
+    if ratio > _WEAK_COUPLING_RATIO:
+        warnings.warn(
+            f"|kc|/km = {ratio:.3g} > {_WEAK_COUPLING_RATIO}; "
+            "first-order weak-coupling sensitivity formulas may be inaccurate",
+            stacklevel=2,
+        )
+    fully_uncoupled = np.all(kc == 0) and config.cc == 0
+    if not (config.c1 == config.c2 == config.cc) and not fully_uncoupled:
+        warnings.warn(
+            "cc differs from c1/c2: off-diagonal damping uses the coupler "
+            "value -cc, which departs from the equal-damping idealization",
+            stacklevel=2,
+        )
+    stiffness = np.empty(kc.shape + (2, 2))
+    stiffness[..., 0, 0] = config.km1 + kc
+    stiffness[..., 0, 1] = stiffness[..., 1, 0] = -kc
+    stiffness[..., 1, 1] = config.km2 + kc
+    mass = np.broadcast_to([[config.m1, 0.0], [0.0, config.m2]], stiffness.shape)
+    damping = np.broadcast_to(
+        [[config.c1 + config.cc, -config.cc], [-config.cc, config.c2 + config.cc]],
+        stiffness.shape,
+    )
+    # from config.kc, not the array kc: a scalar design keeps Python floats
+    k_eff = 0.5 * ((config.km1 + config.kc) + (config.km2 + config.kc))
+    m_eff = 0.5 * (config.m1 + config.m2)
+    with np.errstate(divide="ignore"):
+        q = np.sqrt(k_eff * m_eff) / (0.5 * (config.c1 + config.c2))
+    # rows 1 and 3, the accelerations, are M^-1 (F - K x - C v)
+    per_mass = np.array([[config.m1], [config.m2]])
+    a, b = np.zeros(kc.shape + (4, 4)), np.zeros(kc.shape + (4, 2))
+    a[..., 0, 1] = a[..., 2, 3] = 1.0
+    a[..., 1::2, 0::2] = -stiffness / per_mass
+    a[..., 1::2, 1::2] = -damping / per_mass
+    b[..., 1::2, :] = np.eye(2) / per_mass
+    return System(config=config, mass=mass, damping=damping, stiffness=stiffness,
+                  modes=mode_analysis(mass, damping, stiffness), k_eff=k_eff, m_eff=m_eff,
+                  kappa=config.kc / k_eff, q=q, a=a, b=b)
+
+
+def frequency_response(system: System, frequencies: np.ndarray) -> np.ndarray:
     """The complex receptance h(w) = (-w^2 M + i w C + K)^-1 on a grid of
     frequencies [Hz]: h[..., j, k] is the displacement of j per unit force on
     k [m/N], shape (F, 2, 2).

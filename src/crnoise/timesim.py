@@ -1,9 +1,10 @@
 """Time-domain integration of the coupled pair under harmonic and thermal drive.
 
 The equations of motion are integrated with fixed-step classical 4th-order
-Runge-Kutta on the 4-state vector (x1, v1, x2, v2).  Because the system is
-linear and time-invariant, one RK4 step with forcing sampled at the substep
-times is exactly a linear recursion
+Runge-Kutta on the 4-state vector (x1, v1, x2, v2), from the (A, B) of a
+design `sysmodel.build_system` resolved.  Because the system is linear and
+time-invariant, one RK4 step with forcing sampled at the substep times is
+exactly a linear recursion
 
     x[n+1] = Phi x[n] + G0 u(t_n) + Gm u(t_n + dt/2) + G1 u(t_n + dt)
 
@@ -60,7 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .sysmodel import Modes, SystemMatrices, frequency_response, mode_analysis
+from .sysmodel import Modes, System, frequency_response
 
 # steps per period of the fastest mode
 _DEFAULT_STEPS_PER_PERIOD = 50
@@ -195,22 +196,6 @@ def default_timestep(modes: Modes) -> float:
     return 1.0 / (_DEFAULT_STEPS_PER_PERIOD * modes.f2)
 
 
-def _state_matrices(system: SystemMatrices) -> tuple[np.ndarray, np.ndarray]:
-    """First-order form x' = A x + B u, state (x1, v1, x2, v2), input (F1, F2)."""
-    m1, m2 = system.mass[0, 0], system.mass[1, 1]
-    k, c = system.stiffness, system.damping
-    a = np.array(
-        [
-            [0.0, 1.0, 0.0, 0.0],
-            [-k[0, 0] / m1, -c[0, 0] / m1, -k[0, 1] / m1, -c[0, 1] / m1],
-            [0.0, 0.0, 0.0, 1.0],
-            [-k[1, 0] / m2, -c[1, 0] / m2, -k[1, 1] / m2, -c[1, 1] / m2],
-        ]
-    )
-    b = np.array([[0.0, 0.0], [1.0 / m1, 0.0], [0.0, 0.0], [0.0, 1.0 / m2]])
-    return a, b
-
-
 def _rk4_update_matrices(
     a: np.ndarray, b: np.ndarray, dt: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -243,7 +228,7 @@ def _noise_streams(drive: StochasticDrive | None, dt: float):
 
 
 def simulate(
-    system: SystemMatrices,
+    system: System,
     forcing: Forcing,
     plan: SimulationPlan,
     sink,
@@ -251,28 +236,28 @@ def simulate(
 ) -> TimeSeries:
     """Integrate the coupled equations of motion and pass the record to sink.
 
-    The classical RK4 recursion is evaluated as a blocked prefix scan (see
-    the module docstring) in fixed-size chunks of steps, recording every
-    plan.record_decimation-th state.  Only the requested channels (of "x1",
-    "x2", "v1", "v2") are formed.  sink is called with a {channel: samples}
-    dict for each chunk of recorded samples, the initial state first; the
-    calls come in order on one worker thread while the engine forms the
-    next chunks, and the sink may keep the arrays, which the engine never
-    touches again.  An exception the sink raises stops the run and is
+    system is one resolved design (`sysmodel.build_system`), whose (A, B) and
+    modes the engine reads.  The classical RK4 recursion is evaluated as a
+    blocked prefix scan (see the module docstring) in fixed-size chunks of
+    steps, recording every plan.record_decimation-th state.  Only the requested
+    channels (of "x1", "x2", "v1", "v2") are formed.  sink is called with a
+    {channel: samples} dict for each chunk of recorded samples, the initial
+    state first; the calls come in order on one worker thread while the engine
+    forms the next chunks, and the sink may keep the arrays, which the engine
+    never touches again.  An exception the sink raises stops the run and is
     raised here; the worker thread has ended whenever simulate returns or
-    raises.  NumericalError is raised on a non-finite sample, and after the
-    run if a channel's steady states outweigh its full scale so far that
-    their rounding exceeds _MAX_ROUNDING of it (module docstring).  The
-    returned series counts the recorded samples (plan.n_samples);
-    metadata["scan_block"] is the scan's block length L.
+    raises.  NumericalError is raised on a non-finite sample, and after the run
+    if a channel's steady states outweigh its full scale so far that their
+    rounding exceeds _MAX_ROUNDING of it (module docstring).  The returned
+    series counts the recorded samples (plan.n_samples); metadata["scan_block"]
+    is the scan's block length L.
     """
-    modes = mode_analysis(system)
+    modes = system.modes
     plan.check(modes)
     if not channels or set(channels) - set(_STATE_ROWS):
         raise ValueError(f"channels {sorted(channels)}: name one or more of x1, x2, v1, v2")
 
-    a, b = _state_matrices(system)
-    phi, g0, gm, g1 = _rk4_update_matrices(a, b, plan.dt)
+    phi, g0, gm, g1 = _rk4_update_matrices(system.a, system.b, plan.dt)
     rise = [np.eye(4)]  # Phi^k, k < L, as a running product
     for _ in range(_scan_block_length(phi) - 1):
         rise.append(rise[-1] @ phi)

@@ -20,12 +20,7 @@ from conftest import collect, oracle_stiffness_shifts, welch_psd
 from crnoise import presets, spectral
 from crnoise.noisebudget import Environment, full_noise_budget, thermal_force_psd
 from crnoise.resolution import ar_sensitivity, resolution_report
-from crnoise.sysmodel import (
-    build_system,
-    derive_quantities,
-    frequency_response,
-    mode_analysis,
-)
+from crnoise.sysmodel import build_system, frequency_response
 from crnoise.timesim import (
     Forcing,
     HarmonicDrive,
@@ -74,7 +69,7 @@ def _reference_budget():
     displacement-noise PSD inputs."""
     run = presets.reference_run()
     return full_noise_budget(
-        run.system, ENV, run.transducer, run.readout,
+        run.design, ENV, run.transducer, run.readout,
         (run.get("budget.x_psd_mode1"), run.get("budget.x_psd_mode2")),
     )
 
@@ -141,7 +136,7 @@ def test_criterion_06_db_convention():
 
 def test_criterion_07_modal_structure():
     failures = []
-    modes = mode_analysis(build_system(presets.reference_system()))
+    modes = build_system(presets.reference_system()).modes
     if abs(modes.split_hz - 7.9) > 0.1:
         failures.append(f"split = {modes.split_hz:.3f} Hz, want 7.9 +- 0.1")
     _check_true(failures, "mode 1 out-of-phase for kc < 0",
@@ -155,7 +150,7 @@ def test_criterion_08a_equipartition():
     start = time.time()
     cfg = presets.uncoupled_system(q=100.0)
     system = build_system(cfg)
-    modes = mode_analysis(system)
+    modes = system.modes
     psd = thermal_force_psd(cfg.c1, ENV)
     plan = SimulationPlan(dt=default_timestep(modes), duration=30.0)
     series = collect(
@@ -184,7 +179,7 @@ def _q500_thermal_spectrum():
     """
     cfg = _q500_system()
     system = build_system(cfg)
-    modes = mode_analysis(system)
+    modes = system.modes
     dt = default_timestep(modes)
     segment = 1 << 17
     n_segments = 240
@@ -244,7 +239,7 @@ def test_criterion_08c_steady_state_amplitude():
 
     cfg = presets.reference_system()
     system = build_system(cfg)
-    modes = mode_analysis(system)
+    modes = system.modes
     amplitude = 1e-6
     plan = SimulationPlan(dt=default_timestep(modes), duration=3.5)
     projection = SteadyStateProjection(plan.n_samples, plan.record_dt, modes.f1,
@@ -267,7 +262,7 @@ def test_criterion_08d_parseval_on_emitted_spectra():
 
     cfg = presets.uncoupled_system(q=100.0)
     system = build_system(cfg)
-    modes = mode_analysis(system)
+    modes = system.modes
     plan = SimulationPlan(dt=default_timestep(modes), duration=2.0)
     series = collect(
         system,
@@ -291,15 +286,15 @@ def test_criterion_08d_parseval_on_emitted_spectra():
 def test_criterion_09_sensitivity_oracle():
     failures = []
     cfg = presets.reference_system()
-    derived = derive_quantities(cfg)
-    formula = ar_sensitivity(derived.kappa)
+    design = build_system(cfg)
+    formula = ar_sensitivity(design.kappa)
     errors = {"frequency": [], "ar": [], "eigenstate": []}
     for dk_norm in (1e-3, 5e-4, 2.5e-4):
-        dk = dk_norm * derived.k_eff
+        dk = dk_norm * design.k_eff
         freq, ar, es = oracle_stiffness_shifts(cfg, dk)
         # no command reports the frequency law delta_k/(2 k_eff) or the
         # eigenstate law (half the AR shift): they are written here
-        errors["frequency"].append(abs(abs(dk / (2.0 * derived.k_eff)) - freq))
+        errors["frequency"].append(abs(abs(dk / (2.0 * design.k_eff)) - freq))
         errors["ar"].append(abs(formula * dk_norm - ar))
         errors["eigenstate"].append(abs(formula * dk_norm / 2.0 - es))
     for name, errs in errors.items():

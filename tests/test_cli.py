@@ -1,6 +1,7 @@
 """Config parsing, command outputs, exit codes, determinism, round-trips."""
 
 import dataclasses
+import inspect
 import json
 import re
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from conftest import oracle_receptance
 
-from crnoise import cli, config, sysmodel, timesim
+from crnoise import cli, config, timesim
 from crnoise.cli import SWEEP_SOURCES, main
 from crnoise.config import SCHEMA, build_run_config, parse_config_text
 from crnoise.errors import ConfigError
@@ -23,7 +24,7 @@ from crnoise.noisebudget import (
     analytic_displacement_psd,
 )
 from crnoise.presets import PRESET_NAMES, preset_text
-from crnoise.sysmodel import SystemConfig, derive_quantities
+from crnoise.sysmodel import SystemConfig
 
 
 def run_cli(*argv) -> int:
@@ -115,9 +116,8 @@ def test_comments_and_inline_comments():
 def test_defaults_match_reference_system():
     """The SCHEMA defaults are the published operating point."""
     run = build_run_config()
-    derived = derive_quantities(run.system)
-    assert derived.q == pytest.approx(2547.0, rel=1e-12, abs=0)
-    assert derived.kappa == pytest.approx(-0.0032, rel=1e-12, abs=0)
+    assert run.design.q == pytest.approx(2547.0, rel=1e-12, abs=0)
+    assert run.design.kappa == pytest.approx(-0.0032, rel=1e-12, abs=0)
     assert run.environment.temperature == 300.0
     assert run.readout.r_f == 1e6
 
@@ -299,13 +299,13 @@ def test_engine_and_analytic_read_one_force_pair(target, monkeypatch):
     assert s_f == pytest.approx(tuple(kt4 * c if target in (i, "both") else 0.0
                                       for i, c in (("1", 0.0031), ("2", 0.0062))),
                                 rel=1e-12, abs=0)
-    system = sysmodel.build_system(run.system)
-    modes = sysmodel.mode_analysis(system)
+    system = run.design
+    modes = system.modes
     fed = []  # the (forcing, plan) of each run cli._stream starts
     monkeypatch.setattr(timesim, "simulate", lambda _, forcing, plan, *rest: fed.append(
         (forcing, plan)))
-    dt = cli._stream(run, system, modes, spectra=False)[0].dt
-    cli._stream(run, system, modes, spectra=False, seed=3)
+    dt = cli._stream(run, system, spectra=False)[0].dt
+    cli._stream(run, system, spectra=False, seed=3)
     configured, floor = (forcing.stochastic for forcing, _ in fed)
     assert floor == configured and fed[0][1] == fed[1][1]
     streams = timesim._noise_streams(configured, dt)
@@ -314,14 +314,14 @@ def test_engine_and_analytic_read_one_force_pair(target, monkeypatch):
         assert sigma**2 * 2.0 * dt == pytest.approx(s_f[row], rel=1e-12, abs=0)
         assert np.array_equal(rng.standard_normal(8),
                               np.random.default_rng(3 ^ k).standard_normal(8))
-    x_psd = analytic_displacement_psd(run.system, s_f, modes)
+    x_psd = analytic_displacement_psd(system, s_f)
     for f_mode, got in zip((modes.f1, modes.f2), x_psd):
         h = oracle_receptance(system.mass, system.damping, system.stiffness, f_mode)
         want = sum(abs(h[0, j]) ** 2 * s_f[j] for j in (0, 1))
         assert got == pytest.approx(want, rel=1e-10, abs=0)
     analytic = build_run_config(FORCE_PAIR | {"forcing.noise_target": target,
                                               "budget.x_psd_source": "analytic"})
-    assert cli._x_psd_inputs(analytic, modes)[0] == x_psd
+    assert cli._x_psd_inputs(analytic)[0] == x_psd
 
 
 def test_analytic_budget_reads_an_explicit_force_psd():
@@ -980,6 +980,83 @@ print(json.dumps(loaded))
     assert json.loads(proc.stdout.splitlines()[-1]) == [[False, False]] * 5 + [[True, True]]
 
 
+# each command's config (with system.cc = 0.001, which warns) and whether it runs the engine
+ONE_DESIGN_RUNS = {
+    "modes": ("modes", "", False),
+    "budget_paper": ("budget", "", False),
+    "budget_analytic": ("budget", "budget.x_psd_source = analytic\n", False),
+    "budget_simulated": ("budget", "budget.x_psd_source = simulated\n" + NOISE_CFG
+                         + "sim.seed = 1\n", True),
+    "resolution": ("resolution", "budget.x_psd_source = analytic\n", False),
+    "sweep": ("sweep", "", False),
+    "sweep_floor": ("sweep", "sweep.simulate_floor = true\nsim.duration = 0.3\nsim.seed = 1\n"
+                    "sweep.kc_values = -393.5, -1000, 250\n", True),
+    "psd": ("psd", NOISE_CFG + "sim.seed = 1\n", True),
+    "simulate": ("simulate", "forcing.harmonic_amplitude = 1e-6\nsim.duration = 0.05\n", True),
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_DESIGN_RUNS))
+def test_one_design_per_command(name, tmp_path):
+    """Every command resolves one design: `build_system` and `mode_analysis`
+    each run once (a floor sweep's per-point designs are `point(i)` of it),
+    `RunConfig.design` is their only caller, the cc warning is raised once,
+    and a command that runs the engine has loaded it before the design."""
+    command, text, engine = ONE_DESIGN_RUNS[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("system.cc = 0.001\n" + text)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    script = f"""
+import json, sys, warnings
+from crnoise import config, sysmodel
+from crnoise.cli import main
+calls = []
+def spy(fn):
+    def counted(*args):
+        calls.append([fn.__name__, "crnoise.timesim" in sys.modules])
+        return fn(*args)
+    return counted
+config.build_system = spy(sysmodel.build_system)
+sysmodel.mode_analysis = spy(sysmodel.mode_analysis)
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    status = main({argv!r})
+print(json.dumps([status, calls, [str(w.message) for w in caught]]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    status, calls, messages = json.loads(proc.stdout.splitlines()[-1])
+    assert status == 0
+    assert calls == [["build_system", engine], ["mode_analysis", engine]]
+    assert sum(m.startswith("cc differs from c1/c2") for m in messages) == 1, messages
+    assert not re.search("build_system|mode_analysis", inspect.getsource(cli))
+
+
+def test_sweep_warns_once_about_the_designs_it_evaluates(tmp_path):
+    """sweep evaluates sweep.kc_values only: a strong system.kc it never
+    evaluates raises no weak-coupling line, and a floor sweep over strong
+    couplings prints the batch's one line, not one more from a point."""
+    configs = {
+        "unused_scalar": ("system.kc = -20000\n", []),
+        "floor": ("sweep.simulate_floor = true\nsim.duration = 0.3\n",
+                  ["--seed", "1", "--kc", "-393.5,-20000,-30000"]),
+    }
+    stderr = {}
+    for name, (text, args) in configs.items():
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        proc = subprocess.run([sys.executable, "-m", "crnoise.cli", "sweep", "--config", str(cfg),
+                               *args, "--out", str(tmp_path / name)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        stderr[name] = proc.stderr
+    assert stderr == {
+        "unused_scalar": "",
+        "floor": "cr-noise-lab: warning: |kc|/km = 0.243 > 0.1; first-order weak-coupling "
+                 "sensitivity formulas may be inaccurate\n",
+    }
+
+
 def test_package_names_resolve_to_their_modules():
     """`import crnoise` loads no submodule; each name in `__all__` then loads
     its module and is the same object as there (a class or function is the
@@ -1008,7 +1085,7 @@ print(json.dumps([loaded, names, sorted(set(crnoise.__all__) - set(dir(crnoise))
     assert proc.returncode == 0, proc.stderr
     loaded, names, undir, missing, version = json.loads(proc.stdout.splitlines()[-1])
     assert loaded == []
-    assert len(names) == 39 and all(module in homes for module, homes in names.values()), names
+    assert len(names) == 37 and all(module in homes for module, homes in names.values()), names
     assert names["simulate"][0] == "crnoise.timesim" and names["Welch"][0] == "crnoise.spectral"
     assert undir == [] and missing and version == "0.1.0"
 

@@ -18,7 +18,7 @@ from crnoise.noisebudget import (
     full_noise_budget,
     thermal_force_psd,
 )
-from crnoise.sysmodel import SystemConfig, build_system, derive_quantities, mode_analysis
+from crnoise.sysmodel import SystemConfig, build_system
 
 REFERENCE = presets.reference_run()
 PUBLISHED_X_PSD = (7.76e-30, 2.45e-29)
@@ -53,7 +53,8 @@ def _pair(k_eff: float, m_eff: float, q: float) -> SystemConfig:
 
 
 def _budget(config, env, transducer, readout, x_psd=PUBLISHED_X_PSD) -> NoiseBudgetReport:
-    return full_noise_budget(config, env, transducer, readout, x_psd)
+    """The budget of config's design."""
+    return full_noise_budget(build_system(config), env, transducer, readout, x_psd)
 
 
 def _r_x(transducer, config) -> float:
@@ -103,11 +104,11 @@ def test_thermal_budget_zero_psd_input(reference_config, env, transducer, readou
 def test_analytic_psd_feeds_budget(reference_config, env, transducer, readout):
     """i_mot from the analytic route equals an independent hand computation."""
     force = (thermal_force_psd(reference_config.c1, env), 0.0)
-    x_psd = analytic_displacement_psd(reference_config, force)
+    system = build_system(reference_config)
+    x_psd = analytic_displacement_psd(system, force)
     budget = _budget(reference_config, env, transducer, readout, x_psd)
 
-    system = build_system(reference_config)
-    modes = mode_analysis(system)
+    modes = system.modes
     s_f = 4 * BOLTZMANN * 300.0 * reference_config.c1
     for i, (f_mode, omega) in enumerate(
         ((modes.f1, modes.omega1), (modes.f2, modes.omega2))
@@ -172,7 +173,7 @@ def test_motional_resistance_geometry_identity():
     pair = _pair(1.2e5, 5e-4, 2000.0)
     from_geometry = _r_x(t, pair)
     assert from_geometry == pytest.approx(_r_x(_transducer(eta=t.eta), pair), rel=1e-12, abs=0)
-    d = derive_quantities(pair)
+    d = build_system(pair)
     assert from_geometry == pytest.approx(
         math.sqrt(d.k_eff * d.m_eff) / (d.q * t.eta**2), rel=1e-12, abs=0
     )
@@ -300,8 +301,8 @@ def test_full_budget_dominance(reference_config, env, transducer, readout):
 def test_full_budget_derives_rx_when_absent(reference_config, env, readout):
     eta = math.sqrt(0.0031 / 4e6)
     report = _budget(reference_config, env, _transducer(eta=eta), readout)
-    derived = derive_quantities(reference_config)
+    design = build_system(reference_config)
     assert report.r_x == pytest.approx(
-        math.sqrt(derived.k_eff * derived.m_eff) / (derived.q * eta**2), rel=1e-6, abs=0
+        math.sqrt(design.k_eff * design.m_eff) / (design.q * eta**2), rel=1e-6, abs=0
     )
     assert report.r_x == pytest.approx(4e6, rel=1e-4, abs=0)

@@ -14,7 +14,7 @@ from conftest import collect, textbook_rk4_step, welch_psd
 from crnoise import cli, presets, spectral, timesim
 from crnoise.errors import NumericalError
 from crnoise.reports import _BLOCK_CELLS, csv_writer
-from crnoise.sysmodel import build_system, frequency_response, mode_analysis
+from crnoise.sysmodel import build_system, frequency_response
 from crnoise.timesim import (
     Forcing,
     HarmonicDrive,
@@ -45,14 +45,14 @@ def quiet_collect(*args, **kwargs):
 def reference():
     cfg = presets.reference_system()
     system = build_system(cfg)
-    modes = mode_analysis(system)
+    modes = system.modes
     return cfg, system, modes
 
 
 def single_resonator(q=100.0):
     cfg = presets.uncoupled_system(q=q)
     system = build_system(cfg)
-    return cfg, system, mode_analysis(system)
+    return cfg, system, system.modes
 
 
 # --- thermal force samples -----------------------------------------------------
@@ -100,10 +100,10 @@ def test_same_seed_bit_identical():
 
 def test_update_map_matches_textbook_rk4(reference):
     """One engine step == a hand-coded classical RK4 step with the same forcing."""
-    from crnoise.timesim import _rk4_update_matrices, _state_matrices
+    from crnoise.timesim import _rk4_update_matrices
 
     _, system, modes = reference
-    a, b = _state_matrices(system)
+    a, b = system.a, system.b
     dt = default_timestep(modes)
     phi, g0, gm, g1 = _rk4_update_matrices(a, b, dt)
 
@@ -173,10 +173,10 @@ def _exact_step_loop(system, forcing, plan):
     """Oracle trajectory: the engine's recursion x[n+1] = Phi x[n] + G0 u(t_n)
     + Gm u(t_n + dt/2) + G1 u(t_n + dt), stepped one at a time, each state
     component the exactly rounded sum (math.fsum) of its products."""
-    from crnoise.timesim import _rk4_update_matrices, _state_matrices
+    from crnoise.timesim import _rk4_update_matrices
 
     dt = plan.dt
-    phi, g0, gm, g1 = _rk4_update_matrices(*_state_matrices(system), dt)
+    phi, g0, gm, g1 = _rk4_update_matrices(system.a, system.b, dt)
     harmonic, noise = _oracle_forces(forcing, plan)
     n_steps = noise.shape[1]
     forces = [np.array([harmonic(n * dt + offset) for n in range(n_steps)])
@@ -213,15 +213,30 @@ def damped_reference(fraction: float, coupled: bool = True):
     return build_system(dataclasses.replace(cfg, kc=0.0, c1=c, c2=c, cc=0.0))
 
 
+def asymmetric_reference():
+    """Reference pair with resonator 2's mass, spring and damper off resonator
+    1's and the coupler damper off both: a swapped row or mass in the
+    first-order form shows on it."""
+    cfg = presets.reference_system()
+    return build_system(dataclasses.replace(cfg, m2=1.3 * cfg.m1, km2=1.2 * cfg.km1,
+                                            c2=2.0 * cfg.c1, cc=0.5 * cfg.c1))
+
+
 @pytest.mark.parametrize(
     "fraction, coupled",
-    [(None, True), (0.999, True), (1.0, False)],
-    ids=["reference", "near_critical", "critical_uncoupled"],
+    [(None, True), (0.999, True), (1.0, False),
+     pytest.param("asymmetric", True, marks=pytest.mark.filterwarnings("ignore:cc differs"))],
+    ids=["reference", "near_critical", "critical_uncoupled", "asymmetric"],
 )
 def test_engine_matches_hand_stepped_rk4(reference, fraction, coupled):
-    """The engine against an independent RK4 loop, including (near-)defective Phi."""
-    system = reference[1] if fraction is None else damped_reference(fraction, coupled)
-    modes = mode_analysis(system)
+    """The engine against an independent RK4 loop, including (near-)defective
+    Phi and an asymmetric pair; the loop forms M^-1 (F - K x - C v) itself, so
+    it checks the design's (A, B) as well."""
+    if fraction == "asymmetric":
+        system = asymmetric_reference()
+    else:
+        system = reference[1] if fraction is None else damped_reference(fraction, coupled)
+    modes = system.modes
     dt = default_timestep(modes)
     plan = SimulationPlan(dt=dt, duration=3000 * dt, record_decimation=2,
                           initial_state=(1e-7, 0.0, -3e-8, 2e-4))
@@ -251,10 +266,10 @@ def test_engine_matches_exact_step_loop(reference, fraction, coupled, noise, mon
     pair's mode-1 drive sits next to an eigenvalue of Phi on the unit
     circle: a steady state solved from the one-step form (z I - Phi) X = Gc
     misses by 7.5e-12, the one solved over a scan block by ~6e-14."""
-    from crnoise.timesim import _rk4_update_matrices, _state_matrices
+    from crnoise.timesim import _rk4_update_matrices
 
     system = reference[1] if fraction is None else damped_reference(fraction, coupled)
-    modes = mode_analysis(system)
+    modes = system.modes
     dt = default_timestep(modes)
     monkeypatch.setattr(timesim, "_CHUNK_STEPS", 8192)
     plan = SimulationPlan(dt=dt, duration=(3 * 4096 + 1234) * dt,
@@ -267,7 +282,7 @@ def test_engine_matches_exact_step_loop(reference, fraction, coupled, noise, mon
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
 
-    phi = _rk4_update_matrices(*_state_matrices(system), dt)[0]
+    phi = _rk4_update_matrices(system.a, system.b, dt)[0]
     rate = np.max(np.abs(np.log(np.abs(np.linalg.eigvals(phi)))))
     length = series.metadata["scan_block"]
     assert 4096 % length == 0 and rate * length <= math.log(1e3)
@@ -292,7 +307,7 @@ def test_unresolved_steady_state_is_refused(reference, fraction, steps, start, r
     1000 reads 5.4e-13).  The engine refuses such a run, naming the damping
     keys, and holds every run it accepts to 1e-11 of full scale."""
     system = reference[1] if fraction is None else damped_reference(fraction)
-    modes = mode_analysis(system)
+    modes = system.modes
     dt = 1.0 / (steps * modes.f2)
     monkeypatch.setattr(timesim, "_CHUNK_STEPS", 8192)
     plan = SimulationPlan(dt=dt, duration=(3 * 4096 + 1234) * dt, initial_state=start)
@@ -351,10 +366,10 @@ def _exact_harmonic_steady_state(system, drive, plan):
     state), states (n_samples, 4) in the order x1, v1, x2, v2."""
     import decimal
 
-    from crnoise.timesim import _rk4_update_matrices, _state_matrices
+    from crnoise.timesim import _rk4_update_matrices
 
     D = decimal.Decimal
-    phi, g0, gm, g1 = _rk4_update_matrices(*_state_matrices(system), plan.dt)
+    phi, g0, gm, g1 = _rk4_update_matrices(system.a, system.b, plan.dt)
     with decimal.localcontext() as ctx:
         ctx.prec = 50
         theta = D(2.0 * math.pi * drive.frequency) * D(plan.dt)
@@ -599,13 +614,21 @@ def test_streamed_run_forms_only_requested_channels(reference, monkeypatch):
             chunk_test_run(system, modes, 100, 1, print, channels)
 
 
+def negatively_damped(system):
+    """system with every damper at -1000 times its value, a pair that grows:
+    no SystemConfig admits one, so its damping and its A are scaled here."""
+    a = system.a.copy()
+    a[..., 1::2, 1::2] *= -1000.0
+    return dataclasses.replace(system, damping=-1000.0 * system.damping, a=a)
+
+
 def test_non_finite_sample_named_alike_when_streamed(reference, monkeypatch):
     """A growing (negatively damped) pair overflows in its third chunk; runs
     that form different channels name the same record sample, and the record
     before it is finite."""
     _, system, modes = reference
     monkeypatch.setattr(timesim, "_CHUNK_STEPS", 4096)
-    unstable = dataclasses.replace(system, damping=-1000.0 * system.damping)
+    unstable = negatively_damped(system)
     dt = default_timestep(modes)
 
     def run(n_steps, channels=("x1", "x2")):
@@ -743,7 +766,7 @@ def test_engine_side_errors_leave_no_thread(reference, monkeypatch):
     shipped depth: test_engine_runs_ahead_of_a_slow_sink)."""
     _, system, modes = reference
     monkeypatch.setattr(timesim, "_CHUNK_STEPS", 4096)
-    unstable = dataclasses.replace(system, damping=-1000.0 * system.damping)
+    unstable = negatively_damped(system)
     dt = default_timestep(modes)
     plan = SimulationPlan(dt=dt, duration=60_000 * dt, record_decimation=3,
                           initial_state=(1e-7, 0.0, 0.0, 0.0))
