@@ -534,7 +534,11 @@ def cmd_sweep(run: RunConfig, args) -> int:
         _load_engine()
     kc = np.array(run.get("sweep.kc_values"))
     base = build_run_config(run.entries | SWEEP_SOURCES)
-    base = dataclasses.replace(base, system=dataclasses.replace(base.system, kc=kc))
+    try:
+        system = dataclasses.replace(base.system, kc=kc)
+    except ValueError as exc:
+        raise ConfigError(f"sweep.kc_values: {exc}") from exc
+    base = dataclasses.replace(base, system=system)
     report, _, budget = _resolution_report(base)
     modes = base.design.modes
     columns = [

@@ -4,14 +4,15 @@ Welch averaging with a periodic Hann window at 50% overlap is the workhorse
 here, computed with numpy's real FFT.  `Welch` accumulates the estimate over
 a record that arrives in chunks, as the engine hands its record out: each
 segment is windowed and transformed once its samples are in, at most about
-2**20 samples (or one segment, if that is longer) at a time, and only the
-partial segment at the end of a chunk is carried, so its working memory does
-not grow with the record.  Density scaling is used throughout, so integrating
-a spectrum over a band returns the mean-square content of that band; band
-arithmetic reads only the bins in the band.  The dB helper offers two
-conventions: 20*log10 of the PSD value ("paper_20log", the convention the
-reference design's published numbers follow) and the physically standard
-10*log10 ("power_10log").
+2**20 samples (or one segment, if that is longer) at a time.  A segment that
+spans chunks is assembled in one buffer of segment length and windowed,
+transformed and squared from there, so it is held once and the working
+memory does not grow with the record.  Density scaling is used throughout,
+so integrating a spectrum over a band returns the mean-square content of
+that band; band arithmetic reads only the bins in the band.  The dB helper
+offers two conventions: 20*log10 of the PSD value ("paper_20log", the
+convention the reference design's published numbers follow) and the
+physically standard 10*log10 ("power_10log").
 """
 
 from __future__ import annotations
@@ -71,14 +72,18 @@ class Welch:
     square (not the variance) of the input.
 
     The record's length is fixed up front, so segments are transformed as
-    soon as their samples have arrived; only the partial segment at the end
-    of a chunk is carried, in one preallocated buffer.  Segments are summed
-    one by one within blocks of _WELCH_BLOCK // segment_length segments
-    counted from segment 0, and the block sums are added up, so the result
-    does not depend on how the record is cut into chunks.  Segments complete
-    within one chunk are windowed and transformed together, at most one
-    block at a time, so the working memory is bounded by the chunk and the
-    block, not by the record length.
+    soon as their samples have arrived.  A segment that spans chunks is
+    assembled in one buffer of segment length; once it is whole, the samples
+    of the next segment that arrived before the current chunk are copied
+    aside, and the segment is windowed in place, transformed from there, and
+    its |X|^2 is formed in the same memory.  Segments that lie whole in one
+    chunk are windowed and transformed together, at most one block at a
+    time, in buffers made when such a batch first occurs.  Segments are
+    summed one by one within blocks of _WELCH_BLOCK // segment_length
+    segments counted from segment 0, and the block sums are added up, so the
+    result does not depend on how the record is cut into chunks, and the
+    working memory is bounded by the segment and the block, not by the
+    record length.
     """
 
     def __init__(
@@ -107,19 +112,23 @@ class Welch:
         self._step = segment_length - int(segment_length * overlap)
         self.n_segments = 1 + (n_samples - segment_length) // self._step
         self._per_block = max(1, _WELCH_BLOCK // segment_length)
-        self._window = 0.5 - 0.5 * np.cos(
-            2.0 * math.pi * np.arange(segment_length) / segment_length
-        )
+        # the periodic Hann window, built in place
+        window = np.arange(segment_length, dtype=float)
+        window *= 2.0 * math.pi
+        window /= segment_length
+        np.cos(window, out=window)
+        window *= 0.5
+        self._window = np.subtract(0.5, window, out=window)
         self._power = np.zeros(segment_length // 2 + 1)
         self._block = np.zeros_like(self._power)  # sum over the current block
-        # the carried partial segment (< segment_length samples, starting at
-        # the next segment) followed by the head of the next chunk
-        self._carry = np.empty(2 * segment_length)
-        self._carried = 0
-        # the windowed segments and their transforms, reused by every batch
-        # and grown to the largest batch
-        self._windowed = np.empty((1, segment_length))
-        self._spectra = np.empty((1, segment_length // 2 + 1), dtype=complex)
+        # the next segment's samples received so far, when it started before
+        # the current chunk, and the part of it that the segment after starts with
+        self._segment = np.empty(segment_length)
+        self._filled = 0
+        self._aside = np.empty(segment_length - self._step)
+        # the batched segments and the transforms, grown to the largest batch
+        self._windowed = None
+        self._spectra = None
         self._seen = 0  # samples received
         self._next = 0  # index of the next segment to transform
 
@@ -130,25 +139,32 @@ class Welch:
         self._seen += x.size
         if self._next == self.n_segments:
             return  # samples past the last segment
-        carried = self._carried
-        if carried:
-            # the segments that start in the carried samples end within the
-            # first segment_length samples of x
-            head = x[: self.segment_length]
-            self._carry[carried : carried + head.size] = head
-            self._transform(self._carry[: carried + head.size], origin - carried)
-        start = self._next * self._step  # record index of the next segment
-        if start >= origin:
-            self._transform(x, origin)
-            rest = x[self._next * self._step - origin :]
-        else:  # x ended before the next segment did; it is all in the carry
-            rest = self._carry[start - (origin - carried) : carried + x.size]
+        length, step, segment = self.segment_length, self._step, self._segment
+        filled = self._filled
+        while filled:
+            # the next segment started before x; its first `filled` samples,
+            # up to x[0], are in the segment buffer
+            head = x[: length - filled]
+            segment[filled : filled + head.size] = head
+            filled += head.size
+            if filled < length:  # x is spent
+                self._filled = filled
+                return
+            held = max(origin - (self._next + 1) * step, 0)  # the next one's, before x
+            self._aside[:held] = segment[step : step + held]
+            segment *= self._window
+            self._add_power(segment[None])
+            if self._next == self.n_segments:
+                break
+            segment[:held] = self._aside[:held]
+            filled = held
+        self._transform(x, origin)  # the segments that start in x
         if self._next == self.n_segments:  # every segment is in: drop the buffers
-            self._carried = 0
-            self._carry = self._windowed = self._spectra = None
+            self._segment = self._aside = self._windowed = self._spectra = None
         else:
-            self._carried = rest.size
-            self._carry[: rest.size] = rest
+            rest = x[self._next * step - origin :]
+            segment[: rest.size] = rest
+            self._filled = rest.size
 
     def _transform(self, data: np.ndarray, origin: int) -> None:
         """Add every segment, from the next one on, that lies whole in data.
@@ -168,21 +184,28 @@ class Welch:
             segments = sliding_window_view(
                 data[first : first + (count - 1) * step + length], length
             )[::step]
-            if self._windowed.shape[0] < count:
+            if self._windowed is None or self._windowed.shape[0] < count:
                 self._windowed = np.empty((count, length))
-                self._spectra = np.empty((count, length // 2 + 1), dtype=complex)
             windowed = np.multiply(segments, self._window, out=self._windowed[:count])
-            spectra = np.fft.rfft(windowed, axis=-1, out=self._spectra[:count])
-            # |X|^2 = re^2 + im^2, formed in the windowed segments' memory
-            power = windowed.reshape(-1)[: spectra.size].reshape(spectra.shape)
-            np.square(spectra.real, out=power)
-            power += np.square(spectra.imag, out=spectra.imag)
-            for row in power:
-                self._block += row
-            self._next += count
-            if self._next % self._per_block == 0 or self._next == self.n_segments:
-                self._power += self._block
-                self._block[:] = 0.0
+            self._add_power(windowed)
+
+    def _add_power(self, windowed: np.ndarray) -> None:
+        """Transform the windowed segments (rows, none across a block
+        boundary) and add their |X|^2 to the sums, in order."""
+        count = windowed.shape[0]
+        if self._spectra is None or self._spectra.shape[0] < count:
+            self._spectra = np.empty((count, self.segment_length // 2 + 1), dtype=complex)
+        spectra = np.fft.rfft(windowed, axis=-1, out=self._spectra[:count])
+        # |X|^2 = re^2 + im^2, formed in the windowed segments' memory
+        power = windowed.reshape(-1)[: spectra.size].reshape(spectra.shape)
+        np.square(spectra.real, out=power)
+        power += np.square(spectra.imag, out=spectra.imag)
+        for row in power:
+            self._block += row
+        self._next += count
+        if self._next % self._per_block == 0 or self._next == self.n_segments:
+            self._power += self._block
+            self._block[:] = 0.0
 
     def spectrum(self) -> Spectrum:
         """The one-sided PSD of the whole record."""

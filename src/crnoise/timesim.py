@@ -258,10 +258,8 @@ def simulate(
         raise ValueError(f"channels {sorted(channels)}: name one or more of x1, x2, v1, v2")
 
     phi, g0, gm, g1 = _rk4_update_matrices(system.a, system.b, plan.dt)
-    rise = [np.eye(4)]  # Phi^k, k < L, as a running product
-    for _ in range(_scan_block_length(phi) - 1):
-        rise.append(rise[-1] @ phi)
-    rise = np.moveaxis(np.array(rise), 0, -1).copy()  # rise[i, m, k] = (Phi^k)_im
+    # rise[i, m, k] = (Phi^k)_im, k < L
+    rise = np.moveaxis(_powers(phi, _scan_block_length(phi)), 0, -1).copy()
 
     x0 = np.asarray(plan.initial_state, dtype=float)
     rows = {name: row for name, row in _STATE_ROWS.items() if name in channels}
@@ -378,6 +376,15 @@ def _apply(m, v):
     return sum(m[:, i, None] * v[i] for i in range(4))
 
 
+def _powers(m, count):
+    """m^k for k < count, as a running product, in one (count, 4, 4) array."""
+    powers = np.empty((count, 4, 4))
+    powers[0] = np.eye(4)
+    for k in range(1, count):
+        np.matmul(powers[k - 1], m, out=powers[k])
+    return powers
+
+
 def _scan_block_length(phi) -> int:
     """The largest power of two <= _SCAN_BLOCK over which no eigenvalue of
     phi grows or decays by more than _SCAN_GROWTH."""
@@ -468,11 +475,7 @@ def _run_scan(phi, rise, g_zoh, x0, stochastic, plan, rows):
         # Phi^-k, k < L, as a running product of the inverse refined by one Newton step
         inv = np.linalg.inv(phi)
         inv += inv @ (np.eye(4) - phi @ inv)
-        fall = [np.eye(4)]
-        for _ in range(length - 1):
-            fall.append(fall[-1] @ inv)
-        w_zoh = np.moveaxis(np.array(fall) @ g_zoh, 0, -1).copy()
-        del fall
+        w_zoh = np.moveaxis(_powers(inv, length) @ g_zoh, 0, -1).copy()
 
     # buffers reused by every chunk: the scan and an input row (with noise) and a
     # product.  A chunk's last block is padded to L steps, never recorded or carried on.

@@ -641,6 +641,19 @@ def test_sweep_kc_negative_list_without_spaces(tmp_path):
     assert [r[0] for r in rows] == ["-393.5", "-1000"]
 
 
+def test_sweep_indefinite_kc_names_the_key(tmp_path, capsys):
+    """A kc that makes the stiffness matrix indefinite is a config error on
+    sweep.kc_values, from the flag and from a config file alike."""
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("sweep.kc_values = -393.5, -70000\n")
+    for args in (("--config", "paper-reference", "--kc=-393.5,-70000"), ("--config", str(cfg))):
+        assert run_cli("sweep", *args, "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cr-noise-lab: config error: sweep.kc_values: "), err
+        assert "not positive definite" in err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
 def table_rows(path):
     """quantity -> (value, source) cells of a rendered report table."""
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]

@@ -115,11 +115,13 @@ def blocked_welch_reference(x, dt, segment_length, overlap):
 
 @pytest.mark.parametrize("block", [None, 256])
 @pytest.mark.parametrize("segment_length", [16, 100, 333])
-@pytest.mark.parametrize("overlap", [0.0, 0.25, 0.5])
+@pytest.mark.parametrize("overlap", [0.0, 0.25, 0.5, 0.75])
 def test_chunked_welch_equals_one_shot(segment_length, overlap, block, monkeypatch):
     """Welch fed in chunks of 1, 7, step - 1, L + 3 and random lengths gives
     the estimate of the whole record bit for bit, with L below and above
-    _WELCH_BLOCK (256: 16 and 2 segments per block, and 1 for L = 333)."""
+    _WELCH_BLOCK (256: 16 and 2 segments per block, and 1 for L = 333).  At
+    overlap 0.75 the samples set aside for the next segments are longer than
+    half a segment, and several segments start in one assembled segment."""
     if block is not None:
         monkeypatch.setattr(spectral, "_WELCH_BLOCK", block)
     rng = np.random.default_rng(segment_length)
@@ -140,6 +142,31 @@ def test_chunked_welch_equals_one_shot(segment_length, overlap, block, monkeypat
         spectrum = welch.spectrum()
         assert np.array_equal(spectrum.values, whole.values), pattern[:1]
         assert (spectrum.df, spectrum.n_segments) == (whole.df, whole.n_segments)
+
+
+def test_long_segment_held_once():
+    """A segment longer than the chunks is assembled in one buffer and
+    windowed, transformed and squared there.  The traced peak of a Welch at
+    L = 2**19 fed 2**21 + 1 samples in 2**16-sample chunks is then the window
+    (L doubles), the segment (L), the part of it set aside for the next
+    segment (L/2), one spectrum (L/2 + 1 complex), the power sum and the
+    block sum (L/2 + 1 each): 4.5 L doubles, within 5 L, and the estimate is
+    the one-shot one bit for bit."""
+    import tracemalloc
+
+    length, chunk = 1 << 19, 1 << 16
+    x = np.random.default_rng(19).standard_normal((1 << 21) + 1)
+    tracemalloc.start()
+    try:
+        welch = spectral.Welch(x.size, 1e-3, length)
+        for start in range(0, x.size, chunk):
+            welch.add(x[start : start + chunk])
+        spectrum = welch.spectrum()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * length * 8, peak / (length * 8)
+    assert np.array_equal(spectrum.values, blocked_welch_reference(x, 1e-3, length, 0.5))
 
 
 def test_welch_needs_the_whole_record():
