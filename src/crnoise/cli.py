@@ -301,6 +301,9 @@ def _stream(run: RunConfig, system, channels=("x1", "x2"), *, spectra=True,
                                 plan.n_samples, plan.record_dt,
                                 run.get("analysis.segment_length"), run.get("analysis.overlap"))
                  for name in channels}
+        grid = next(iter(welch.values()))  # every channel's estimate has this grid
+        for f in (modes.f1, modes.f2):  # the bands that the estimates are read in
+            _planned("sim.dt, sim.decimation", grid.check_band, f, run.environment.bandwidth)
     elif harmonic:
         steady = _planned(f"forcing.harmonic_frequency, {_RECORD_KEYS}, "
                           "analysis.window_start_fraction",

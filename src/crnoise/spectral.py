@@ -3,13 +3,12 @@
 Welch averaging with a periodic Hann window at 50% overlap is the workhorse
 here, computed with numpy's real FFT.  `Welch` accumulates the estimate over
 a record that arrives in chunks, as the engine hands its record out: each
-segment is windowed and transformed once its samples are in, at most about
-2**20 samples (or one segment, if that is longer) at a time.  A segment that
-spans chunks is assembled in one buffer of segment length and windowed,
-transformed and squared from there, so it is held once and the working
-memory does not grow with the record.  Density scaling is used throughout,
-so integrating a spectrum over a band returns the mean-square content of
-that band; band arithmetic reads only the bins in the band.  The dB helper
+segment is windowed into one buffer of segment length once its samples are
+in, and transformed and squared from there, one segment at a time, so the
+working memory is a few segment lengths, whatever the record's or the
+chunks' length.  Density scaling is used throughout, so integrating a
+spectrum over a band returns the mean-square content of that band; band
+arithmetic reads only the bins in the band.  The dB helper
 offers two conventions: 20*log10 of the PSD value ("paper_20log", the
 convention the reference design's published numbers follow) and the
 physically standard 10*log10 ("power_10log").
@@ -21,14 +20,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .reports import write_csv
 
 DB_PAPER = "paper_20log"
 DB_POWER = "power_10log"
 
-# samples windowed and transformed per pass of the Welch estimator
+# the Welch estimator sums the segments' |X|^2 in groups of this many
+# samples' worth of segments, and adds up the group sums
 _WELCH_BLOCK = 1 << 20
 
 
@@ -71,19 +70,19 @@ class Welch:
     detrending is applied, so the integral of the spectrum matches the mean
     square (not the variance) of the input.
 
-    The record's length is fixed up front, so segments are transformed as
-    soon as their samples have arrived.  A segment that spans chunks is
-    assembled in one buffer of segment length; once it is whole, the samples
-    of the next segment that arrived before the current chunk are copied
-    aside, and the segment is windowed in place, transformed from there, and
-    its |X|^2 is formed in the same memory.  Segments that lie whole in one
-    chunk are windowed and transformed together, at most one block at a
-    time, in buffers made when such a batch first occurs.  Segments are
-    summed one by one within blocks of _WELCH_BLOCK // segment_length
+    The record's length is fixed up front, so each segment is transformed as
+    soon as its samples have arrived, and every segment takes the same path
+    through one buffer of segment length.  A segment that lies whole in a
+    chunk is windowed from the chunk into the buffer.  One that spans chunks
+    is assembled in the buffer; once it is whole, the samples of the next
+    segment that arrived before the current chunk are copied aside, and the
+    segment is windowed in place.  Either way it is transformed into one
+    spectrum row and its |X|^2 is formed in the buffer's memory.  Segments
+    are summed one by one within blocks of _WELCH_BLOCK // segment_length
     segments counted from segment 0, and the block sums are added up, so the
     result does not depend on how the record is cut into chunks, and the
-    working memory is bounded by the segment and the block, not by the
-    record length.
+    working memory, about 4.5 segment lengths of doubles, depends on neither
+    the record's nor the chunks' length.
     """
 
     def __init__(
@@ -112,6 +111,8 @@ class Welch:
         self._step = segment_length - int(segment_length * overlap)
         self.n_segments = 1 + (n_samples - segment_length) // self._step
         self._per_block = max(1, _WELCH_BLOCK // segment_length)
+        # the grid's spacing, rounded as rfftfreq(L, 1/fs) rounds its first bin
+        self._df = 1.0 / (segment_length * (1.0 / (1.0 / dt)))
         # the periodic Hann window, built in place
         window = np.arange(segment_length, dtype=float)
         window *= 2.0 * math.pi
@@ -121,14 +122,11 @@ class Welch:
         self._window = np.subtract(0.5, window, out=window)
         self._power = np.zeros(segment_length // 2 + 1)
         self._block = np.zeros_like(self._power)  # sum over the current block
-        # the next segment's samples received so far, when it started before
-        # the current chunk, and the part of it that the segment after starts with
+        # the segment being windowed, or the next one's samples received so
+        # far; the part of it the segment after starts with; its transform
         self._segment = np.empty(segment_length)
-        self._filled = 0
         self._aside = np.empty(segment_length - self._step)
-        # the batched segments and the transforms, grown to the largest batch
-        self._windowed = None
-        self._spectra = None
+        self._spectrum = np.empty_like(self._power, dtype=complex)
         self._seen = 0  # samples received
         self._next = 0  # index of the next segment to transform
 
@@ -137,75 +135,39 @@ class Welch:
         x = np.asarray(chunk, dtype=float)
         origin = self._seen  # record index of x[0]
         self._seen += x.size
-        if self._next == self.n_segments:
-            return  # samples past the last segment
         length, step, segment = self.segment_length, self._step, self._segment
-        filled = self._filled
-        while filled:
-            # the next segment started before x; its first `filled` samples,
-            # up to x[0], are in the segment buffer
-            head = x[: length - filled]
-            segment[filled : filled + head.size] = head
-            filled += head.size
-            if filled < length:  # x is spent
-                self._filled = filled
-                return
-            held = max(origin - (self._next + 1) * step, 0)  # the next one's, before x
-            self._aside[:held] = segment[step : step + held]
-            segment *= self._window
-            self._add_power(segment[None])
-            if self._next == self.n_segments:
-                break
-            segment[:held] = self._aside[:held]
-            filled = held
-        self._transform(x, origin)  # the segments that start in x
-        if self._next == self.n_segments:  # every segment is in: drop the buffers
-            self._segment = self._aside = self._windowed = self._spectra = None
-        else:
-            rest = x[self._next * step - origin :]
-            segment[: rest.size] = rest
-            self._filled = rest.size
-
-    def _transform(self, data: np.ndarray, origin: int) -> None:
-        """Add every segment, from the next one on, that lies whole in data.
-
-        data[0] is record sample `origin`, at or before the next segment.
-        """
-        length, step = self.segment_length, self._step
         while self._next < self.n_segments:
+            # the next segment is x[first:end]; when first < 0 its samples
+            # before x, its first -first, are in the segment buffer
             first = self._next * step - origin
-            count = min(
-                (data.size - first - length) // step + 1,
-                self._per_block - self._next % self._per_block,
-                self.n_segments - self._next,
-            )
-            if count <= 0:
+            end = first + length
+            if end > x.size:  # not all in: hold what has come
+                start = max(first, 0)
+                segment[start - first : x.size - first] = x[start:]
                 return
-            segments = sliding_window_view(
-                data[first : first + (count - 1) * step + length], length
-            )[::step]
-            if self._windowed is None or self._windowed.shape[0] < count:
-                self._windowed = np.empty((count, length))
-            windowed = np.multiply(segments, self._window, out=self._windowed[:count])
-            self._add_power(windowed)
+            held = max(-first - step, 0)  # the next segment's samples before x
+            if first >= 0:
+                np.multiply(x[first:end], self._window, out=segment)
+            else:
+                segment[-first:] = x[:end]
+                self._aside[:held] = segment[step : step + held]
+                segment *= self._window
+            spectrum = np.fft.rfft(segment, out=self._spectrum)
+            # |X|^2 = re^2 + im^2, formed in the segment's memory
+            power = np.square(spectrum.real, out=segment[: spectrum.size])
+            power += np.square(spectrum.imag, out=spectrum.imag)
+            self._block += power
+            segment[:held] = self._aside[:held]
+            self._next += 1
+            if self._next % self._per_block == 0 or self._next == self.n_segments:
+                self._power += self._block
+                self._block[:] = 0.0
+        self._segment = self._aside = self._spectrum = None  # every segment is in
 
-    def _add_power(self, windowed: np.ndarray) -> None:
-        """Transform the windowed segments (rows, none across a block
-        boundary) and add their |X|^2 to the sums, in order."""
-        count = windowed.shape[0]
-        if self._spectra is None or self._spectra.shape[0] < count:
-            self._spectra = np.empty((count, self.segment_length // 2 + 1), dtype=complex)
-        spectra = np.fft.rfft(windowed, axis=-1, out=self._spectra[:count])
-        # |X|^2 = re^2 + im^2, formed in the windowed segments' memory
-        power = windowed.reshape(-1)[: spectra.size].reshape(spectra.shape)
-        np.square(spectra.real, out=power)
-        power += np.square(spectra.imag, out=spectra.imag)
-        for row in power:
-            self._block += row
-        self._next += count
-        if self._next % self._per_block == 0 or self._next == self.n_segments:
-            self._power += self._block
-            self._block[:] = 0.0
+    def check_band(self, f_center: float, bandwidth: float) -> None:
+        """Raise ValueError, as band_power would on the estimate, if the band
+        f_center +- bandwidth/2 lies entirely outside its frequency grid."""
+        _band_edges(f_center, bandwidth, (self.segment_length // 2) * self._df)
 
     def spectrum(self) -> Spectrum:
         """The one-sided PSD of the whole record."""
@@ -218,10 +180,8 @@ class Welch:
         psd[0] /= 2.0
         if self.segment_length % 2 == 0:
             psd[-1] /= 2.0
-        fs = 1.0 / self.dt
         return Spectrum(
-            # rounded as rfftfreq(L, 1/fs) rounds its first bin
-            df=1.0 / (self.segment_length * (1.0 / fs)),
+            df=self._df,
             values=psd,
             window="hann",
             segment_length=self.segment_length,
@@ -242,15 +202,7 @@ def band_power(spectrum: Spectrum, f_center: float, bandwidth: float) -> float:
         raise ValueError("bandwidth must be >= 0")
     if bandwidth == 0:
         return 0.0
-    lo = f_center - 0.5 * bandwidth
-    hi = f_center + 0.5 * bandwidth
-    if hi <= 0 or lo >= spectrum.f_max:
-        raise ValueError(
-            f"band [{lo:g}, {hi:g}] Hz outside spectrum grid [0, {spectrum.f_max:g}] Hz"
-        )
-    lo = max(lo, 0.0)
-    hi = min(hi, spectrum.f_max)
-
+    lo, hi = _band_edges(f_center, bandwidth, spectrum.f_max)
     df, values = spectrum.df, spectrum.values
     # the bins strictly inside the band, and the two pairs around its edges
     i0, i1 = _grid_index(lo, df, strict=True), _grid_index(hi, df, strict=False)
@@ -259,6 +211,16 @@ def band_power(spectrum: Spectrum, f_center: float, bandwidth: float) -> float:
     xs = np.concatenate(([lo], np.arange(i0, i1) * df, [hi]))
     ys = np.concatenate(([edges[0]], values[i0:i1], [edges[1]]))
     return float(np.trapezoid(ys, xs))
+
+
+def _band_edges(f_center: float, bandwidth: float, f_max: float) -> tuple[float, float]:
+    """The band f_center +- bandwidth/2 clamped to the grid [0, f_max]; a band
+    entirely outside the grid is an error."""
+    lo = f_center - 0.5 * bandwidth
+    hi = f_center + 0.5 * bandwidth
+    if hi <= 0 or lo >= f_max:
+        raise ValueError(f"band [{lo:g}, {hi:g}] Hz outside spectrum grid [0, {f_max:g}] Hz")
+    return max(lo, 0.0), min(hi, f_max)
 
 
 def _grid_index(f: float, df: float, strict: bool) -> int:
@@ -274,8 +236,7 @@ def band_mean_psd(spectrum: Spectrum, f_center: float, bandwidth: float) -> floa
     """Band-averaged PSD value over f_center +- bandwidth/2 [unit^2/Hz]."""
     if bandwidth <= 0:
         raise ValueError("bandwidth must be > 0")
-    lo = max(f_center - 0.5 * bandwidth, 0.0)
-    hi = min(f_center + 0.5 * bandwidth, spectrum.f_max)
+    lo, hi = _band_edges(f_center, bandwidth, spectrum.f_max)
     return band_power(spectrum, f_center, bandwidth) / (hi - lo)
 
 

@@ -771,10 +771,11 @@ def test_simulated_budget_memory_flat_in_duration(tmp_path, monkeypatch):
     simulated budget route into Welch, psd and simulate into their sums and
     timeseries.csv as well.  Each one's traced peak at 20 s is within 10% of
     that at 2 s (a held record is ~40 MB at 20 s undecimated, ~4 MB at
-    decimation 10).  A first run takes the one-time allocations.  The
-    handoff holds one chunk here: how many of its _HANDOFF_CHUNKS wait at
-    once depends on the two threads' timing, not on the run's length, and
-    test_timesim bounds that count."""
+    decimation 10).  A first run takes the one-time allocations.  Each
+    chunk goes to the sink on the engine's thread here: how many chunks the
+    threaded handoff holds at once depends on the two threads' timing, not
+    on the run's length, and test_engine_runs_ahead_of_a_slow_sink bounds
+    that count."""
     import contextlib
     import io
     import tracemalloc
@@ -800,7 +801,11 @@ def test_simulated_budget_memory_flat_in_duration(tmp_path, monkeypatch):
         finally:
             tracemalloc.stop()
 
-    monkeypatch.setattr(timesim, "_HANDOFF_CHUNKS", 1)
+    def drain(sink, chunks):
+        for chunk in chunks:
+            sink(chunk)
+
+    monkeypatch.setattr(timesim, "_drain", drain)
     for command in runs:
         peak(command, 2.0)
         short, long = peak(command, 2.0), peak(command, 20.0)
@@ -810,9 +815,9 @@ def test_simulated_budget_memory_flat_in_duration(tmp_path, monkeypatch):
 def test_too_short_record_fails_before_writing(tmp_path, capsys):
     """A Welch segment longer than the record, a steady-state window of fewer
     than 50 drive cycles or with the drive's alias image on it, a step too
-    coarse for the modes and a run shorter than one step are each a config
-    error naming the keys that set the record, raised before any output is
-    written."""
+    coarse for the modes, a run shorter than one step and a mode band above
+    the record's Nyquist frequency are each a config error naming the keys
+    that set the record, raised before any output is written."""
     harmonic = "forcing.harmonic_amplitude = 1e-6\nforcing.harmonic_frequency = mode1\n"
     cases = [
         ("psd", "sim.duration = 0.05\nanalysis.segment_length = 65536\n",
@@ -829,6 +834,12 @@ def test_too_short_record_fails_before_writing(tmp_path, capsys):
                      "forcing.harmonic_frequency = 62065.9\n",
          ("forcing.harmonic_frequency", "sim.dt", "sim.decimation")),
     ]
+    # a record whose Nyquist frequency (62 Hz) lies below both modes' bands
+    coarse = "forcing.noise_psd = auto\nsim.decimation = 1000\nsim.seed = 1\n"
+    cases += [(command, coarse + text, ("sim.dt", "sim.decimation"))
+              for command, text in (("psd", ""),
+                                    ("budget", "budget.x_psd_source = simulated\n"),
+                                    ("sweep", "sweep.simulate_floor = true\n"))]
     for i, (command, text, keys) in enumerate(cases):
         cfg = tmp_path / f"case{i}.cfg"
         cfg.write_text(text)

@@ -144,17 +144,18 @@ def test_chunked_welch_equals_one_shot(segment_length, overlap, block, monkeypat
         assert (spectrum.df, spectrum.n_segments) == (whole.df, whole.n_segments)
 
 
-def test_long_segment_held_once():
-    """A segment longer than the chunks is assembled in one buffer and
-    windowed, transformed and squared there.  The traced peak of a Welch at
-    L = 2**19 fed 2**21 + 1 samples in 2**16-sample chunks is then the window
-    (L doubles), the segment (L), the part of it set aside for the next
-    segment (L/2), one spectrum (L/2 + 1 complex), the power sum and the
-    block sum (L/2 + 1 each): 4.5 L doubles, within 5 L, and the estimate is
-    the one-shot one bit for bit."""
+@pytest.mark.parametrize("length, chunk", [(1 << 19, 1 << 16), (4096, 1 << 16),
+                                           (4096, 6554), (16384, 1 << 16)])
+def test_long_segment_held_once(length, chunk):
+    """Every segment, whole in a chunk or spanning chunks, is windowed into
+    one buffer and transformed and squared there.  The traced peak of a
+    Welch fed 2**21 + 1 samples in chunks is then the window (L doubles),
+    the segment (L), the part of it set aside for the next segment (L/2),
+    one spectrum (L/2 + 1 complex), the power sum and the block sum
+    (L/2 + 1 each): 4.5 L doubles, within 5 L, for L above and below the
+    chunk length, and the estimate is the one-shot one bit for bit."""
     import tracemalloc
 
-    length, chunk = 1 << 19, 1 << 16
     x = np.random.default_rng(19).standard_normal((1 << 21) + 1)
     tracemalloc.start()
     try:
@@ -275,8 +276,24 @@ def test_band_power_equals_whole_grid_search():
 
 
 def test_band_outside_grid_rejected():
+    """band_power rejects a band entirely outside the grid, and a Welch
+    estimate's check_band rejects the same bands before any sample is in."""
     with pytest.raises(ValueError, match="outside"):
         band_power(flat_spectrum(), 5000.0, 10.0)
+    spectrum = welch_psd(np.zeros(1000), 3e-5, 100)
+    welch = spectral.Welch(1000, 3e-5, 100)
+
+    def rejects(check, center):
+        try:
+            check(center)
+        except ValueError:
+            return True
+        return False
+
+    centers = [spectrum.f_max + d for d in (4.0, 5.0, 6.0)] + [-5.0, -4.0]
+    verdicts = [rejects(lambda f: band_power(spectrum, f, 10.0), f) for f in centers]
+    assert [rejects(lambda f: welch.check_band(f, 10.0), f) for f in centers] == verdicts
+    assert [verdicts[i] for i in (0, 2, 3, 4)] == [False, True, True, False]
 
 
 def test_band_edges_clamped():
