@@ -102,12 +102,16 @@ def _out_dir(run: RunConfig) -> Path:
     return out
 
 
-def _echo(run: RunConfig) -> tuple[str, ...]:
-    return tuple(run.echo_lines())
-
-
-def _print(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+def _emit(run: RunConfig, stem: str, title: str, rows: list[Row], notes=(), csv=False) -> int:
+    """Write the table to stem.txt, and with csv its rows to stem.csv, each under
+    the echoed configuration, and print the table; every table command ends
+    here, and returns its exit status, 0."""
+    out = _out_dir(run)
+    table = write_report(out / f"{stem}.txt", title, rows, run.echo_lines(), notes)
+    if csv:
+        write_rows_csv(out / f"{stem}.csv", rows, run.echo_lines())
+    sys.stdout.write(table)
+    return 0
 
 
 def _load_engine() -> None:
@@ -141,37 +145,27 @@ def _modes_rows(run: RunConfig) -> list[Row]:
 
 
 def cmd_modes(run: RunConfig, args) -> int:
-    rows = _modes_rows(run)
-    out = _out_dir(run)
-    _print(write_report(out / "modes.txt", "modal analysis", rows, comments=_echo(run)))
-    return 0
+    return _emit(run, "modes", "modal analysis", _modes_rows(run))
 
 
 # --- budget ------------------------------------------------------------------
 
-def _x_psd_inputs(run: RunConfig) -> tuple[tuple[float, float], str]:
-    """The displacement-noise PSD at each mode of the run's design, and its label."""
-    source = run.get("budget.x_psd_source")
-    if source == "paper":
-        return (
-            (run.get("budget.x_psd_mode1"), run.get("budget.x_psd_mode2")),
-            "published PSD",
-        )
-    if source == "analytic":
-        return analytic_displacement_psd(run.design, run.force_psd()), "|h|^2 * S_F"
-    # simulated
-    floors = _band_floors(run, run.design, run.require_seed(), ("x1",))
-    return tuple(floors), "simulated spectrum"
-
-
 def _budget_report(run: RunConfig) -> tuple[NoiseBudgetReport, str]:
-    """The noise budget of the run's design."""
-    if run.get("budget.x_psd_source") == "simulated":
+    """The noise budget of the run's design, and the label of its input, the
+    displacement-noise PSD at each mode."""
+    source = run.get("budget.x_psd_source")
+    if source == "simulated":
         _load_engine()
     design = run.design  # its warnings ahead of any the inputs raise
-    x_psd, label = _x_psd_inputs(run)
-    report = full_noise_budget(design, run.environment, run.transducer, run.readout, x_psd)
-    return report, label
+    if source == "paper":
+        x_psd = run.get("budget.x_psd_mode1"), run.get("budget.x_psd_mode2")
+        label = "published PSD"
+    elif source == "analytic":
+        x_psd, label = analytic_displacement_psd(design, run.force_psd()), "|h|^2 * S_F"
+    else:  # simulated
+        x_psd = tuple(_band_floors(run, design, run.require_seed(), ("x1",)))
+        label = "simulated spectrum"
+    return full_noise_budget(design, run.environment, run.transducer, run.readout, x_psd), label
 
 
 def _budget_rows(run: RunConfig) -> tuple[list[Row], NoiseBudgetReport]:
@@ -218,13 +212,7 @@ def _budget_footnotes(report: NoiseBudgetReport) -> tuple[str, ...]:
 
 def cmd_budget(run: RunConfig, args) -> int:
     rows, report = _budget_rows(run)
-    notes = _budget_footnotes(report)
-    out = _out_dir(run)
-    table = write_report(out / "budget.txt", "noise budget", rows, comments=_echo(run),
-                         footnotes=notes)
-    write_rows_csv(out / "budget.csv", rows, comments=_echo(run))
-    _print(table)
-    return 0
+    return _emit(run, "budget", "noise budget", rows, _budget_footnotes(report), csv=True)
 
 
 # --- the engine: simulate, psd, the simulated budget and the sweep floors -------
@@ -260,19 +248,10 @@ def _timeseries_sink(write, record_dt: float, squares: dict):
     return add
 
 
-def _stream(run: RunConfig, system, channels=("x1", "x2"), *, spectra=True,
-            seed=None, csv=False):
-    """Run the engine once on system, the run's design or one point of it;
-    the one place outside `timesim` that plans, checks and feeds a
-    simulation.  Returns (plan, spectra, squares, steady).
-
-    The force is the configured one or, given seed, the thermal force alone
-    (`RunConfig.force_psd`) seeded with seed.  With spectra each of channels
-    gets a Welch estimate, spectra = {channel: Spectrum}; without, a harmonic
-    drive's steady state is projected (steady, else None).  With csv the
-    record goes to timeseries.csv and squares sums each channel's squares.
-    All that can reject the run is built before the output directory is.
-    """
+def _setup(run: RunConfig, system, channels, spectra: bool, seed):
+    """The plan, forcing, Welch estimates and steady-state projection that
+    `_stream` runs system with, each built and checked: all that can reject
+    the run raises here, before the engine starts or any file is written."""
     from . import timesim
 
     modes = system.modes
@@ -291,7 +270,8 @@ def _stream(run: RunConfig, system, channels=("x1", "x2"), *, spectra=True,
                 run.get("forcing.harmonic_phase")),)
         if run.get("forcing.noise_psd") != 0:
             seed = run.require_seed()
-    stochastic = None if seed is None else timesim.StochasticDrive(run.force_psd(), seed)
+    forcing = timesim.Forcing(
+        harmonic, None if seed is None else timesim.StochasticDrive(run.force_psd(), seed))
 
     welch, steady = {}, None
     if spectra:
@@ -309,7 +289,24 @@ def _stream(run: RunConfig, system, channels=("x1", "x2"), *, spectra=True,
                           "analysis.window_start_fraction",
                           timesim.SteadyStateProjection, plan.n_samples, plan.record_dt,
                           harmonic[0].frequency, run.get("analysis.window_start_fraction"))
+    return plan, forcing, welch, steady
 
+
+def _stream(run: RunConfig, system, channels=("x1", "x2"), *, spectra=True,
+            seed=None, csv=False):
+    """Run the engine once on system, the run's design or one point of it;
+    the one place outside `timesim` that plans, checks (`_setup`) and feeds
+    a simulation.  Returns (plan, spectra, squares, steady).
+
+    The force is the configured one or, given seed, the thermal force alone
+    (`RunConfig.force_psd`) seeded with seed.  With spectra each of channels
+    gets a Welch estimate, spectra = {channel: Spectrum}; without, a harmonic
+    drive's steady state is projected (steady, else None).  With csv the
+    record goes to timeseries.csv and squares sums each channel's squares.
+    """
+    from . import timesim
+
+    plan, forcing, welch, steady = _setup(run, system, channels, spectra, seed)
     squares = dict.fromkeys(channels, 0.0)
     consumers = [] if steady is None else [steady.add]
 
@@ -319,11 +316,11 @@ def _stream(run: RunConfig, system, channels=("x1", "x2"), *, spectra=True,
         for name, accumulator in welch.items():
             accumulator.add(chunk[name])
 
-    with (csv_writer(_out_dir(run) / "timeseries.csv", TIMESERIES_HEADER, _echo(run))
+    with (csv_writer(_out_dir(run) / "timeseries.csv", TIMESERIES_HEADER, run.echo_lines())
           if csv else contextlib.nullcontext()) as write:
         if csv:  # the CSV first, then the projection or the Welch estimates
             consumers.insert(0, _timeseries_sink(write, plan.record_dt, squares))
-        timesim.simulate(system, timesim.Forcing(harmonic, stochastic), plan, sink, channels)
+        timesim.simulate(system, forcing, plan, sink, channels)
     return plan, {name: w.spectrum() for name, w in welch.items()}, squares, steady
 
 
@@ -356,9 +353,7 @@ def cmd_simulate(run: RunConfig, args) -> int:
             Row("steady_amp_x2", result.amp2, "m", "single-bin projection"),
             Row("phase_diff", result.phase_diff, "rad", "x2 - x1"),
         ]
-    _print(write_report(_out_dir(run) / "simulate_summary.txt", "simulation summary", rows,
-                        comments=_echo(run)))
-    return 0
+    return _emit(run, "simulate_summary", "simulation summary", rows)
 
 
 def _band_rows(name: str, spectrum: spectral.Spectrum, mean_square, modes, band: float) -> list[Row]:
@@ -392,22 +387,23 @@ def cmd_psd(run: RunConfig, args) -> int:
     band, modes = run.environment.bandwidth, run.design.modes
     rows = []
     for name, spectrum in spectra.items():
-        spectral.write_spectrum_csv(spectrum, out / f"spectrum_{name}.csv", comments=_echo(run))
+        spectral.write_spectrum_csv(spectrum, out / f"spectrum_{name}.csv", run.echo_lines())
         rows += _band_rows(name, spectrum, squares[name] / plan.n_samples, modes, band)
     notes = (
         "db_paper applies 20*log10 to the m^2/Hz value (the published "
         "convention, labeled dB/Hz despite the squared unit); db_power is "
         "the standard 10*log10.",
     )
-    _print(write_report(out / "psd_summary.txt", "spectral summary", rows,
-                        comments=_echo(run), footnotes=notes))
-    return 0
+    return _emit(run, "psd_summary", "spectral summary", rows, notes)
 
 
 # --- resolution ---------------------------------------------------------------
 
 def _resolution_report(run: RunConfig):
-    budget, _ = _budget_report(run)
+    """The resolution report, the carriers and, when the noise voltage is
+    computed from it, the noise budget (else None)."""
+    computed = run.get("resolution.v_noise_source") == "computed"
+    budget = _budget_report(run)[0] if computed else None
     r_f = run.readout.r_f
     carriers = [reslib.carrier_voltages(run.get(f"resolution.x_mode{mode}"),
                                         run.get(f"resolution.eta_omega_mode{mode}"), r_f)
@@ -421,10 +417,10 @@ def _resolution_report(run: RunConfig):
             if rms <= 0:
                 raise ConfigError(f"resolution.x_mode{mode}: no carrier signal: "
                                   "the computed v_out must be > 0")
-    if run.get("resolution.v_noise_source") == "paper":
-        v_noise = run.get("resolution.v_noise_rms")
-    else:
+    if computed:
         v_noise = budget.i_system_paper[0] * r_f  # best-case (mode 1) mechanical term
+    else:
+        v_noise = run.get("resolution.v_noise_rms")
 
     design = run.design
     source = run.get("resolution.sensitivity_source")
@@ -490,12 +486,7 @@ def _resolution_rows(run: RunConfig, report, carriers) -> tuple[list[Row], tuple
 def cmd_resolution(run: RunConfig, args) -> int:
     report, carriers, _ = _resolution_report(run)
     rows, notes = _resolution_rows(run, report, carriers)
-    out = _out_dir(run)
-    table = write_report(out / "resolution.txt", "output resolution", rows,
-                         comments=_echo(run), footnotes=notes)
-    write_rows_csv(out / "resolution.csv", rows, comments=_echo(run))
-    _print(table)
-    return 0
+    return _emit(run, "resolution", "output resolution", rows, notes, csv=True)
 
 
 # --- sweep --------------------------------------------------------------------
@@ -525,10 +516,13 @@ SWEEP_SOURCES = {
 
 def _sweep_floors(run: RunConfig) -> list:
     """Simulated floor columns, one streamed run per point of the run's
-    designs: the engine takes one at a time."""
+    designs: the engine takes one at a time, once every point's record and
+    bands have passed `_setup`."""
     seed = run.require_seed()
-    floors = [_band_floors(run, run.design.point(i), seed + i)
-              for i in range(len(run.system.kc))]
+    points = [run.design.point(i) for i in range(len(run.system.kc))]
+    for system in points:  # one Welch estimate alive at a time
+        _setup(run, system, ("x1",), spectra=True, seed=seed)
+    floors = [_band_floors(run, system, seed + i) for i, system in enumerate(points)]
     return list(zip(*floors))
 
 
@@ -559,12 +553,12 @@ def cmd_sweep(run: RunConfig, args) -> int:
         header += SWEEP_FLOOR_HEADER
     out = _out_dir(run)
     # i_rf, i_in (and i_vn for a given r_x) do not depend on kc: scalars
-    write_csv(out / "sweep.csv", header, np.broadcast_arrays(*columns), comments=_echo(run))
+    write_csv(out / "sweep.csv", header, np.broadcast_arrays(*columns), run.echo_lines())
     summary = [
         Row(f"kc={k:g}", split, "Hz split", f"ar_sensitivity {sens:.4g}")
         for k, split, sens in zip(kc, modes.split_hz, report.sensitivity)
     ]
-    _print(render_table("coupling sweep", summary))
+    sys.stdout.write(render_table("coupling sweep", summary))
     return 0
 
 

@@ -243,18 +243,18 @@ class RunConfig:
             for i, c in (("1", self.system.c1), ("2", self.system.c2))
         )
 
-    def echo_lines(self) -> list[str]:
+    def echo_lines(self) -> tuple[str, ...]:
         """Fully resolved configuration, one `key = value` line per key.
 
         output.directory is omitted: it does not influence any computed
         value, and leaving it out keeps outputs byte-identical across runs
         that only differ in where they write.
         """
-        return [
+        return tuple(
             f"{key} = {self.entries[key]}"
             for key in sorted(self.entries)
             if key != "output.directory"
-        ]
+        )
 
 
 # Each section builds one run object: its field f takes the key `<section>.f`.

@@ -3,12 +3,12 @@
 Welch averaging with a periodic Hann window at 50% overlap is the workhorse
 here, computed with numpy's real FFT.  `Welch` accumulates the estimate over
 a record that arrives in chunks, as the engine hands its record out: each
-segment is windowed into one buffer of segment length once its samples are
-in, and transformed and squared from there, one segment at a time, so the
-working memory is a few segment lengths, whatever the record's or the
-chunks' length.  Density scaling is used throughout, so integrating a
-spectrum over a band returns the mean-square content of that band; band
-arithmetic reads only the bins in the band.  The dB helper
+segment is copied into one buffer of segment length as its samples come in,
+and windowed, transformed and squared there once they are all in, one
+segment at a time, so the working memory is a few segment lengths, whatever
+the record's or the chunks' length.  Density scaling is used throughout, so
+integrating a spectrum over a band returns the mean-square content of that
+band; band arithmetic reads only the bins in the band.  The dB helper
 offers two conventions: 20*log10 of the PSD value ("paper_20log", the
 convention the reference design's published numbers follow) and the
 physically standard 10*log10 ("power_10log").
@@ -71,18 +71,17 @@ class Welch:
     square (not the variance) of the input.
 
     The record's length is fixed up front, so each segment is transformed as
-    soon as its samples have arrived, and every segment takes the same path
-    through one buffer of segment length.  A segment that lies whole in a
-    chunk is windowed from the chunk into the buffer.  One that spans chunks
-    is assembled in the buffer; once it is whole, the samples of the next
-    segment that arrived before the current chunk are copied aside, and the
-    segment is windowed in place.  Either way it is transformed into one
-    spectrum row and its |X|^2 is formed in the buffer's memory.  Segments
-    are summed one by one within blocks of _WELCH_BLOCK // segment_length
-    segments counted from segment 0, and the block sums are added up, so the
-    result does not depend on how the record is cut into chunks, and the
-    working memory, about 4.5 segment lengths of doubles, depends on neither
-    the record's nor the chunks' length.
+    soon as its samples have arrived, and every segment takes one path
+    through one buffer of segment length: its samples are copied into the
+    buffer as they arrive; once it is whole, the samples of the next segment
+    that arrived before the current chunk are copied aside, and the segment
+    is windowed in place, transformed into one spectrum row, and its |X|^2
+    is formed in the buffer's memory.  Segments are summed one by one within
+    blocks of _WELCH_BLOCK // segment_length segments counted from segment
+    0, and the block sums are added up, so the result does not depend on how
+    the record is cut into chunks, and the working memory, about 4.5 segment
+    lengths of doubles, depends on neither the record's nor the chunks'
+    length.
     """
 
     def __init__(
@@ -140,18 +139,13 @@ class Welch:
             # the next segment is x[first:end]; when first < 0 its samples
             # before x, its first -first, are in the segment buffer
             first = self._next * step - origin
-            end = first + length
-            if end > x.size:  # not all in: hold what has come
-                start = max(first, 0)
-                segment[start - first : x.size - first] = x[start:]
+            start, end = max(first, 0), first + length
+            segment[start - first : min(end, x.size) - first] = x[start:end]
+            if end > x.size:  # not all in: the buffer holds what has come
                 return
             held = max(-first - step, 0)  # the next segment's samples before x
-            if first >= 0:
-                np.multiply(x[first:end], self._window, out=segment)
-            else:
-                segment[-first:] = x[:end]
-                self._aside[:held] = segment[step : step + held]
-                segment *= self._window
+            self._aside[:held] = segment[step : step + held]
+            segment *= self._window
             spectrum = np.fft.rfft(segment, out=self._spectrum)
             # |X|^2 = re^2 + im^2, formed in the segment's memory
             power = np.square(spectrum.real, out=segment[: spectrum.size])
@@ -166,7 +160,7 @@ class Welch:
 
     def check_band(self, f_center: float, bandwidth: float) -> None:
         """Raise ValueError, as band_power would on the estimate, if the band
-        f_center +- bandwidth/2 lies entirely outside its frequency grid."""
+        f_center +- bandwidth/2 reaches past either end of its frequency grid."""
         _band_edges(f_center, bandwidth, (self.segment_length // 2) * self._df)
 
     def spectrum(self) -> Spectrum:
@@ -195,8 +189,8 @@ def band_power(spectrum: Spectrum, f_center: float, bandwidth: float) -> float:
 
     Trapezoidal integration with linear interpolation at the band edges,
     which is exact for a flat spectrum (returns S * bandwidth) and additive
-    over adjacent bands.  Edges are clamped to the frequency grid; a band
-    entirely outside the grid is an error.
+    over adjacent bands.  A band reaching past either end of the frequency
+    grid is an error: clamped, it would hold less than bandwidth.
     """
     if bandwidth < 0:
         raise ValueError("bandwidth must be >= 0")
@@ -214,13 +208,13 @@ def band_power(spectrum: Spectrum, f_center: float, bandwidth: float) -> float:
 
 
 def _band_edges(f_center: float, bandwidth: float, f_max: float) -> tuple[float, float]:
-    """The band f_center +- bandwidth/2 clamped to the grid [0, f_max]; a band
-    entirely outside the grid is an error."""
+    """The edges of the band f_center +- bandwidth/2; a band that is not wholly
+    inside the grid [0, f_max] is an error."""
     lo = f_center - 0.5 * bandwidth
     hi = f_center + 0.5 * bandwidth
-    if hi <= 0 or lo >= f_max:
+    if lo < 0 or hi > f_max:
         raise ValueError(f"band [{lo:g}, {hi:g}] Hz outside spectrum grid [0, {f_max:g}] Hz")
-    return max(lo, 0.0), min(hi, f_max)
+    return lo, hi
 
 
 def _grid_index(f: float, df: float, strict: bool) -> int:

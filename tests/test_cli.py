@@ -321,7 +321,7 @@ def test_engine_and_analytic_read_one_force_pair(target, monkeypatch):
         assert got == pytest.approx(want, rel=1e-10, abs=0)
     analytic = build_run_config(FORCE_PAIR | {"forcing.noise_target": target,
                                               "budget.x_psd_source": "analytic"})
-    assert cli._x_psd_inputs(analytic)[0] == x_psd
+    assert cli._budget_report(analytic)[0].x_psd == x_psd
 
 
 def test_analytic_budget_reads_an_explicit_force_psd():
@@ -815,9 +815,10 @@ def test_simulated_budget_memory_flat_in_duration(tmp_path, monkeypatch):
 def test_too_short_record_fails_before_writing(tmp_path, capsys):
     """A Welch segment longer than the record, a steady-state window of fewer
     than 50 drive cycles or with the drive's alias image on it, a step too
-    coarse for the modes, a run shorter than one step and a mode band above
-    the record's Nyquist frequency are each a config error naming the keys
-    that set the record, raised before any output is written."""
+    coarse for the modes, a run shorter than one step and a mode band
+    reaching past the record's Nyquist frequency are each a config error
+    naming the keys that set the record, raised before any output is
+    written."""
     harmonic = "forcing.harmonic_amplitude = 1e-6\nforcing.harmonic_frequency = mode1\n"
     cases = [
         ("psd", "sim.duration = 0.05\nanalysis.segment_length = 65536\n",
@@ -834,9 +835,11 @@ def test_too_short_record_fails_before_writing(tmp_path, capsys):
                      "forcing.harmonic_frequency = 62065.9\n",
          ("forcing.harmonic_frequency", "sim.dt", "sim.decimation")),
     ]
-    # a record whose Nyquist frequency (62 Hz) lies below both modes' bands
-    coarse = "forcing.noise_psd = auto\nsim.decimation = 1000\nsim.seed = 1\n"
-    cases += [(command, coarse + text, ("sim.dt", "sim.decimation"))
+    # records whose Nyquist frequency lies below both modes' bands (62 Hz at
+    # decimation 1000) or is f2 itself, inside mode 2's band (decimation 25)
+    cases += [(command, f"forcing.noise_psd = auto\nsim.decimation = {decimation}\n"
+                        "sim.seed = 1\n" + text, ("sim.dt", "sim.decimation"))
+              for decimation in (1000, 25)
               for command, text in (("psd", ""),
                                     ("budget", "budget.x_psd_source = simulated\n"),
                                     ("sweep", "sweep.simulate_floor = true\n"))]
@@ -852,6 +855,41 @@ def test_too_short_record_fails_before_writing(tmp_path, capsys):
         assert err.startswith("cr-noise-lab: config error: "), err
         assert all(key in err for key in keys), err
         assert list(out.iterdir()) == []
+
+
+def test_floor_sweep_checks_every_point_before_the_first_runs(tmp_path, capsys,
+                                                             monkeypatch):
+    """A floor sweep whose last point lifts f2's band past the record's
+    Nyquist frequency (3125 Hz) fails before the engine runs any point."""
+    runs = []
+    monkeypatch.setattr(timesim, "simulate", lambda *args: runs.append(args))
+    cfg = tmp_path / "floor.cfg"
+    cfg.write_text("sweep.kc_values = -393.5, 40000\nsim.dt = 8e-6\nsim.decimation = 20\n"
+                   "sweep.simulate_floor = true\nsim.seed = 1\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run_cli("sweep", "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cr-noise-lab: config error: sim.dt, sim.decimation: band "), err
+    assert runs == [] and list(out.iterdir()) == []
+
+
+def test_resolution_with_published_noise_reads_no_budget(tmp_path, monkeypatch):
+    """With resolution.v_noise_source = paper no budget is read, so a
+    simulated budget source neither needs a seed nor runs the engine, and
+    the rows are those of the published PSD source."""
+    runs = []
+    monkeypatch.setattr(timesim, "simulate", lambda *args: runs.append(args))
+    cfg = tmp_path / "simulated.cfg"
+    cfg.write_text(preset_text("paper-reference") + "budget.x_psd_source = simulated\n")
+    assert run_cli("resolution", "--config", str(cfg), "--out", str(tmp_path / "sim")) == 0
+    assert runs == []
+    assert run_cli("resolution", "--config", "paper-reference",
+                   "--out", str(tmp_path / "paper")) == 0
+    assert read_csv_table(tmp_path / "sim" / "resolution.csv") == \
+        read_csv_table(tmp_path / "paper" / "resolution.csv")
 
 
 def test_outputs_independent_of_chunk_length(tmp_path, monkeypatch):

@@ -249,11 +249,12 @@ def searchsorted_band_power(spectrum, f_center, bandwidth):
 
 def test_band_power_equals_whole_grid_search():
     """Bins found from df alone give the whole-grid result bit for bit, on
-    Welch-like grids, with band edges at, beside and between bins and
-    clamped to either end."""
+    Welch-like grids, with band edges at, beside and between bins and at
+    either end of the grid."""
     from crnoise.spectral import Spectrum
 
     rng = np.random.default_rng(17)
+    compared = 0
     for _ in range(300):
         segment = int(rng.choice([16, 100, 333, 4096, 1 << 17]))
         df = 1.0 / (segment * (1.0 / rng.uniform(1e3, 2e5)))
@@ -268,16 +269,19 @@ def test_band_power_equals_whole_grid_search():
                                    int(rng.integers(0, n)) * df + 0.5 * bandwidth,
                                    int(rng.integers(0, n)) * df - 0.5 * bandwidth,
                                    np.nextafter(int(rng.integers(0, n)) * df, np.inf),
-                                   0.0, f_max]))
-        if bandwidth == 0 or center + 0.5 * bandwidth <= 0 or center - 0.5 * bandwidth >= f_max:
-            continue
+                                   0.5 * bandwidth, f_max - 0.5 * bandwidth]))
+        if bandwidth == 0 or center - 0.5 * bandwidth < 0 or center + 0.5 * bandwidth > f_max:
+            continue  # band_power rejects a band reaching past the grid
         assert band_power(spectrum, center, bandwidth) == \
             searchsorted_band_power(spectrum, center, bandwidth), (segment, df, center, bandwidth)
+        compared += 1
+    assert compared >= 150
 
 
 def test_band_outside_grid_rejected():
-    """band_power rejects a band entirely outside the grid, and a Welch
-    estimate's check_band rejects the same bands before any sample is in."""
+    """band_power rejects a band that is not wholly inside the grid, and a
+    Welch estimate's check_band rejects the same bands before any sample is
+    in."""
     with pytest.raises(ValueError, match="outside"):
         band_power(flat_spectrum(), 5000.0, 10.0)
     spectrum = welch_psd(np.zeros(1000), 3e-5, 100)
@@ -290,16 +294,27 @@ def test_band_outside_grid_rejected():
             return True
         return False
 
-    centers = [spectrum.f_max + d for d in (4.0, 5.0, 6.0)] + [-5.0, -4.0]
+    centers = [spectrum.f_max + d for d in (-6.0, -5.0, -4.0, 6.0)] + [-6.0, 4.0, 5.0, 6.0]
     verdicts = [rejects(lambda f: band_power(spectrum, f, 10.0), f) for f in centers]
     assert [rejects(lambda f: welch.check_band(f, 10.0), f) for f in centers] == verdicts
-    assert [verdicts[i] for i in (0, 2, 3, 4)] == [False, True, True, False]
+    assert [verdicts[i] for i in (0, 2, 3, 4, 5, 6, 7)] == [False, True, True,
+                                                            True, True, False, False]
 
 
-def test_band_edges_clamped():
+def test_band_reaching_past_grid_rejected():
+    """A band reaching past either end of the grid is an error, not clamped
+    to the grid, where it would hold less than its bandwidth: [95, 105] Hz on
+    a grid ending at 100 Hz would integrate 5 Hz."""
     spectrum = flat_spectrum(value=2.0, df=1.0, n=101)
-    # band [95, 105] clamps to [95, 100]
-    assert band_power(spectrum, 100.0, 10.0) == pytest.approx(10.0, rel=1e-6, abs=0)
+    for center in (100.0, 95.1, 4.9, -5.0):
+        for read in (band_power, spectral.band_mean_psd):
+            with pytest.raises(ValueError, match="outside spectrum grid"):
+                read(spectrum, center, 10.0)
+    # the bands touching either end hold their whole bandwidth
+    for center in (95.0, 5.0):
+        assert band_power(spectrum, center, 10.0) == pytest.approx(20.0, rel=1e-12, abs=0)
+        assert spectral.band_mean_psd(spectrum, center, 10.0) == \
+            pytest.approx(2.0, rel=1e-12, abs=0)
 
 
 # --- dB --------------------------------------------------------------------------
