@@ -114,14 +114,6 @@ def _emit(run: RunConfig, stem: str, title: str, rows: list[Row], notes=(), csv=
     return 0
 
 
-def _load_engine() -> None:
-    """Import the engine modules, which only a command that runs the engine
-    loads; it does so first, before it builds or solves anything.  Loaded
-    after the modes are solved, they raised the peak RSS of a 40 s thermal
-    budget by about 1 MB."""
-    from . import spectral, timesim
-
-
 # --- modes -----------------------------------------------------------------
 
 def _modes_rows(run: RunConfig) -> list[Row]:
@@ -154,8 +146,6 @@ def _budget_report(run: RunConfig) -> tuple[NoiseBudgetReport, str]:
     """The noise budget of the run's design, and the label of its input, the
     displacement-noise PSD at each mode."""
     source = run.get("budget.x_psd_source")
-    if source == "simulated":
-        _load_engine()
     design = run.design  # its warnings ahead of any the inputs raise
     if source == "paper":
         x_psd = run.get("budget.x_psd_mode1"), run.get("budget.x_psd_mode2")
@@ -248,7 +238,7 @@ def _timeseries_sink(write, record_dt: float, squares: dict):
     return add
 
 
-def _setup(run: RunConfig, system, channels, spectra: bool, seed):
+def _setup(run: RunConfig, system, estimates, seed):
     """The plan, forcing, Welch estimates and steady-state projection that
     `_stream` runs system with, each built and checked: all that can reject
     the run raises here, before the engine starts or any file is written."""
@@ -274,13 +264,13 @@ def _setup(run: RunConfig, system, channels, spectra: bool, seed):
         harmonic, None if seed is None else timesim.StochasticDrive(run.force_psd(), seed))
 
     welch, steady = {}, None
-    if spectra:
+    if estimates:
         from . import spectral
 
         welch = {name: _planned(f"analysis.segment_length, {_RECORD_KEYS}", spectral.Welch,
                                 plan.n_samples, plan.record_dt,
                                 run.get("analysis.segment_length"), run.get("analysis.overlap"))
-                 for name in channels}
+                 for name in estimates}
         grid = next(iter(welch.values()))  # every channel's estimate has this grid
         for f in (modes.f1, modes.f2):  # the bands that the estimates are read in
             _planned("sim.dt, sim.decimation", grid.check_band, f, run.environment.bandwidth)
@@ -292,21 +282,24 @@ def _setup(run: RunConfig, system, channels, spectra: bool, seed):
     return plan, forcing, welch, steady
 
 
-def _stream(run: RunConfig, system, channels=("x1", "x2"), *, spectra=True,
-            seed=None, csv=False):
+def _stream(run: RunConfig, system, estimates=("x1", "x2"), seed=None):
     """Run the engine once on system, the run's design or one point of it;
     the one place outside `timesim` that plans, checks (`_setup`) and feeds
     a simulation.  Returns (plan, spectra, squares, steady).
 
-    The force is the configured one or, given seed, the thermal force alone
-    (`RunConfig.force_psd`) seeded with seed.  With spectra each of channels
-    gets a Welch estimate, spectra = {channel: Spectrum}; without, a harmonic
-    drive's steady state is projected (steady, else None).  With csv the
-    record goes to timeseries.csv and squares sums each channel's squares.
+    Each channel of estimates gets a Welch estimate, spectra = {channel:
+    Spectrum}; with none, a harmonic drive's steady state is projected
+    (steady, else None).  Without seed the force is the configured one, the
+    record of x1 and x2 goes to timeseries.csv and squares sums each one's
+    squares.  Given seed, the force is the thermal force alone
+    (`RunConfig.force_psd`) seeded with seed, only the estimated channels
+    are formed and nothing is written.
     """
     from . import timesim
 
-    plan, forcing, welch, steady = _setup(run, system, channels, spectra, seed)
+    plan, forcing, welch, steady = _setup(run, system, estimates, seed)
+    csv = seed is None
+    channels = ("x1", "x2") if csv else estimates
     squares = dict.fromkeys(channels, 0.0)
     consumers = [] if steady is None else [steady.add]
 
@@ -324,20 +317,18 @@ def _stream(run: RunConfig, system, channels=("x1", "x2"), *, spectra=True,
     return plan, {name: w.spectrum() for name, w in welch.items()}, squares, steady
 
 
-def _band_floors(run: RunConfig, system, seed: int, channels=("x1", "x2")) -> list[float]:
-    """Band-mean PSD of each channel at f1, then at f2, from one streamed run
-    of system under the thermal force alone, seeded with seed."""
+def _band_floors(run: RunConfig, system, seed, estimates=("x1", "x2")) -> list[float]:
+    """Band-mean PSD of each of estimates at f1, then at f2, from one
+    streamed run of system under the thermal force alone, seeded with seed."""
     from . import spectral
 
-    spectra = _stream(run, system, channels, seed=seed)[1].values()
+    spectra = _stream(run, system, estimates, seed)[1].values()
     band, modes = run.environment.bandwidth, system.modes
     return [spectral.band_mean_psd(s, f, band) for s in spectra for f in (modes.f1, modes.f2)]
 
 
 def cmd_simulate(run: RunConfig, args) -> int:
-    from . import timesim  # noqa: F401  first, see _load_engine (simulate needs no spectral)
-
-    plan, _, squares, steady = _stream(run, run.design, spectra=False, csv=True)
+    plan, _, squares, steady = _stream(run, run.design, ())
     rows = [
         Row("samples", float(plan.n_samples), "-", "recorded"),
         Row("dt", plan.record_dt, "s", "after decimation"),
@@ -379,10 +370,9 @@ def _band_rows(name: str, spectrum: spectral.Spectrum, mean_square, modes, band:
 
 
 def cmd_psd(run: RunConfig, args) -> int:
-    _load_engine()
     from . import spectral
 
-    plan, spectra, squares, _ = _stream(run, run.design, csv=True)
+    plan, spectra, squares, _ = _stream(run, run.design)
     out = _out_dir(run)
     band, modes = run.environment.bandwidth, run.design.modes
     rows = []
@@ -491,19 +481,6 @@ def cmd_resolution(run: RunConfig, args) -> int:
 
 # --- sweep --------------------------------------------------------------------
 
-SWEEP_HEADER = (
-    "kc_n_per_m,kappa,f1_hz,f2_hz,split_hz,label1,modal_q1,modal_q2,"
-    "ar_sensitivity,x_psd_mode1,x_psd_mode2,i_mot_mode1_a,i_mot_mode2_a,"
-    "i_rf_a,i_vn_a,i_in_a,i_elec_paper_a,i_elec_integrated_a,"
-    "i_system_paper_mode1_a,i_system_paper_mode2_a,"
-    "amp_res_mode1,amp_res_mode2,ar_res_mode1,ar_res_mode2,"
-    "min_detectable_norm,min_detectable_density"
-)
-SWEEP_FLOOR_HEADER = (
-    ",floor_x1_f1_psd,floor_x1_f2_psd,floor_x2_f1_psd,floor_x2_f2_psd"
-)
-
-
 # the sources every sweep point is evaluated with, whatever the run sets
 SWEEP_SOURCES = {
     "budget.x_psd_source": "analytic",
@@ -517,18 +494,17 @@ SWEEP_SOURCES = {
 def _sweep_floors(run: RunConfig) -> list:
     """Simulated floor columns, one streamed run per point of the run's
     designs: the engine takes one at a time, once every point's record and
-    bands have passed `_setup`."""
-    seed = run.require_seed()
-    points = [run.design.point(i) for i in range(len(run.system.kc))]
-    for system in points:  # one Welch estimate alive at a time
-        _setup(run, system, ("x1",), spectra=True, seed=seed)
-    floors = [_band_floors(run, system, seed + i) for i, system in enumerate(points)]
-    return list(zip(*floors))
+    bands have passed `_setup`.  Point i is seeded with the i-th child of
+    the seed's SeedSequence, so no two points share a stream."""
+    n = len(run.system.kc)
+    points = list(zip((run.design.point(i) for i in range(n)),
+                      np.random.SeedSequence(run.require_seed()).spawn(n)))
+    for system, seed in points:  # one Welch estimate alive at a time
+        _setup(run, system, ("x1",), seed)
+    return list(zip(*(_band_floors(run, system, seed) for system, seed in points)))
 
 
 def cmd_sweep(run: RunConfig, args) -> int:
-    if run.get("sweep.simulate_floor"):
-        _load_engine()
     kc = np.array(run.get("sweep.kc_values"))
     base = build_run_config(run.entries | SWEEP_SOURCES)
     try:
@@ -538,22 +514,29 @@ def cmd_sweep(run: RunConfig, args) -> int:
     base = dataclasses.replace(base, system=system)
     report, _, budget = _resolution_report(base)
     modes = base.design.modes
-    columns = [
-        kc, base.design.kappa,
-        modes.f1, modes.f2, modes.split_hz, modes.label1,
-        modes.modal_q1, modes.modal_q2, report.sensitivity,
-        *budget.x_psd, *budget.i_mot_noise,
-        budget.i_rf, budget.i_vn, budget.i_in, budget.i_total_paper, budget.i_total_integrated,
-        *budget.i_system_paper, *report.amplitude_resolution, *report.ar_resolution,
-        report.min_detectable, report.min_detectable_density,
-    ]
-    header = SWEEP_HEADER
+    columns = {
+        "kc_n_per_m": kc, "kappa": base.design.kappa, "f1_hz": modes.f1, "f2_hz": modes.f2,
+        "split_hz": modes.split_hz, "label1": modes.label1, "modal_q1": modes.modal_q1,
+        "modal_q2": modes.modal_q2, "ar_sensitivity": report.sensitivity,
+        "x_psd_mode1": budget.x_psd[0], "x_psd_mode2": budget.x_psd[1],
+        "i_mot_mode1_a": budget.i_mot_noise[0], "i_mot_mode2_a": budget.i_mot_noise[1],
+        "i_rf_a": budget.i_rf, "i_vn_a": budget.i_vn, "i_in_a": budget.i_in,
+        "i_elec_paper_a": budget.i_total_paper, "i_elec_integrated_a": budget.i_total_integrated,
+        "i_system_paper_mode1_a": budget.i_system_paper[0],
+        "i_system_paper_mode2_a": budget.i_system_paper[1],
+        "amp_res_mode1": report.amplitude_resolution[0],
+        "amp_res_mode2": report.amplitude_resolution[1],
+        "ar_res_mode1": report.ar_resolution[0], "ar_res_mode2": report.ar_resolution[1],
+        "min_detectable_norm": report.min_detectable,
+        "min_detectable_density": report.min_detectable_density,
+    }
     if run.get("sweep.simulate_floor"):
-        columns += _sweep_floors(base)
-        header += SWEEP_FLOOR_HEADER
+        columns |= zip((f"floor_{x}_{f}_psd" for x in ("x1", "x2") for f in ("f1", "f2")),
+                       _sweep_floors(base))
     out = _out_dir(run)
     # i_rf, i_in (and i_vn for a given r_x) do not depend on kc: scalars
-    write_csv(out / "sweep.csv", header, np.broadcast_arrays(*columns), run.echo_lines())
+    write_csv(out / "sweep.csv", ",".join(columns), np.broadcast_arrays(*columns.values()),
+              run.echo_lines())
     summary = [
         Row(f"kc={k:g}", split, "Hz split", f"ar_sensitivity {sens:.4g}")
         for k, split, sens in zip(kc, modes.split_hz, report.sensitivity)

@@ -76,12 +76,13 @@ class Welch:
     buffer as they arrive; once it is whole, the samples of the next segment
     that arrived before the current chunk are copied aside, and the segment
     is windowed in place, transformed into one spectrum row, and its |X|^2
-    is formed in the buffer's memory.  Segments are summed one by one within
-    blocks of _WELCH_BLOCK // segment_length segments counted from segment
-    0, and the block sums are added up, so the result does not depend on how
-    the record is cut into chunks, and the working memory, about 4.5 segment
-    lengths of doubles, depends on neither the record's nor the chunks'
-    length.
+    is formed in the buffer's memory.  Segments are summed one by one, in
+    record order, so the result does not depend on how the record is cut
+    into chunks, and the working memory, about 4.5 segment lengths of
+    doubles, depends on neither the record's nor the chunks' length.  The
+    sum runs within blocks of _WELCH_BLOCK // segment_length segments counted
+    from segment 0, and the block sums are added up; that grouping only sets
+    how the sum rounds.
     """
 
     def __init__(

@@ -107,18 +107,21 @@ class HarmonicDrive:
 class StochasticDrive:
     """White thermal force with one-sided PSD force_psd[i] on resonator i + 1.
 
-    Each resonator with a nonzero entry has its own independent stream; the
-    k-th of them, in resonator order, is seeded with seed ^ k.
+    Each resonator with a nonzero entry has its own independent stream, all
+    from one `numpy.random.SeedSequence` tree: seed is a non-negative integer
+    or a SeedSequence, the 0-th stream in resonator order draws from seed's
+    SeedSequence itself and the k-th from its child with spawn key + (k,).
     """
 
     force_psd: tuple[float, float]  # N^2/Hz, one-sided, (S1, S2)
-    seed: int
+    seed: int | np.random.SeedSequence
 
     def __post_init__(self) -> None:
         if len(self.force_psd) != 2 or min(self.force_psd) < 0:
             raise ValueError("force_psd must be two entries (S1, S2), each >= 0")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        if not (isinstance(self.seed, np.random.SeedSequence)
+                or isinstance(self.seed, int) and self.seed >= 0):
+            raise ValueError("seed must be a non-negative integer or a SeedSequence")
 
     @property
     def target(self) -> str:
@@ -219,11 +222,17 @@ def _rk4_update_matrices(
 
 def _noise_streams(drive: StochasticDrive | None, dt: float):
     """(input row, generator, sigma) of each stochastic force stream: one per
-    resonator with a nonzero force PSD, in order, the k-th seeded seed ^ k."""
+    resonator with a nonzero force PSD, in order, the 0-th drawing from the
+    seed's SeedSequence and the k-th from its child with spawn key + (k,)."""
     if drive is None:
         return []
+    root = drive.seed
+    if not isinstance(root, np.random.SeedSequence):
+        root = np.random.SeedSequence(root)
     driven = [(row, psd) for row, psd in enumerate(drive.force_psd) if psd > 0]
-    return [(row, np.random.default_rng(drive.seed ^ k), math.sqrt(psd / (2.0 * dt)))
+    return [(row, np.random.default_rng(np.random.SeedSequence(
+                root.entropy, spawn_key=root.spawn_key + (k,)) if k else root),
+             math.sqrt(psd / (2.0 * dt)))
             for k, (row, psd) in enumerate(driven)]
 
 

@@ -287,12 +287,13 @@ FORCE_PAIR = {"system.c2": "0.0062", "forcing.noise_psd": "auto", "sim.seed": "3
 
 @pytest.mark.filterwarnings("ignore:cc differs from c1/c2")
 @pytest.mark.parametrize("target", ["1", "2", "both"])
-def test_engine_and_analytic_read_one_force_pair(target, monkeypatch):
+def test_engine_and_analytic_read_one_force_pair(target):
     """With c2 = 2 c1, RunConfig.force_psd is 4 kB T c_i on the targets; the
-    engine, fed by cli._stream with the configured forcing or the floors'
-    thermal force alone, draws one stream per nonzero S_i, the k-th seeded
-    seed ^ k, with sigma_i^2 2 dt = S_i; the analytic route is
-    sum_j |h_1j|^2 S_j of the same pair."""
+    engine, set up by cli._setup with the configured forcing or the floors'
+    thermal force alone, draws one stream per nonzero S_i, the 0-th from
+    SeedSequence(seed) and the k-th from its child with spawn key (k,), with
+    sigma_i^2 2 dt = S_i; the analytic route is sum_j |h_1j|^2 S_j of the
+    same pair."""
     run = build_run_config(FORCE_PAIR | {"forcing.noise_target": target})
     s_f = run.force_psd()
     kt4 = 4.0 * BOLTZMANN * 300.0
@@ -301,19 +302,17 @@ def test_engine_and_analytic_read_one_force_pair(target, monkeypatch):
                                 rel=1e-12, abs=0)
     system = run.design
     modes = system.modes
-    fed = []  # the (forcing, plan) of each run cli._stream starts
-    monkeypatch.setattr(timesim, "simulate", lambda _, forcing, plan, *rest: fed.append(
-        (forcing, plan)))
-    dt = cli._stream(run, system, spectra=False)[0].dt
-    cli._stream(run, system, spectra=False, seed=3)
-    configured, floor = (forcing.stochastic for forcing, _ in fed)
-    assert floor == configured and fed[0][1] == fed[1][1]
+    (plan, forcing, *_), (floor_plan, floor, *_) = (cli._setup(run, system, (), seed)
+                                                     for seed in (None, 3))
+    configured, dt = forcing.stochastic, plan.dt
+    assert floor.stochastic == configured and floor_plan == plan
     streams = timesim._noise_streams(configured, dt)
     assert [row for row, _, _ in streams] == [j for j in (0, 1) if s_f[j] > 0]
     for k, (row, rng, sigma) in enumerate(streams):
         assert sigma**2 * 2.0 * dt == pytest.approx(s_f[row], rel=1e-12, abs=0)
+        seed = np.random.SeedSequence(3, spawn_key=(k,) if k else ())
         assert np.array_equal(rng.standard_normal(8),
-                              np.random.default_rng(3 ^ k).standard_normal(8))
+                              np.random.default_rng(seed).standard_normal(8))
     x_psd = analytic_displacement_psd(system, s_f)
     for f_mode, got in zip((modes.f1, modes.f2), x_psd):
         h = oracle_receptance(system.mass, system.damping, system.stiffness, f_mode)
@@ -766,6 +765,45 @@ def test_sweep_simulate_floor_seeded(tmp_path):
     assert (dirs[0] / "sweep.csv").read_bytes() == (dirs[1] / "sweep.csv").read_bytes()
 
 
+def test_floor_points_draw_no_stream_of_another(tmp_path):
+    """Two floor points at one kc under target both, at an even seed, draw
+    their own forces: point 1's floors are not point 0's with the resonators
+    swapped, which seeding point i with seed + i and its k-th stream with
+    (seed + i) ^ k gives."""
+    cfg = tmp_path / "floor.cfg"
+    cfg.write_text("sweep.kc_values = -393.5, -393.5\nsweep.simulate_floor = true\n"
+                   "forcing.noise_target = both\nsim.duration = 0.3\n")
+    assert run_cli("sweep", "--config", str(cfg), "--seed", "2", "--out", str(tmp_path)) == 0
+    header, rows = read_csv_table(tmp_path / "sweep.csv")
+    point0, point1 = ({c: cell for c, cell in zip(header, r) if c.startswith("floor_")}
+                      for r in rows)
+    assert len(point0) == 4
+    assert set(point0.values()).isdisjoint(point1.values()), (point0, point1)
+
+
+def test_every_floor_stream_has_its_own_seed_sequence(tmp_path, monkeypatch):
+    """Over a 4-point floor sweep under target both, the eight noise streams
+    of the drives `_setup` builds each draw from a SeedSequence of its own
+    (entropy, spawn key), all in the one tree of the run's seed."""
+    drives, setup = [], cli._setup
+
+    def spy(*args):
+        built = setup(*args)
+        drives.append(built[1].stochastic)
+        return built
+
+    monkeypatch.setattr(cli, "_setup", spy)
+    cfg = tmp_path / "floor.cfg"
+    cfg.write_text("sweep.kc_values = -393.5, -1000, -393.5, 250\nsweep.simulate_floor = true\n"
+                   "forcing.noise_target = both\nsim.duration = 0.3\n")
+    assert run_cli("sweep", "--config", str(cfg), "--seed", "2", "--out", str(tmp_path)) == 0
+    sequences = [rng.bit_generator.seed_seq for drive in drives
+                 for _, rng, _ in timesim._noise_streams(drive, 1e-5)]
+    assert len(sequences) == 2 * len(drives) >= 16
+    assert len({(s.entropy, s.spawn_key) for s in sequences}) == 8
+    assert {s.entropy for s in sequences} == {2}
+
+
 def test_simulated_budget_memory_flat_in_duration(tmp_path, monkeypatch):
     """Every command that simulates streams the engine's record: the
     simulated budget route into Welch, psd and simulate into their sums and
@@ -1016,45 +1054,58 @@ print(json.dumps(loaded))
 def test_only_engine_runs_import_the_engine(tmp_path):
     """Importing the CLI leaves `timesim` and `spectral` unloaded, and so do
     `modes`, `resolution`, a budget from the published PSD and a sweep that
-    does not simulate its floors; a simulated budget loads both."""
-    (tmp_path / "simulated.cfg").write_text("budget.x_psd_source = simulated\n" + NOISE_CFG)
-    runs = [
-        ["modes", "--config", "paper-reference"],
-        ["resolution", "--config", "paper-reference"],
-        ["budget", "--config", "paper-reference"],
-        ["sweep", "--config", "paper-reference"],
-        ["budget", "--config", str(tmp_path / "simulated.cfg"), "--seed", "5"],
+    does not simulate its floors; a harmonic `simulate` loads `timesim`
+    alone, and a simulated budget, `psd` and a floor sweep each load both."""
+    simulated, harmonic, floor = (tmp_path / f"{name}.cfg"
+                                  for name in ("simulated", "harmonic", "floor"))
+    simulated.write_text("budget.x_psd_source = simulated\n" + NOISE_CFG)
+    harmonic.write_text("forcing.harmonic_amplitude = 1e-6\nsim.duration = 0.05\n")
+    floor.write_text("sweep.simulate_floor = true\nsim.duration = 0.3\n"
+                     "sweep.kc_values = -393.5\n")
+    # each session's runs in one interpreter, and what is loaded after its
+    # import and after each run
+    sessions = [
+        ([["modes", "--config", "paper-reference"],
+          ["resolution", "--config", "paper-reference"],
+          ["budget", "--config", "paper-reference"],
+          ["sweep", "--config", "paper-reference"],
+          ["simulate", "--config", str(harmonic)],
+          ["budget", "--config", str(simulated), "--seed", "5"]],
+         [[False, False]] * 5 + [[True, False], [True, True]]),
+        ([["psd", "--config", str(simulated), "--seed", "5"]], [[False, False], [True, True]]),
+        ([["sweep", "--config", str(floor), "--seed", "5"]], [[False, False], [True, True]]),
     ]
-    script = f"""
+    for i, (runs, want) in enumerate(sessions):
+        script = f"""
 import json, sys, warnings
 warnings.simplefilter("ignore")
 from crnoise.cli import main
 def engine():
     return [m in sys.modules for m in ("crnoise.timesim", "crnoise.spectral")]
 loaded = [engine()]
-for i, argv in enumerate({runs!r}):
-    assert main(argv + ["--out", {str(tmp_path)!r} + f"/out{{i}}"]) == 0, argv
+for argv in {runs!r}:
+    assert main(argv + ["--out", {str(tmp_path)!r} + f"/out{i}-{{len(loaded)}}"]) == 0, argv
     loaded.append(engine())
 print(json.dumps(loaded))
 """
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[False, False]] * 5 + [[True, True]]
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == want, runs
 
 
-# each command's config (with system.cc = 0.001, which warns) and whether it runs the engine
+# each command and its config (with system.cc = 0.001, which warns)
 ONE_DESIGN_RUNS = {
-    "modes": ("modes", "", False),
-    "budget_paper": ("budget", "", False),
-    "budget_analytic": ("budget", "budget.x_psd_source = analytic\n", False),
+    "modes": ("modes", ""),
+    "budget_paper": ("budget", ""),
+    "budget_analytic": ("budget", "budget.x_psd_source = analytic\n"),
     "budget_simulated": ("budget", "budget.x_psd_source = simulated\n" + NOISE_CFG
-                         + "sim.seed = 1\n", True),
-    "resolution": ("resolution", "budget.x_psd_source = analytic\n", False),
-    "sweep": ("sweep", "", False),
+                         + "sim.seed = 1\n"),
+    "resolution": ("resolution", "budget.x_psd_source = analytic\n"),
+    "sweep": ("sweep", ""),
     "sweep_floor": ("sweep", "sweep.simulate_floor = true\nsim.duration = 0.3\nsim.seed = 1\n"
-                    "sweep.kc_values = -393.5, -1000, 250\n", True),
-    "psd": ("psd", NOISE_CFG + "sim.seed = 1\n", True),
-    "simulate": ("simulate", "forcing.harmonic_amplitude = 1e-6\nsim.duration = 0.05\n", True),
+                    "sweep.kc_values = -393.5, -1000, 250\n"),
+    "psd": ("psd", NOISE_CFG + "sim.seed = 1\n"),
+    "simulate": ("simulate", "forcing.harmonic_amplitude = 1e-6\nsim.duration = 0.05\n"),
 }
 
 
@@ -1062,9 +1113,9 @@ ONE_DESIGN_RUNS = {
 def test_one_design_per_command(name, tmp_path):
     """Every command resolves one design: `build_system` and `mode_analysis`
     each run once (a floor sweep's per-point designs are `point(i)` of it),
-    `RunConfig.design` is their only caller, the cc warning is raised once,
-    and a command that runs the engine has loaded it before the design."""
-    command, text, engine = ONE_DESIGN_RUNS[name]
+    `RunConfig.design` is their only caller, and the cc warning is raised
+    once."""
+    command, text = ONE_DESIGN_RUNS[name]
     cfg = tmp_path / "run.cfg"
     cfg.write_text("system.cc = 0.001\n" + text)
     argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
@@ -1075,7 +1126,7 @@ from crnoise.cli import main
 calls = []
 def spy(fn):
     def counted(*args):
-        calls.append([fn.__name__, "crnoise.timesim" in sys.modules])
+        calls.append(fn.__name__)
         return fn(*args)
     return counted
 config.build_system = spy(sysmodel.build_system)
@@ -1089,7 +1140,7 @@ print(json.dumps([status, calls, [str(w.message) for w in caught]]))
     assert proc.returncode == 0, proc.stderr
     status, calls, messages = json.loads(proc.stdout.splitlines()[-1])
     assert status == 0
-    assert calls == [["build_system", engine], ["mode_analysis", engine]]
+    assert calls == ["build_system", "mode_analysis"]
     assert sum(m.startswith("cc differs from c1/c2") for m in messages) == 1, messages
     assert not re.search("build_system|mode_analysis", inspect.getsource(cli))
 
