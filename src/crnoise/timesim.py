@@ -107,10 +107,11 @@ class HarmonicDrive:
 class StochasticDrive:
     """White thermal force with one-sided PSD force_psd[i] on resonator i + 1.
 
-    Each resonator with a nonzero entry has its own independent stream, all
-    from one `numpy.random.SeedSequence` tree: seed is a non-negative integer
-    or a SeedSequence, the 0-th stream in resonator order draws from seed's
-    SeedSequence itself and the k-th from its child with spawn key + (k,).
+    Each resonator with a nonzero entry has its own independent stream.  seed
+    is a non-negative integer or a `numpy.random.SeedSequence`; the 0-th
+    stream in resonator order draws from seed itself, and the k-th from
+    seed ^ k for an integer, or from the SeedSequence's child with spawn key
+    + (k,).
     """
 
     force_psd: tuple[float, float]  # N^2/Hz, one-sided, (S1, S2)
@@ -223,16 +224,19 @@ def _rk4_update_matrices(
 def _noise_streams(drive: StochasticDrive | None, dt: float):
     """(input row, generator, sigma) of each stochastic force stream: one per
     resonator with a nonzero force PSD, in order, the 0-th drawing from the
-    seed's SeedSequence and the k-th from its child with spawn key + (k,)."""
+    seed itself and the k-th from seed ^ k, or from a SeedSequence seed's
+    child with spawn key + (k,)."""
     if drive is None:
         return []
-    root = drive.seed
-    if not isinstance(root, np.random.SeedSequence):
-        root = np.random.SeedSequence(root)
+    seed = drive.seed
+
+    def stream_seed(k: int):
+        if not isinstance(seed, np.random.SeedSequence):
+            return seed ^ k
+        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (k,)) if k else seed
+
     driven = [(row, psd) for row, psd in enumerate(drive.force_psd) if psd > 0]
-    return [(row, np.random.default_rng(np.random.SeedSequence(
-                root.entropy, spawn_key=root.spawn_key + (k,)) if k else root),
-             math.sqrt(psd / (2.0 * dt)))
+    return [(row, np.random.default_rng(stream_seed(k)), math.sqrt(psd / (2.0 * dt)))
             for k, (row, psd) in enumerate(driven)]
 
 

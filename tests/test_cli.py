@@ -290,10 +290,9 @@ FORCE_PAIR = {"system.c2": "0.0062", "forcing.noise_psd": "auto", "sim.seed": "3
 def test_engine_and_analytic_read_one_force_pair(target):
     """With c2 = 2 c1, RunConfig.force_psd is 4 kB T c_i on the targets; the
     engine, set up by cli._setup with the configured forcing or the floors'
-    thermal force alone, draws one stream per nonzero S_i, the 0-th from
-    SeedSequence(seed) and the k-th from its child with spawn key (k,), with
-    sigma_i^2 2 dt = S_i; the analytic route is sum_j |h_1j|^2 S_j of the
-    same pair."""
+    thermal force alone, draws one stream per nonzero S_i, the k-th seeded
+    seed ^ k, with sigma_i^2 2 dt = S_i; the analytic route is
+    sum_j |h_1j|^2 S_j of the same pair."""
     run = build_run_config(FORCE_PAIR | {"forcing.noise_target": target})
     s_f = run.force_psd()
     kt4 = 4.0 * BOLTZMANN * 300.0
@@ -310,9 +309,8 @@ def test_engine_and_analytic_read_one_force_pair(target):
     assert [row for row, _, _ in streams] == [j for j in (0, 1) if s_f[j] > 0]
     for k, (row, rng, sigma) in enumerate(streams):
         assert sigma**2 * 2.0 * dt == pytest.approx(s_f[row], rel=1e-12, abs=0)
-        seed = np.random.SeedSequence(3, spawn_key=(k,) if k else ())
         assert np.array_equal(rng.standard_normal(8),
-                              np.random.default_rng(seed).standard_normal(8))
+                              np.random.default_rng(3 ^ k).standard_normal(8))
     x_psd = analytic_displacement_psd(system, s_f)
     for f_mode, got in zip((modes.f1, modes.f2), x_psd):
         h = oracle_receptance(system.mass, system.damping, system.stiffness, f_mode)

@@ -129,8 +129,7 @@ def test_update_map_matches_textbook_rk4(reference):
 def _oracle_forces(forcing, plan):
     """(harmonic(t), noise) as the engine documents them: the harmonic force
     on each resonator at time t, and the held noise force of every step
-    (the k-th resonator with a nonzero force PSD drawing from the seed's
-    SeedSequence with spawn key (k,), the 0-th from the seed itself), shape
+    (the k-th resonator with a nonzero force PSD seeded seed ^ k), shape
     (2, n_steps)."""
     n_steps = int(round(plan.duration / plan.dt))
     noise = np.zeros((2, n_steps))
@@ -139,8 +138,7 @@ def _oracle_forces(forcing, plan):
         driven = [(row, psd) for row, psd in enumerate(drive.force_psd) if psd > 0]
         for k, (row, psd) in enumerate(driven):
             sigma = math.sqrt(psd / (2 * plan.dt))
-            seed = np.random.SeedSequence(drive.seed, spawn_key=(k,) if k else ())
-            noise[row] = np.random.default_rng(seed).standard_normal(n_steps) * sigma
+            noise[row] = np.random.default_rng(drive.seed ^ k).standard_normal(n_steps) * sigma
 
     def harmonic(t):
         force = np.zeros(2)
