@@ -54,6 +54,7 @@ stream equals force_psd[i].
 from __future__ import annotations
 
 import math
+import operator
 import threading
 import warnings
 from dataclasses import dataclass, field
@@ -108,10 +109,10 @@ class StochasticDrive:
     """White thermal force with one-sided PSD force_psd[i] on resonator i + 1.
 
     Each resonator with a nonzero entry has its own independent stream.  seed
-    is a non-negative integer or a `numpy.random.SeedSequence`; the 0-th
-    stream in resonator order draws from seed itself, and the k-th from
-    seed ^ k for an integer, or from the SeedSequence's child with spawn key
-    + (k,).
+    is a non-negative integer of any integer type but bool (kept as a Python
+    int) or a `numpy.random.SeedSequence`; the 0-th stream in resonator order
+    draws from seed itself, and the k-th from seed ^ k for an integer, or
+    from the SeedSequence's child with spawn key + (k,).
     """
 
     force_psd: tuple[float, float]  # N^2/Hz, one-sided, (S1, S2)
@@ -120,9 +121,15 @@ class StochasticDrive:
     def __post_init__(self) -> None:
         if len(self.force_psd) != 2 or min(self.force_psd) < 0:
             raise ValueError("force_psd must be two entries (S1, S2), each >= 0")
-        if not (isinstance(self.seed, np.random.SeedSequence)
-                or isinstance(self.seed, int) and self.seed >= 0):
+        if isinstance(self.seed, np.random.SeedSequence):
+            return
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            seed = None
+        if isinstance(self.seed, bool) or seed is None or seed < 0:
             raise ValueError("seed must be a non-negative integer or a SeedSequence")
+        object.__setattr__(self, "seed", seed)
 
     @property
     def target(self) -> str:

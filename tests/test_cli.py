@@ -958,22 +958,6 @@ def test_outputs_independent_of_chunk_length(tmp_path, monkeypatch):
 
 # --- determinism and round-trip -----------------------------------------------------
 
-def test_stochastic_csv_byte_identical(tmp_path):
-    """Same seed, two runs of the installed CLI: byte-identical CSVs."""
-    dirs = (tmp_path / "a", tmp_path / "b")
-    cfg = tmp_path / "noise.cfg"
-    cfg.write_text("forcing.noise_psd = auto\nsim.duration = 0.3\n")
-    for d in dirs:
-        proc = subprocess.run(
-            [sys.executable, "-m", "crnoise.cli", "psd", "--config", str(cfg),
-             "--seed", "77", "--out", str(d)],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-    for name in ("timeseries.csv", "spectrum_x1.csv", "spectrum_x2.csv"):
-        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
-
-
 def test_light_commands_import_no_scipy(tmp_path):
     """The package runs on numpy alone: with scipy made unimportable, all six
     commands run, the simulated budget route and a sweep that simulates its
@@ -992,6 +976,7 @@ def test_light_commands_import_no_scipy(tmp_path):
         ["resolution", "--config", "paper-reference"],
         ["sweep", "--config", "paper-reference"],
         ["psd", "--config", str(tmp_path / "noise.cfg"), "--seed", "5"],
+        ["psd", "--config", "paper-reference", "--seed", "1"],
         ["simulate", "--config", str(tmp_path / "harmonic.cfg")],
         ["budget", "--config", str(tmp_path / "simulated.cfg"), "--seed", "5"],
         ["sweep", "--config", str(tmp_path / "floor.cfg"), "--seed", "5", "--kc", "-393.5"],
@@ -1202,17 +1187,26 @@ print(json.dumps([loaded, names, sorted(set(crnoise.__all__) - set(dir(crnoise))
 
 
 def test_warning_printed_without_source_path(tmp_path):
-    """At the process entry a warning prints as one `cr-noise-lab: warning:`
-    line, with no source file or line of the package."""
-    cfg = tmp_path / "harmonic.cfg"
-    cfg.write_text("forcing.harmonic_amplitude = 1e-6\nforcing.harmonic_frequency = mode1\n"
-                   "sim.duration = 2\nsim.decimation = 25\n")
-    proc = subprocess.run([sys.executable, "-m", "crnoise.cli", "simulate", "--config", str(cfg),
-                           "--out", str(tmp_path / "out")], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ("cr-noise-lab: warning: run covers 4949 drive cycles, "
-                           "below the 5*Q = 12755 settling guideline\n")
-    assert ".py:" not in proc.stderr
+    """At the process entry each warning prints as one `cr-noise-lab: warning:`
+    line, with no source file or line of the package: a short drive on mode 1
+    at the default step warns of settling only, and one on mode 2 at 25 steps
+    per period also of the RK4 step's bias."""
+    settling = "cr-noise-lab: warning: run covers {} drive cycles, below the 5*Q = 12755 " \
+               "settling guideline\n"
+    cases = [
+        ("forcing.harmonic_frequency = mode1\nsim.decimation = 25\n", settling.format(4949)),
+        ("forcing.harmonic_frequency = mode2\nforcing.harmonic_target = 2\nsim.dt = 1.6112e-05\n",
+         settling.format(4965) + "cr-noise-lab: warning: dt = 1.6112e-05 s: the RK4 step biases "
+         "the settled amplitude at 2482.66 Hz by -4.6%, beyond the 1% guideline\n"),
+    ]
+    for i, (text, stderr) in enumerate(cases):
+        cfg = tmp_path / f"harmonic{i}.cfg"
+        cfg.write_text("forcing.harmonic_amplitude = 1e-6\nsim.duration = 2\n" + text)
+        proc = subprocess.run([sys.executable, "-m", "crnoise.cli", "simulate", "--config",
+                               str(cfg), "--out", str(tmp_path / f"out{i}")],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == stderr
 
 
 def test_heap_frozen_only_at_process_entry(tmp_path):

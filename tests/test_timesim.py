@@ -69,6 +69,21 @@ def test_zero_psd_gives_zero_series():
     assert _noise_streams(StochasticDrive(force_psd=(0.0, 0.0), seed=1), 1e-5) == []
 
 
+def test_numpy_integer_seed_draws_as_the_equal_int():
+    """A numpy integer seed is kept as the equal Python int and draws the
+    same streams; a bool is not a seed."""
+    def draws(seed):
+        drive = StochasticDrive(force_psd=(1e-22, 2e-22), seed=seed)
+        assert type(drive.seed) is int
+        return [(row, sigma, rng.standard_normal(4).tolist())
+                for row, rng, sigma in _noise_streams(drive, 1e-5)]
+
+    assert draws(np.int64(7)) == draws(np.uint32(7)) == draws(7)
+    for seed in (True, np.True_, np.int64(-1), 7.0):
+        with pytest.raises(ValueError, match="seed must be"):
+            StochasticDrive(force_psd=(1e-22, 0.0), seed=seed)
+
+
 def test_sample_variance_matches_psd():
     psd, dt = 5.136e-23, 8e-6
     samples = engine_force_samples(psd, dt, 1_000_000, seed=42)
@@ -955,19 +970,6 @@ def test_free_decay_envelope():
     ratio = window_amplitude(n2) / window_amplitude(n1)
     cycles_per_efold = -(n2 - n1) / math.log(ratio)
     assert cycles_per_efold == pytest.approx(q / math.pi, rel=0.05, abs=0)
-
-
-def test_equipartition_value():
-    """Thermal drive at 4 kB T c gives <x^2> = kB T / k (quick version)."""
-    from crnoise.noisebudget import BOLTZMANN, Environment, thermal_force_psd
-
-    cfg, system, modes = single_resonator(q=100.0)
-    psd = thermal_force_psd(cfg.c1, Environment(temperature=300.0, bandwidth=10.0))
-    plan = SimulationPlan(dt=default_timestep(modes), duration=12.0)
-    series = collect(system, Forcing(stochastic=StochasticDrive((psd, 0.0), seed=314)), plan)
-    skip = int(0.1 * series.n_samples)
-    x_sq = float(np.mean(series.x1[skip:] ** 2))
-    assert x_sq == pytest.approx(BOLTZMANN * 300.0 / cfg.km1, rel=0.10, abs=0)
 
 
 # --- steady-state projection -----------------------------------------------------
