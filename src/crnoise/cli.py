@@ -232,8 +232,8 @@ def _timeseries_sink(write, record_dt: float, squares: dict):
         x1, x2 = chunk["x1"], chunk["x2"]
         write((np.arange(first, first + x1.size) * record_dt, x1, x2))
         first += x1.size
-        for name in squares:
-            squares[name] += float(np.dot(chunk[name], chunk[name]))
+        for name in squares:  # einsum: np.dot would wake an idle BLAS thread per chunk
+            squares[name] += float(np.einsum("i,i->", chunk[name], chunk[name]))
 
     return add
 

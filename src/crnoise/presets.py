@@ -13,6 +13,7 @@ import importlib.resources
 import math
 
 from .config import RunConfig, build_run_config, parse_config_text
+from .errors import ConfigError
 from .sysmodel import SystemConfig
 
 PRESET_NAMES = ("paper-reference", "uncoupled-demo")
@@ -46,10 +47,11 @@ def uncoupled_system(q: float = 100.0) -> SystemConfig:
 
 
 def preset_text(name: str) -> str:
-    """Raw config text of a shipped preset."""
+    """Raw config text of a shipped preset; ConfigError if its file cannot be read."""
     if name not in PRESET_NAMES:
         raise KeyError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-    filename = name.replace("-", "_") + ".cfg"
-    return (
-        importlib.resources.files("crnoise").joinpath("data", filename).read_text("utf-8")
-    )
+    path = importlib.resources.files("crnoise").joinpath("data", name.replace("-", "_") + ".cfg")
+    try:
+        return path.read_text("utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read shipped preset {name!r} from {path}: {exc}") from exc

@@ -22,16 +22,22 @@ products round alike under any power-of-two scaling of the state, so
 positions and velocities need no common scale, and one code path serves
 defective and critically damped Phi as well.
 
-The engine works through the run in chunks of 2^16 steps and hands out each
+The engine works through the run in chunks of steps and hands out each
 chunk's recorded samples as soon as they are formed, in arrays of their own.
-`simulate` passes them to one sink as a {channel: samples} dict, forming
-only the channels it is asked for and holding no record, so its memory does
-not grow with the run's length.  The sink runs on a worker thread, which
-takes each chunk from a queue of up to 4 chunks while the engine forms the
-next ones (at most 4 x 0.5 MB per recorded channel wait in it); numpy
+The chunk length follows the buffers a run holds per step: a run that draws
+thermal noise scans six rows of its chunk (four of the scan, a noise row and
+a product row) and takes chunks of 2^14 steps (0.75 MB of buffers), while a
+noise-free run holds only the product row and takes 2^16, since shorter
+chunks would only add to its per-chunk steady-state and sink work.
+`simulate` passes the chunks to one sink as a {channel: samples} dict,
+forming only the channels it is asked for and holding no record, so its
+memory does not grow with the run's length.  The sink runs on a worker
+thread, which takes each chunk from a queue while the engine forms the next
+ones.  The queue holds up to 2^18 steps of chunks (16 of a noise run, 4 of
+a noise-free one), so at most 2 MB per recorded channel wait in it; numpy
 releases the GIL in the scan's array operations, the noise draws and the
 FFTs, so on two cores the engine and, say, a Welch estimate overlap, the
-engine running ahead while a long Welch segment is transformed.
+engine running a whole 2^19-point Welch transform ahead.
 
 Harmonic drives a.sin(w t + phase), taken at the true substep times (full
 4th-order accuracy), enter by superposition: the recursion's exact steady
@@ -67,9 +73,10 @@ from .sysmodel import Modes, System, frequency_response
 # steps per period of the fastest mode
 _DEFAULT_STEPS_PER_PERIOD = 50
 _MIN_STEPS_PER_PERIOD = 20
+# steps per chunk of a noise-free run; a noise run takes a quarter of it (_chunking)
 _CHUNK_STEPS = 1 << 16
-# chunks the engine may run ahead of its sink: one 2^19-point Welch step spans
-# 4 chunks, and its transform about as many chunks of engine work
+# the engine may run _HANDOFF_CHUNKS x _CHUNK_STEPS steps ahead of its sink: one
+# 2^19-point Welch step spans that many, and its transform about as much engine work
 _HANDOFF_CHUNKS = 4
 # longest block of the prefix scan, and the largest growth |a|^-L (or |a|^L)
 # of its weights over one block
@@ -258,13 +265,14 @@ def simulate(
 
     system is one resolved design (`sysmodel.build_system`), whose (A, B) and
     modes the engine reads.  The classical RK4 recursion is evaluated as a
-    blocked prefix scan (see the module docstring) in fixed-size chunks of
-    steps, recording every plan.record_decimation-th state.  Only the requested
-    channels (of "x1", "x2", "v1", "v2") are formed.  sink is called with a
-    {channel: samples} dict for each chunk of recorded samples, the initial
-    state first; the calls come in order on one worker thread while the engine
-    forms the next chunks, and the sink may keep the arrays, which the engine
-    never touches again.  An exception the sink raises stops the run and is
+    blocked prefix scan (see the module docstring) in chunks of 2^14 steps
+    with thermal noise and 2^16 without (`_chunking`), recording every
+    plan.record_decimation-th state.  Only the requested channels (of "x1",
+    "x2", "v1", "v2") are formed.  sink is called with a {channel: samples}
+    dict for each chunk of recorded samples, the initial state first; the
+    calls come in order on one worker thread while the engine forms the next
+    chunks, and the sink may keep the arrays, which the engine never touches
+    again.  An exception the sink raises stops the run and is
     raised here; the worker thread has ended whenever simulate returns or
     raises.  NumericalError is raised on a non-finite sample, and after the run
     if a channel's steady states outweigh its full scale so far that their
@@ -278,6 +286,8 @@ def simulate(
         raise ValueError(f"channels {sorted(channels)}: name one or more of x1, x2, v1, v2")
 
     phi, g0, gm, g1 = _rk4_update_matrices(system.a, system.b, plan.dt)
+    streams = _noise_streams(forcing.stochastic, plan.dt)
+    chunk_steps, depth = _chunking(bool(streams))
     # rise[i, m, k] = (Phi^k)_im, k < L
     rise = np.moveaxis(_powers(phi, _scan_block_length(phi)), 0, -1).copy()
 
@@ -313,7 +323,8 @@ def simulate(
         """The record's chunks, steady states added, checked for non-finite samples."""
         yield {name: x0[row : row + 1] for name, row in rows.items()}  # as given, bit for bit
         first = 1  # index of the chunk's first sample in the record
-        for chunk in _run_scan(phi, rise, g0 + gm + g1, start, forcing.stochastic, plan, rows):
+        for chunk in _run_scan(phi, rise, g0 + gm + g1, start, streams, plan, rows,
+                               chunk_steps):
             if drives:
                 _add_steady(chunk, drives, plan, first)
             for name, data in chunk.items():
@@ -328,7 +339,7 @@ def simulate(
             first += data.size
             yield chunk
 
-    _drain(sink, checked())
+    _drain(sink, checked(), depth)
     for name, row in rows.items():
         if peak[name] and _STEADY_ROUNDING * steady[row] > _MAX_ROUNDING * peak[name]:
             raise NumericalError(
@@ -349,21 +360,34 @@ def simulate(
     return TimeSeries(dt=plan.record_dt, n_samples=plan.n_samples, metadata=metadata)
 
 
-def _drain(sink, chunks) -> None:
+def _chunking(noise: bool) -> tuple[int, int]:
+    """(steps per chunk, chunks the sink's queue holds) of a run with or
+    without thermal noise streams.  A chunk is whole _SCAN_BLOCK-step blocks,
+    a quarter of _CHUNK_STEPS for a noise run (its scan buffers hold six rows
+    of the chunk) and all of it otherwise; the queue holds _HANDOFF_CHUNKS x
+    _CHUNK_STEPS steps of either."""
+    steps = _CHUNK_STEPS // 4 if noise else _CHUNK_STEPS
+    chunk = max(_SCAN_BLOCK, steps // _SCAN_BLOCK * _SCAN_BLOCK)
+    return chunk, _HANDOFF_CHUNKS * _CHUNK_STEPS // chunk
+
+
+def _drain(sink, chunks, depth: int) -> None:
     """Pass each of chunks to sink on a worker thread, in order, while this
     thread forms the next ones.
 
-    A queue of up to _HANDOFF_CHUNKS chunks lies between the two threads, so
-    the engine runs that far ahead of a slow sink; it bounds only memory
-    (_HANDOFF_CHUNKS x 0.5 MB per recorded channel at most), for the worker
-    never sees an array the engine still writes.  The first exception the
-    sink raises is raised here, and no later chunk is passed on; one raised
-    while forming the chunks drops every chunk still queued.  The worker has
-    ended whenever this returns or raises.
+    A queue of up to depth chunks lies between the two threads, so the
+    engine runs that far ahead of a slow sink: _chunking sets it to
+    _HANDOFF_CHUNKS x _CHUNK_STEPS = 2^18 steps, 16 chunks of a noise run and
+    4 of a noise-free one.  It bounds only memory (2^18 samples, 2 MB, per
+    recorded channel at most), for the worker never sees an array the engine
+    still writes.  The first exception the sink raises is raised here, and
+    no later chunk is passed on; one raised while forming the chunks drops
+    every chunk still queued.  The worker has ended whenever this returns
+    or raises.
     """
     import queue  # ~1.5 ms, paid by simulating runs only
 
-    todo = queue.Queue(maxsize=_HANDOFF_CHUNKS)
+    todo = queue.Queue(maxsize=depth)
     stop = []  # the first exception on either thread; no chunk is passed on after it
 
     def work():
@@ -400,8 +424,8 @@ def _powers(m, count):
     """m^k for k < count, as a running product, in one (count, 4, 4) array."""
     powers = np.empty((count, 4, 4))
     powers[0] = np.eye(4)
-    for k in range(1, count):
-        np.matmul(powers[k - 1], m, out=powers[k])
+    for k in range(1, count):  # the bits of np.matmul's, at half its cost
+        powers[k - 1].dot(m, out=powers[k])
     return powers
 
 
@@ -470,10 +494,11 @@ def _add_steady(chunk, drives, plan, first):
             chunk[name] += (re * y_im[k] + im * y_re[k]).reshape(-1)[offset : offset + count]
 
 
-def _run_scan(phi, rise, g_zoh, x0, stochastic, plan, rows):
+def _run_scan(phi, rise, g_zoh, x0, streams, plan, rows, chunk):
     """Evaluate x[n+1] = Phi x[n] + g_zoh u[n] from x0, u the held noise force
-    (none if stochastic is None), as a blocked prefix scan with blocks of
-    L steps, rise[i, m, k] = (Phi^k)_im for k < L.
+    of streams (`_noise_streams`, none if empty), as a blocked prefix scan
+    with blocks of L steps, rise[i, m, k] = (Phi^k)_im for k < L, in chunks
+    of chunk steps, a multiple of _SCAN_BLOCK.
 
     A generator: yields {channel: recorded samples} for the channels in rows
     (name -> state row), the record from sample 1 on, chunk by chunk, in
@@ -490,7 +515,6 @@ def _run_scan(phi, rise, g_zoh, x0, stochastic, plan, rows):
     # w_zoh[i, r, k] = (Phi^-k g_zoh)_ir is the weight of noise input r at step k
     # of a block; it and rise are contiguous rows over k
     n_steps, dec = plan.n_steps, plan.record_decimation
-    streams = _noise_streams(stochastic, plan.dt)
     if streams:
         # Phi^-k, k < L, as a running product of the inverse refined by one Newton step
         inv = np.linalg.inv(phi)
@@ -499,7 +523,6 @@ def _run_scan(phi, rise, g_zoh, x0, stochastic, plan, rows):
 
     # buffers reused by every chunk: the scan and an input row (with noise) and a
     # product.  A chunk's last block is padded to L steps, never recorded or carried on.
-    chunk = max(_SCAN_BLOCK, _CHUNK_STEPS // _SCAN_BLOCK * _SCAN_BLOCK)
     size = min(chunk, -(-n_steps // length) * length)
     if streams:
         scan, row_buf = np.empty((4, size)), np.empty(size)

@@ -574,6 +574,23 @@ def test_unwritable_output_exit_code(tmp_path, capsys):
     assert "cr-noise-lab: cannot write output:" in capsys.readouterr().err
 
 
+def test_missing_preset_file_is_a_config_error(tmp_path, monkeypatch, capsys):
+    """A shipped preset whose file the install lacks (a build without its
+    package data) is a config error naming the preset and the file, exit 1,
+    as an unreadable --config file is; nothing is written."""
+    import importlib.resources
+
+    install = tmp_path / "install"
+    monkeypatch.setattr(importlib.resources, "files", lambda package: install)
+    out = tmp_path / "out"
+    assert run_cli("modes", "--config", "paper-reference", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cr-noise-lab: config error: cannot read shipped preset "
+                          f"'paper-reference' from {install / 'data' / 'paper_reference.cfg'}: "
+                          "[Errno 2] "), err
+    assert not out.exists()
+
+
 def test_interrupt_exit_code(tmp_path):
     """Ctrl-C during a run exits 130 with a named message and leaves no
     partial timeseries.csv.  Run in a child process, so that an interrupt
@@ -837,7 +854,7 @@ def test_simulated_budget_memory_flat_in_duration(tmp_path, monkeypatch):
         finally:
             tracemalloc.stop()
 
-    def drain(sink, chunks):
+    def drain(sink, chunks, depth):
         for chunk in chunks:
             sink(chunk)
 

@@ -184,6 +184,26 @@ def _hand_stepped_rk4(system, forcing, plan):
     return np.array(states)
 
 
+@pytest.mark.parametrize("preset", presets.PRESET_NAMES)
+def test_powers_match_a_matmul_running_product(preset):
+    """The scan's weight tables Phi^k and Phi^-k (the inverse refined by one
+    Newton step), k < 4096, bit for bit those of an np.matmul running product."""
+    from crnoise.config import build_run_config, parse_config_text
+    from crnoise.timesim import _powers, _rk4_update_matrices, _scan_block_length
+
+    system = build_run_config(parse_config_text(presets.preset_text(preset))).design
+    phi = _rk4_update_matrices(system.a, system.b, default_timestep(system.modes))[0]
+    inv = np.linalg.inv(phi)
+    inv += inv @ (np.eye(4) - phi @ inv)
+    assert _scan_block_length(phi) == 4096
+    for m in (phi, inv):
+        want = np.empty((4096, 4, 4))
+        want[0] = np.eye(4)
+        for k in range(1, 4096):
+            np.matmul(want[k - 1], m, out=want[k])
+        assert np.array_equal(_powers(m, 4096), want)
+
+
 def _exact_step_loop(system, forcing, plan):
     """Oracle trajectory: the engine's recursion x[n+1] = Phi x[n] + G0 u(t_n)
     + Gm u(t_n + dt/2) + G1 u(t_n + dt), stepped one at a time, each state
@@ -525,6 +545,13 @@ def test_concurrent_runs_match_serial(reference):
         assert np.array_equal(a.x2, b.x2)
 
 
+def noise_chunks(monkeypatch, steps):
+    """Set _CHUNK_STEPS so that a noise run, as chunk_test_run's are, hands
+    out chunks of steps steps, a quarter of it."""
+    monkeypatch.setattr(timesim, "_CHUNK_STEPS", 4 * steps)
+    assert timesim._chunking(True)[0] == steps
+
+
 def chunk_test_run(system, modes, n_steps, decimation=1, sink=None, channels=None):
     """Thermal and harmonic drive together, every channel (or those named)
     collected, or handed to sink."""
@@ -572,8 +599,8 @@ def test_trajectory_independent_of_chunk_size(reference, monkeypatch):
     _, system, modes = reference
     n_steps = 3 * 4096 + 1234
     whole = chunk_test_run(system, modes, n_steps)  # one chunk
-    for chunk_steps in (4096, 10_000):  # 4 and 2 chunks
-        monkeypatch.setattr(timesim, "_CHUNK_STEPS", chunk_steps)
+    for chunk_steps in (4096, 10_000):  # 4 and 2 chunks (10_000 rounds down to 8192)
+        monkeypatch.setattr(timesim, "_CHUNK_STEPS", 4 * chunk_steps)  # a noise run's quarter
         cut = chunk_test_run(system, modes, n_steps)
         for name in CHANNELS:
             assert np.array_equal(getattr(cut, name), getattr(whole, name))
@@ -594,7 +621,7 @@ def test_streamed_chunks_match_record(reference, monkeypatch):
     for decimation in (1, 5, 7, 5000):
         monkeypatch.undo()
         whole = chunk_test_run(system, modes, n_steps, decimation)  # one chunk
-        monkeypatch.setattr(timesim, "_CHUNK_STEPS", 4096)
+        noise_chunks(monkeypatch, 4096)
         chunks, sink = streamed()
         series = chunk_test_run(system, modes, n_steps, decimation, sink)
         assert series.n_samples == whole.n_samples == 1 + n_steps // decimation
@@ -668,7 +695,7 @@ def test_slow_sink_sees_its_chunk_unchanged(reference, monkeypatch):
     """Sinks run on a worker thread while the engine forms the next chunks; a
     chunk's arrays must not be rewritten while a sink still holds them."""
     _, system, modes = reference
-    monkeypatch.setattr(timesim, "_CHUNK_STEPS", 4096)
+    noise_chunks(monkeypatch, 4096)
     n_steps = 6 * 4096 + 1234
     for decimation in (1, 3, 5000):  # at 5000 some chunks record nothing
         whole = chunk_test_run(system, modes, n_steps, decimation)
@@ -691,9 +718,9 @@ def test_sink_may_keep_its_arrays(reference, monkeypatch):
     _, system, modes = reference
     n_steps = 6 * 4096 + 1234
     for decimation in (1, 3, 5000):  # at 5000 some chunks record nothing
-        monkeypatch.undo()
+        noise_chunks(monkeypatch, 8 * 4096)
         whole = chunk_test_run(system, modes, n_steps, decimation)  # one chunk
-        monkeypatch.setattr(timesim, "_CHUNK_STEPS", 4096)
+        noise_chunks(monkeypatch, 4096)
         kept = []
         chunk_test_run(system, modes, n_steps, decimation, kept.append)
         assert len(kept) == (8 if decimation < 5000 else 6)
@@ -705,9 +732,8 @@ def test_sink_may_keep_its_arrays(reference, monkeypatch):
 def test_sink_error_stops_the_run(reference, monkeypatch):
     """The sink's own exception reaches the caller, no chunk after it is
     passed on, the engine stops and the worker thread is gone; at a handoff
-    depth of one and at the shipped depth."""
+    depth of one and at the shipped run-ahead, 16 chunks of the noise run."""
     _, system, modes = reference
-    monkeypatch.setattr(timesim, "_CHUNK_STEPS", 4096)
     formed = []
     scan = timesim._run_scan
 
@@ -728,12 +754,16 @@ def test_sink_error_stops_the_run(reference, monkeypatch):
             raise error
 
     threads = threading.active_count()
-    for depth in (1, timesim._HANDOFF_CHUNKS):
-        monkeypatch.setattr(timesim, "_HANDOFF_CHUNKS", depth)
+    # 4096-step chunks either way: a quarter of 4096 steps takes one whole scan block
+    for chunk_steps, handoff in ((4096, 1), (4 * 4096, timesim._HANDOFF_CHUNKS)):
+        monkeypatch.setattr(timesim, "_CHUNK_STEPS", chunk_steps)
+        monkeypatch.setattr(timesim, "_HANDOFF_CHUNKS", handoff)
+        chunk, depth = timesim._chunking(True)
+        assert chunk == 4096 and depth == (1 if handoff == 1 else 16)
         formed.clear()
         passed.clear()
         with pytest.raises(RuntimeError) as caught:
-            chunk_test_run(system, modes, 20 * 4096, 1, failing, ("x1",))
+            chunk_test_run(system, modes, (depth + 20) * 4096, 1, failing, ("x1",))
         assert caught.value is error
         assert len(passed) == 3
         # at most the three passed, the queued ones and the one waiting to be queued
@@ -805,6 +835,7 @@ def test_engine_side_errors_leave_no_thread(reference, monkeypatch):
 
     monkeypatch.setattr(timesim, "_run_scan", interrupted)
     monkeypatch.setattr(timesim, "_HANDOFF_CHUNKS", 1)
+    assert timesim._chunking(False) == (4096, 1)
     passed = []
     with pytest.raises(KeyboardInterrupt):
         simulate(system, Forcing(), dataclasses.replace(plan, initial_state=(0.0,) * 4), slow)
@@ -816,10 +847,12 @@ def test_engine_runs_ahead_of_a_slow_sink(reference, monkeypatch):
     """While the sink holds its first chunk, the engine forms the chunks the
     queue takes and one more, and waits to queue that one; released, the
     sink gets an unheld run's record.  An interrupt that comes while the
-    sink holds its first chunk drops every queued chunk."""
+    sink holds its first chunk drops every queued chunk.  The noise run's
+    queue holds _HANDOFF_CHUNKS x _CHUNK_STEPS steps, 16 of its chunks."""
     _, system, modes = reference
-    monkeypatch.setattr(timesim, "_CHUNK_STEPS", 4096)
-    depth = timesim._HANDOFF_CHUNKS
+    noise_chunks(monkeypatch, 4096)
+    depth = timesim._chunking(True)[1]
+    assert depth * 4096 == timesim._HANDOFF_CHUNKS * timesim._CHUNK_STEPS and depth == 16
     n_steps = 4 * depth * 4096 + 1234
     whole = chunk_test_run(system, modes, n_steps, 3)
     formed = []
@@ -880,6 +913,39 @@ def test_engine_runs_ahead_of_a_slow_sink(reference, monkeypatch):
         chunk_test_run(system, modes, n_steps, 3, slow, ("x1",))
     assert threading.active_count() == threads
     assert len(passed) == 1
+
+
+def test_chunk_length_follows_the_scan_buffers(reference, monkeypatch):
+    """A noise run's sink gets chunks of 2^14 steps, a noise-free run's of
+    2^16: only a noise run holds the scan's rows.  The engine's traced peak
+    for a 2 s (248k-step) target-both run recording x1 and x2, each chunk
+    going to a no-op sink on the engine's thread, stays within 2.5 MiB
+    (2.07 MiB; 5.83 MiB with 2^16-step noise chunks)."""
+    import tracemalloc
+
+    _, system, modes = reference
+    dt = default_timestep(modes)
+    plan = SimulationPlan(dt=dt, duration=((1 << 16) + 100) * dt,
+                          initial_state=(1e-9, 0.0, -2e-9, 1e-5))
+    noise = Forcing(stochastic=StochasticDrive(force_psd=(5.1e-23, 5.1e-23), seed=4))
+    for forcing, chunk in ((noise, 1 << 14), (Forcing(), 1 << 16)):
+        sizes = []
+        simulate(system, forcing, plan, lambda c: sizes.append(c["x1"].size), ("x1",))
+        assert sizes == [1] + [chunk] * ((1 << 16) // chunk) + [100]
+
+    def drain(sink, chunks, depth):
+        for chunk in chunks:
+            sink(chunk)
+
+    monkeypatch.setattr(timesim, "_drain", drain)
+    plan = SimulationPlan(dt=dt, duration=2.0)
+    tracemalloc.start()
+    try:
+        simulate(system, noise, plan, lambda chunk: None, ("x1", "x2"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20, peak
 
 
 def settled(system, forcing, plan, start_fraction=0.5):
